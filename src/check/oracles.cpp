@@ -586,15 +586,15 @@ SeedReport check_scenario(const Scenario& scenario,
   // this holds by construction; the oracle keeps it that way).
   if (scenario.fleet_jobs > 1) {
     const auto tenant_journals = [&](int tenants) {
-      fleet::FleetConfig config;
-      config.base = to_run_config(scenario);
-      config.arrivals.jobs = tenants;
-      config.arrivals.model = scenario.fleet_arrival == 1
-                                  ? fleet::ArrivalModel::kTrace
-                                  : fleet::ArrivalModel::kPoisson;
-      config.jobs = options.jobs;
-      config.capture_tenant_journals = true;
-      const fleet::FleetResult result = fleet::run_fleet(config);
+      fleet::FleetConfig fleet_config;
+      fleet_config.base = to_run_config(scenario);
+      fleet_config.arrivals.jobs = tenants;
+      fleet_config.arrivals.model = scenario.fleet_arrival == 1
+                                        ? fleet::ArrivalModel::kTrace
+                                        : fleet::ArrivalModel::kPoisson;
+      fleet_config.jobs = options.jobs;
+      fleet_config.capture_tenant_journals = true;
+      const fleet::FleetResult result = fleet::run_fleet(fleet_config);
       report.runs_executed += tenants;
       return result.tenant_journals;
     };

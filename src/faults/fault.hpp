@@ -13,18 +13,14 @@ namespace parastack::faults {
 /// The fault taxonomy of paper §1: computation-phase errors (infinite loop /
 /// stuck process, frozen node) and communication-phase errors (deadlock,
 /// lost message). Transient slowdowns are not faults but are injected with
-/// the same machinery to exercise the detector's §3.3 filter. The tool-side
-/// entries (monitor/lead crash) apply to ParaStack's own monitor processes
-/// rather than the application — the regime replication-based tools are
-/// built for.
+/// the same machinery to exercise the detector's §3.3 filter. Faults that
+/// hit ParaStack's own monitor processes live in ToolFaultPlan below.
 enum class FaultType : std::uint8_t {
   kNone,
   kComputeHang,        ///< victim sticks in user code (paper's injected sleep)
   kCommDeadlock,       ///< victim sticks inside an MPI call, never completes
   kTransientSlowdown,  ///< victim's whole node computes slower for a while
   kNodeFreeze,         ///< victim's whole node stops making progress
-  kMonitorCrash,       ///< a per-node monitor process dies (tool-side)
-  kLeadCrash,          ///< the lead (aggregating) monitor dies (tool-side)
 };
 
 std::string_view fault_type_name(FaultType type) noexcept;

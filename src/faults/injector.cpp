@@ -18,8 +18,6 @@ std::string_view fault_type_name(FaultType type) noexcept {
     case FaultType::kCommDeadlock: return "comm-deadlock";
     case FaultType::kTransientSlowdown: return "transient-slowdown";
     case FaultType::kNodeFreeze: return "node-freeze";
-    case FaultType::kMonitorCrash: return "monitor-crash";
-    case FaultType::kLeadCrash: return "lead-crash";
   }
   return "?";
 }

@@ -20,23 +20,53 @@ struct QueuedEvent {
   std::uint32_t gen;
 };
 
-/// 4-ary implicit min-heap on (time, seq). A 4-ary layout halves the tree
-/// depth of a binary heap, trading a few extra comparisons per level for
-/// far fewer cache-missing levels — the classic DES-queue win when the
-/// queue holds hundreds-to-thousands of events (one cache line holds ~2.7
-/// entries, so a node's children land on at most two lines).
+/// Priority queue on (time, seq): a one-entry next-event slot in front of
+/// a 4-ary implicit min-heap. Keys are unique, so any exact priority queue
+/// pops the same sequence; the slot only changes what each push costs.
+///
+/// The slot, when occupied, holds the entry that fires before everything
+/// in the heap. A push earlier than every pending entry lands there (a
+/// displaced occupant moves into the heap) instead of sifting through it.
+/// Simulations schedule many events that are next to fire — a rank's
+/// follow-up step a few microseconds out while the heap holds hundreds of
+/// later events — and pop them right back; in a 256-rank LU trial about a
+/// third of all pushes take the slot.
+///
+/// A 4-ary layout halves the tree depth of a binary heap, trading a few
+/// extra comparisons per level for far fewer cache-missing levels — the
+/// classic DES-queue win when the queue holds hundreds-to-thousands of
+/// events (one cache line holds ~2.7 entries, so a node's children land on
+/// at most two lines).
 class EventQueue {
  public:
-  bool empty() const noexcept { return v_.empty(); }
-  std::size_t size() const noexcept { return v_.size(); }
-  const QueuedEvent& front() const noexcept { return v_[0]; }
+  bool empty() const noexcept { return !has_next_ && v_.empty(); }
+  /// Pending entries, the slot included.
+  std::size_t size() const noexcept { return v_.size() + (has_next_ ? 1 : 0); }
+  const QueuedEvent& front() const noexcept {
+    return has_next_ ? next_ : v_[0];
+  }
 
   void push(const QueuedEvent& event) {
-    v_.push_back(event);
-    sift_up(v_.size() - 1);
+    if (has_next_) {
+      if (before(event, next_)) {
+        heap_push(next_);
+        next_ = event;
+      } else {
+        heap_push(event);
+      }
+    } else if (v_.empty() || before(event, v_[0])) {
+      next_ = event;
+      has_next_ = true;
+    } else {
+      heap_push(event);
+    }
   }
 
   void pop_front() {
+    if (has_next_) {
+      has_next_ = false;
+      return;
+    }
     const QueuedEvent moved = v_.back();
     v_.pop_back();
     if (!v_.empty()) {
@@ -45,15 +75,21 @@ class EventQueue {
     }
   }
 
-  /// Remove every entry matching `pred` and restore the heap in one O(n)
-  /// pass (tombstone compaction). Returns the number removed.
+  /// Remove every entry matching `pred`, the slot included, and restore the
+  /// heap in one O(n) pass (tombstone compaction). Returns the number
+  /// removed.
   template <typename Pred>
   std::size_t remove_if(Pred pred) {
+    std::size_t removed = 0;
+    if (has_next_ && pred(next_)) {
+      has_next_ = false;
+      ++removed;
+    }
     std::size_t kept = 0;
     for (std::size_t i = 0; i < v_.size(); ++i) {
       if (!pred(v_[i])) v_[kept++] = v_[i];
     }
-    const std::size_t removed = v_.size() - kept;
+    removed += v_.size() - kept;
     v_.resize(kept);
     if (kept > 1) {
       for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;) sift_down(i);
@@ -67,6 +103,11 @@ class EventQueue {
   static bool before(const QueuedEvent& a, const QueuedEvent& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
+  }
+
+  void heap_push(const QueuedEvent& event) {
+    v_.push_back(event);
+    sift_up(v_.size() - 1);
   }
 
   void sift_up(std::size_t i) {
@@ -99,6 +140,8 @@ class EventQueue {
     v_[i] = moving;
   }
 
+  QueuedEvent next_{};
+  bool has_next_ = false;
   std::vector<QueuedEvent> v_;
 };
 

@@ -63,7 +63,7 @@ RequestHandle CommEngine::post_send(Rank src, Rank dst, int tag,
   }
   auto& channel = channels_.find_or_insert(ChannelKey{src, dst, tag});
   channel.sends.push_back(std::move(op));
-  match(ChannelKey{src, dst, tag}, channel);
+  match(channel);
   return req;
 }
 
@@ -79,17 +79,14 @@ RequestHandle CommEngine::post_recv(Rank dst, Rank src, int tag,
   op.req = req;
   auto& channel = channels_.find_or_insert(ChannelKey{src, dst, tag});
   channel.recvs.push_back(std::move(op));
-  match(ChannelKey{src, dst, tag}, channel);
+  match(channel);
   return req;
 }
 
-void CommEngine::match(const ChannelKey& key, Channel& channel) {
-  (void)key;
+void CommEngine::match(Channel& channel) {
   while (!channel.sends.empty() && !channel.recvs.empty()) {
-    PendingSend send = std::move(channel.sends.front());
-    channel.sends.pop_front();
-    PendingRecv recv = std::move(channel.recvs.front());
-    channel.recvs.pop_front();
+    const PendingSend send = channel.sends.pop_front();
+    const PendingRecv recv = channel.recvs.pop_front();
     ++matched_;
     const sim::Time now = engine_.now();
     if (send.eager) {

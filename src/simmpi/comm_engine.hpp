@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/platform.hpp"
+#include "simmpi/fifo.hpp"
 #include "simmpi/request.hpp"
 #include "simmpi/types.hpp"
 
@@ -97,9 +97,11 @@ class CommEngine {
       return static_cast<std::size_t>(h);
     }
   };
+  /// At most one of the two FIFOs is non-empty between ops: a post
+  /// matches against the other side before it returns.
   struct Channel {
-    std::deque<PendingSend> sends;
-    std::deque<PendingRecv> recvs;
+    Fifo<PendingSend> sends;
+    Fifo<PendingRecv> recvs;
   };
 
   /// Open-addressed find-or-insert table over channels. A campaign performs
@@ -171,7 +173,7 @@ class CommEngine {
   };
 
   void complete_at(const RequestHandle& req, sim::Time t);
-  void match(const ChannelKey& key, Channel& channel);
+  void match(Channel& channel);
   sim::Time tree_latency(std::size_t bytes, int ranks_involved) const;
   sim::Time alltoall_latency(std::size_t bytes) const;
   void release_waiter(CollectiveInstance& inst,

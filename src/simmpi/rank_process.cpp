@@ -342,23 +342,23 @@ void RankProcess::dispatch(const Action& action) {
 
     case Kind::kWaitAll: {
       begin_blocking_mpi(MpiFunc::kWaitall);
-      auto pending = std::make_shared<int>(0);
+      blocking_parts_pending_ = 0;
       for (const auto& req : outstanding_) {
-        if (!req->complete) ++*pending;
+        if (!req->complete) ++blocking_parts_pending_;
       }
       auto resume = [this] {
         end_blocking_mpi();
         outstanding_.clear();
         advance();
       };
-      if (*pending == 0) {
+      if (blocking_parts_pending_ == 0) {
         engine_.schedule_after(kCallOverhead, guarded(resume));
         return;
       }
       for (const auto& req : outstanding_) {
         if (req->complete) continue;
-        req->on_complete = guarded([this, pending, resume] {
-          if (--*pending == 0) resume();
+        req->on_complete = guarded([this, resume] {
+          if (--blocking_parts_pending_ == 0) resume();
         });
       }
       return;

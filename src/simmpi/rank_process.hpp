@@ -186,7 +186,9 @@ class RankProcess {
   sim::Time finished_at_ = -1;
   std::uint64_t actions_ = 0;
   std::uint64_t replay_target_ = 0;
-  int blocking_parts_pending_ = 0;  // Sendrecv = 2 halves
+  /// Incomplete parts of the blocking call in progress: Sendrecv's two
+  /// halves, or Waitall's outstanding requests.
+  int blocking_parts_pending_ = 0;
 };
 
 }  // namespace parastack::simmpi

@@ -12,8 +12,8 @@ using simmpi::Action;
 
 SyntheticProgram::SyntheticProgram(
     std::shared_ptr<const BenchmarkProfile> profile, simmpi::Rank rank,
-    int nranks, util::Rng rng)
-    : profile_(std::move(profile)), rank_(rank), nranks_(nranks), rng_(rng) {
+    int nranks, util::Rng /*rng*/)
+    : profile_(std::move(profile)), rank_(rank), nranks_(nranks) {
   PS_CHECK(profile_ != nullptr, "null profile");
   PS_CHECK(!profile_->phases.empty(), "profile needs phases");
   const double ratio = static_cast<double>(profile_->reference_ranks) /
@@ -25,21 +25,20 @@ SyntheticProgram::SyntheticProgram(
   alltoall_factor_ =
       std::min(std::pow(ratio, profile_->alltoall_scaling_exp), 8.0);
   pipeline_stride_ = std::max(1, nranks_ / profile_->reference_ranks);
+
+  for (std::size_t i = 0; i < profile_->phases.size(); ++i) {
+    script_phase(profile_->phases[i], static_cast<int>(i));
+  }
+  if (profile_->output_every > 0 && rank_ == 0) {
+    script_.push_back({Action::write_output(), 0.0,
+                       static_cast<std::uint32_t>(profile_->output_every)});
+  }
 }
 
-sim::Time SyntheticProgram::scaled_compute(const Phase& phase) const {
+double SyntheticProgram::compute_base(const Phase& phase) const {
   double mean = static_cast<double>(phase.compute_mean) * compute_factor_;
   if (rank_ < profile_->straggler_count) mean *= profile_->straggler_factor;
-  if (phase.decays) {
-    // Shrinking trailing matrix. Floored: per-iteration work never quite
-    // collapses (blocking keeps late panels non-trivial), which also keeps
-    // the S_crout distribution roughly stationary across the run.
-    const double remaining =
-        1.0 - static_cast<double>(iter_) /
-                  static_cast<double>(profile_->iterations);
-    mean *= std::max(remaining * remaining, 0.2);
-  }
-  return static_cast<sim::Time>(mean);
+  return mean;
 }
 
 std::size_t SyntheticProgram::scaled_bytes(const Phase& phase) const {
@@ -64,63 +63,68 @@ simmpi::Rank SyntheticProgram::neighbor(int index) const {
   }
 }
 
-void SyntheticProgram::enqueue_halo(const Phase& phase,
-                                    Action::Kind wait_kind) {
+void SyntheticProgram::script_halo(const Phase& phase, Action::Kind wait_kind,
+                                   int tag, std::uint32_t every) {
   const std::size_t bytes = scaled_bytes(phase);
-  const int tag = static_cast<int>(&phase - profile_->phases.data()) + 100;
   const int neighbors = std::min(phase.halo_neighbors, 4);
+  const auto add = [&](const Action& action) {
+    script_.push_back({action, 0.0, every});
+  };
   if (wait_kind == Action::Kind::kSendrecv) {
     // Shift-style blocking exchange (send +direction, receive -direction,
     // then the reverse), the deadlock-free schedule real halo codes use.
     // Neighbor indices come in +/- pairs: (0,1) on the ring, (2,3) at
     // +/- stride.
     for (int pair = 0; pair + 1 < neighbors; pair += 2) {
-      queue_.push_back(Action::sendrecv_shift(neighbor(pair),
-                                              neighbor(pair + 1), tag, bytes));
-      queue_.push_back(Action::sendrecv_shift(neighbor(pair + 1),
-                                              neighbor(pair), tag, bytes));
+      add(Action::sendrecv_shift(neighbor(pair), neighbor(pair + 1), tag,
+                                 bytes));
+      add(Action::sendrecv_shift(neighbor(pair + 1), neighbor(pair), tag,
+                                 bytes));
     }
     return;
   }
   for (int i = 0; i < neighbors; ++i) {
-    queue_.push_back(Action::irecv(neighbor(i), tag, bytes));
+    add(Action::irecv(neighbor(i), tag, bytes));
   }
   for (int i = 0; i < neighbors; ++i) {
-    queue_.push_back(Action::isend(neighbor(i), tag, bytes));
+    add(Action::isend(neighbor(i), tag, bytes));
   }
-  if (wait_kind == Action::Kind::kWaitAll) {
-    queue_.push_back(Action::wait_all());
-  } else {
-    queue_.push_back(Action::test_loop(phase.user_func));
-  }
+  add(wait_kind == Action::Kind::kWaitAll ? Action::wait_all()
+                                          : Action::test_loop(phase.user_func));
 }
 
-void SyntheticProgram::enqueue_phase(const Phase& phase) {
+void SyntheticProgram::script_phase(const Phase& phase, int phase_index) {
   if (phase.compute_mean > 0) {
-    queue_.push_back(
-        Action::compute(scaled_compute(phase), phase.compute_cv,
-                        phase.user_func));
+    Step step;
+    const double base = compute_base(phase);
+    step.action = Action::compute(static_cast<sim::Time>(base),
+                                  phase.compute_cv, phase.user_func);
+    step.decay_base = base;
+    step.decays = phase.decays;
+    script_.push_back(step);
   }
   if (phase.comm == CommPattern::kNone) return;
-  if (phase.every > 1 && iter_ % static_cast<std::uint64_t>(phase.every) != 0)
-    return;
 
+  const auto every = static_cast<std::uint32_t>(std::max(phase.every, 1));
   const std::size_t bytes = scaled_bytes(phase);
-  const int tag = static_cast<int>(&phase - profile_->phases.data()) + 100;
-  const simmpi::Rank root =
-      phase.rotate_root
-          ? static_cast<simmpi::Rank>(iter_ % static_cast<std::uint64_t>(nranks_))
-          : 0;
+  const int tag = phase_index + 100;
+  const auto add = [&](const Action& action) {
+    script_.push_back({action, 0.0, every});
+  };
+  const auto add_rooted = [&](Action::Kind kind) {
+    script_.push_back({Action::collective(kind, bytes), 0.0, every, false,
+                       phase.rotate_root});
+  };
   using Kind = Action::Kind;
   switch (phase.comm) {
     case CommPattern::kHaloBlocking:
-      enqueue_halo(phase, Kind::kSendrecv);
+      script_halo(phase, Kind::kSendrecv, tag, every);
       break;
     case CommPattern::kHaloHalfBlocking:
-      enqueue_halo(phase, Kind::kWaitAll);
+      script_halo(phase, Kind::kWaitAll, tag, every);
       break;
     case CommPattern::kHaloBusyWait:
-      enqueue_halo(phase, Kind::kTestLoop);
+      script_halo(phase, Kind::kTestLoop, tag, every);
       break;
     // Pipeline partners live in *different* phases, so they share fixed
     // tags (forward = 7, backward = 8) instead of the per-phase tag.
@@ -129,53 +133,44 @@ void SyntheticProgram::enqueue_phase(const Phase& phase) {
     // 2D decompositions, whose sweep depth grows like sqrt(P), not P.
     case CommPattern::kPipelineRecv:
       if (rank_ >= pipeline_stride_)
-        queue_.push_back(Action::recv(rank_ - pipeline_stride_, 7, bytes));
+        add(Action::recv(rank_ - pipeline_stride_, 7, bytes));
       break;
     case CommPattern::kPipelineSend:
       if (rank_ + pipeline_stride_ < nranks_)
-        queue_.push_back(Action::send(rank_ + pipeline_stride_, 7, bytes));
+        add(Action::send(rank_ + pipeline_stride_, 7, bytes));
       break;
     case CommPattern::kPipelineRecvBack:
       if (rank_ + pipeline_stride_ < nranks_)
-        queue_.push_back(Action::recv(rank_ + pipeline_stride_, 8, bytes));
+        add(Action::recv(rank_ + pipeline_stride_, 8, bytes));
       break;
     case CommPattern::kPipelineSendBack:
       if (rank_ >= pipeline_stride_)
-        queue_.push_back(Action::send(rank_ - pipeline_stride_, 8, bytes));
+        add(Action::send(rank_ - pipeline_stride_, 8, bytes));
       break;
     case CommPattern::kBarrier:
-      queue_.push_back(Action::collective(Kind::kBarrier, 0));
+      add(Action::collective(Kind::kBarrier, 0));
       break;
     case CommPattern::kBcast:
-      queue_.push_back(Action::collective(Kind::kBcast, bytes, root));
+      add_rooted(Kind::kBcast);
       break;
     case CommPattern::kReduce:
-      queue_.push_back(Action::collective(Kind::kReduce, bytes, root));
+      add_rooted(Kind::kReduce);
       break;
     case CommPattern::kAllreduce:
-      queue_.push_back(Action::collective(Kind::kAllreduce, bytes));
+      add(Action::collective(Kind::kAllreduce, bytes));
       break;
     case CommPattern::kGather:
-      queue_.push_back(Action::collective(Kind::kGather, bytes, root));
+      add_rooted(Kind::kGather);
       break;
     case CommPattern::kAllgather:
-      queue_.push_back(Action::collective(Kind::kAllgather, bytes));
+      add(Action::collective(Kind::kAllgather, bytes));
       break;
     case CommPattern::kAlltoall:
-      queue_.push_back(Action::collective(Kind::kAlltoall, bytes));
+      add(Action::collective(Kind::kAlltoall, bytes));
       break;
     case CommPattern::kNone:
       break;
   }
-}
-
-void SyntheticProgram::enqueue_iteration() {
-  for (const Phase& phase : profile_->phases) enqueue_phase(phase);
-  if (profile_->output_every > 0 && rank_ == 0 &&
-      iter_ % static_cast<std::uint64_t>(profile_->output_every) == 0) {
-    queue_.push_back(Action::write_output());
-  }
-  ++iter_;
 }
 
 Action SyntheticProgram::next() {
@@ -185,13 +180,32 @@ Action SyntheticProgram::next() {
       return Action::compute(profile_->setup_time, 0.1, "setup_init_arrays");
     }
   }
-  while (queue_.empty()) {
-    if (iter_ >= profile_->iterations) return Action::finish();
-    enqueue_iteration();
+  while (iter_ < profile_->iterations) {
+    if (cursor_ == script_.size()) {
+      cursor_ = 0;
+      ++iter_;
+      continue;
+    }
+    const Step& step = script_[cursor_++];
+    if (step.every > 1 && iter_ % step.every != 0) continue;
+    Action action = step.action;
+    if (step.decays) {
+      // Shrinking trailing matrix. Floored: per-iteration work never quite
+      // collapses (blocking keeps late panels non-trivial), which also
+      // keeps the S_crout distribution roughly stationary across the run.
+      const double remaining =
+          1.0 - static_cast<double>(iter_) /
+                    static_cast<double>(profile_->iterations);
+      action.compute_mean = static_cast<sim::Time>(
+          step.decay_base * std::max(remaining * remaining, 0.2));
+    }
+    if (step.rotate_root) {
+      action.root = static_cast<simmpi::Rank>(
+          iter_ % static_cast<std::uint64_t>(nranks_));
+    }
+    return action;
   }
-  Action action = queue_.front();
-  queue_.pop_front();
-  return action;
+  return Action::finish();
 }
 
 simmpi::ProgramFactory make_factory(

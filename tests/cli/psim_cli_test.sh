@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI contract test for psim: bad enum-style flag values must name the valid
-# set and exit non-zero (a typo must not silently run a different
-# experiment), and --tool-faults must round-trip through a real run.
+# set and exit non-zero, and so must options a subcommand does not read (a
+# typo must not silently run a different experiment); --tool-faults must
+# round-trip through a real run.
 # Usage: psim_cli_test.sh /path/to/psim
 set -u
 
@@ -47,6 +48,34 @@ expect_reject bad-fleet-jobs "bad --fleet value" \
   run --bench LU --ranks 32 --fleet=0
 expect_reject bad-fleet-arrival "expected JOBS[,poisson|trace,POOL]" \
   run --bench LU --ranks 32 --fleet=2,bursty
+# Options a subcommand does not read are rejected, never ignored: a typo
+# like --tre for --tree must not quietly run the default topology.
+expect_reject unknown-campaign-flag "psim campaign: unknown option --bogus-flag" \
+  campaign --bench LU --ranks 32 --runs 2 --fault compute-hang --bogus-flag
+expect_reject unknown-run-flag "psim run: unknown option --tre" \
+  run --bench LU --ranks 32 --tre 2
+expect_reject run-jobs-without-fleet "psim run: unknown option --jobs" \
+  run --bench LU --ranks 32 --jobs 2
+expect_reject unknown-submit-flag "psim submit: unknown option --runs" \
+  submit --bench LU --ranks 32 --runs 3
+expect_reject unknown-list-flag "psim list: unknown option --verbose" \
+  list --verbose
+
+# A campaign with zero detections has no response delay to average.
+out=$("$PSIM" campaign --bench LU --ranks 32 --runs 2 --fault compute-hang \
+  --detectors=timeout 2>&1)
+rc=$?
+if [[ $rc -ne 0 ]]; then
+  echo "FAIL no-detection-delay: exit code $rc, expected 0" >&2
+  echo "$out" >&2
+  failures=$((failures + 1))
+elif [[ $out != *"missed 2"* || $out != *"response delay n/a"* ]]; then
+  echo "FAIL no-detection-delay: expected 2 misses and 'response delay n/a'" >&2
+  echo "$out" >&2
+  failures=$((failures + 1))
+else
+  echo "ok no-detection-delay"
+fi
 
 # A valid faulty run with tool faults: exits 0 and reports the tool-fault
 # accounting line on stdout.

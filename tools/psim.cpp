@@ -3,8 +3,7 @@
 //   psim run      --bench LU --input D --ranks 256 --platform Tardis
 //                 [--fault compute-hang|comm-deadlock|slowdown|freeze]
 //                 [--seed N] [--detectors parastack,timeout,io-watchdog]
-//                 [--no-parastack] [--timeout-baseline I,K]
-//                 [--threads T] [--alpha A]
+//                 [--no-parastack] [--timeout-baseline] [--alpha A]
 //                 [--recovery none|ckpt[:INTERVAL,COST]|spare[:N]|team[:R]]
 //                 [--tool-faults loss=P,crash=NODE@SEC,lead-crash=SEC,...]
 //                 [--journal FILE] [--metrics-out FILE] [--chrome-trace FILE]
@@ -16,7 +15,9 @@
 //   psim list     (available benchmarks, platforms, fault types)
 //
 // Everything is deterministic under --seed: rerunning with the same seed
-// produces byte-identical journals and metrics files.
+// produces byte-identical journals and metrics files. Each subcommand
+// rejects options it does not read (exit 2), so a mistyped flag never
+// silently runs the default.
 
 #include <algorithm>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "fleet/fleet.hpp"
 #include "harness/campaign.hpp"
@@ -52,7 +54,7 @@ int usage() {
                "parastack|timeout|io-watchdog;\n"
                "            first entry is the primary that kills the job) "
                "--no-parastack\n"
-               "            --timeout-baseline --threads T --alpha A\n"
+               "            --timeout-baseline --alpha A\n"
                "  campaign: --runs N --fault TYPE --jobs N (0 = all "
                "hardware threads; results and\n"
                "            telemetry are byte-identical for any --jobs)\n"
@@ -200,6 +202,30 @@ struct Telemetry {
     return ok;
   }
 };
+
+/// Options every simulating subcommand reads through build_config().
+const std::vector<std::string> kConfigKeys = {
+    "bench", "ranks", "input", "platform", "seed", "fault", "detectors",
+    "no-parastack", "timeout-baseline", "alpha", "tree", "recovery",
+    "tool-faults"};
+/// Options Telemetry::init() reads.
+const std::vector<std::string> kTelemetryKeys = {
+    "log-level", "journal", "journal-spans", "metrics-out", "metrics",
+    "chrome-trace", "trace-ranks"};
+
+/// True when every option on the command line is one `command` reads;
+/// otherwise names each stray option on stderr.
+bool known_options_only(const util::Args& args, const char* command,
+                        std::vector<std::string> known,
+                        const std::vector<std::string>& more = {}) {
+  known.insert(known.end(), more.begin(), more.end());
+  const auto unknown = args.unknown_keys(known);
+  for (const auto& key : unknown) {
+    std::fprintf(stderr, "psim %s: unknown option --%s\n", command,
+                 key.c_str());
+  }
+  return unknown.empty();
+}
 
 workloads::Bench parse_bench(const std::string& name, bool& ok) {
   ok = true;
@@ -522,6 +548,11 @@ int cmd_run_fleet(const util::Args& args, const std::string& spec) {
 }
 
 int cmd_run(const util::Args& args) {
+  std::vector<std::string> known = kTelemetryKeys;
+  known.push_back("fleet");
+  // --jobs parallelizes the tenants of a fleet; a single run has none.
+  if (args.has("fleet")) known.push_back("jobs");
+  if (!known_options_only(args, "run", kConfigKeys, known)) return 2;
   if (const std::string spec = args.get("fleet", ""); !spec.empty()) {
     return cmd_run_fleet(args, spec);
   }
@@ -622,6 +653,9 @@ int cmd_run(const util::Args& args) {
 }
 
 int cmd_campaign(const util::Args& args) {
+  std::vector<std::string> known = kTelemetryKeys;
+  known.insert(known.end(), {"runs", "jobs"});
+  if (!known_options_only(args, "campaign", kConfigKeys, known)) return 2;
   bool ok = true;
   harness::CampaignConfig campaign;
   campaign.base = build_config(args, ok);
@@ -648,9 +682,15 @@ int cmd_campaign(const util::Args& args) {
               faults::fault_type_name(campaign.base.fault).data());
   std::fprintf(telemetry.human(), "  accuracy AC=%.2f (missed %d), false positives %d\n",
               result.accuracy(), result.missed, result.false_positives);
-  std::fprintf(telemetry.human(), "  response delay %.1fs mean (min %.1f, max %.1f)\n",
-              result.delay_seconds.mean(), result.delay_seconds.min(),
-              result.delay_seconds.max());
+  if (result.delay_seconds.empty()) {
+    // No detections: there is no delay to average.
+    std::fprintf(telemetry.human(), "  response delay n/a\n");
+  } else {
+    std::fprintf(telemetry.human(),
+                 "  response delay %.1fs mean (min %.1f, max %.1f)\n",
+                 result.delay_seconds.mean(), result.delay_seconds.min(),
+                 result.delay_seconds.max());
+  }
   if (campaign.base.fault == faults::FaultType::kComputeHang) {
     std::fprintf(telemetry.human(), "  faulty-process identification ACf=%.2f PRf=%.2f\n",
                 result.acf(), result.prf());
@@ -669,6 +709,10 @@ int cmd_campaign(const util::Args& args) {
 }
 
 int cmd_submit(const util::Args& args) {
+  if (!known_options_only(args, "submit", kConfigKeys,
+                          {"system", "walltime-min"})) {
+    return 2;
+  }
   bool ok = true;
   const auto config = build_config(args, ok);
   if (!ok) return 2;
@@ -693,7 +737,8 @@ int cmd_submit(const util::Args& args) {
   return 0;
 }
 
-int cmd_list() {
+int cmd_list(const util::Args& args) {
+  if (!known_options_only(args, "list", {})) return 2;
   std::printf("benchmarks:");
   for (const auto bench : workloads::kAllBenches) {
     std::printf(" %s", workloads::bench_name(bench).data());
@@ -718,6 +763,6 @@ int main(int argc, char** argv) {
   if (command == "run") return cmd_run(args);
   if (command == "campaign") return cmd_campaign(args);
   if (command == "submit") return cmd_submit(args);
-  if (command == "list") return cmd_list();
+  if (command == "list") return cmd_list(args);
   return usage();
 }
