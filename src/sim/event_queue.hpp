@@ -46,15 +46,18 @@ class EventQueue {
     return has_next_ ? next_ : v_[0];
   }
 
+  // The branch hints lay the heap path out as the fall-through: about two
+  // thirds of pushes take it, and with the slot paths out of line whole
+  // trials measured faster than with the compiler's default layout.
   void push(const QueuedEvent& event) {
-    if (has_next_) {
+    if (has_next_) [[unlikely]] {
       if (before(event, next_)) {
         heap_push(next_);
         next_ = event;
       } else {
         heap_push(event);
       }
-    } else if (v_.empty() || before(event, v_[0])) {
+    } else if (v_.empty() || before(event, v_[0])) [[unlikely]] {
       next_ = event;
       has_next_ = true;
     } else {
@@ -63,7 +66,7 @@ class EventQueue {
   }
 
   void pop_front() {
-    if (has_next_) {
+    if (has_next_) [[unlikely]] {
       has_next_ = false;
       return;
     }
