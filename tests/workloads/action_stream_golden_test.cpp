@@ -16,6 +16,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "simmpi/action.hpp"
 #include "workloads/catalog.hpp"
