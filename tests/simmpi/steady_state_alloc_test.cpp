@@ -23,13 +23,17 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Out of line: inlined into a caller, the free() would sit next to the
+// operator new call and the compiler would flag it as a mismatched pair.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace parastack::simmpi {
 namespace {
