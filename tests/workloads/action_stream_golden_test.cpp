@@ -134,8 +134,6 @@ struct Golden {
   std::uint64_t actions[4];
 };
 
-// Recorded from the queue-based generator (one std::deque refilled per
-// iteration by enqueue_iteration()).
 constexpr Golden kGolden[] = {
     {"BT", 64,
      {0x60ab5d0f4a9bc464ULL, 0xbdb13353eeca82d4ULL, 0x5017a80e68012634ULL,
