@@ -38,6 +38,74 @@ int monitors_for(const harness::RunConfig& config) {
   return (config.nranks + cores - 1) / cores;
 }
 
+/// Monitors a job holds until its end instant, earliest end on top.
+using Release = std::pair<sim::Time, int>;  // (end instant, monitors)
+using ReleaseQueue =
+    std::priority_queue<Release, std::vector<Release>, std::greater<Release>>;
+
+/// The planning walk: simulate exactly the tenants the admission walk will
+/// admit (always recorded: the recordings feed the journal replay and the
+/// ingestion layer), and leave every other entry empty. Going in arrival
+/// order, it keeps a batch of admitted tenants whose end instants are not
+/// known yet. A tenant that fits while every batched tenant still holds its
+/// monitors is admitted at once. One that would fit only once some batched
+/// tenant has ended makes the batch run first (across `config.jobs`
+/// workers), so it is decided on exact end instants. One that does not fit
+/// even then is refused and never simulated. Which tenants run, and in
+/// which batch, depends only on end instants, never on the worker count.
+std::vector<harness::RecordedRun> simulate_admitted(
+    const FleetConfig& config, const std::vector<Arrival>& arrivals) {
+  const bool spans =
+      config.telemetry != nullptr && config.telemetry->wants_rank_spans();
+  const auto fits = [&](int in_use, int monitors) {
+    return config.monitor_pool <= 0 ||
+           in_use + monitors <= config.monitor_pool;
+  };
+  std::vector<harness::RecordedRun> recorded(arrivals.size());
+  std::vector<std::size_t> batch;  // admitted, not simulated yet
+  int batch_monitors = 0;
+  int held = 0;  // monitors of simulated tenants that have not ended
+  ReleaseQueue releases;
+  const auto release_until = [&](sim::Time at) {
+    while (!releases.empty() && releases.top().first <= at) {
+      held -= releases.top().second;
+      releases.pop();
+    }
+  };
+  const auto simulate_batch = [&] {
+    std::vector<harness::RecordedRun> runs = harness::run_recorded(
+        static_cast<int>(batch.size()), config.jobs, spans, [&](int k) {
+          harness::RunConfig c =
+              arrivals[batch[static_cast<std::size_t>(k)]].config;
+          c.perf = config.perf;
+          return c;
+        });
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      const Arrival& arrival = arrivals[batch[k]];
+      releases.push({arrival.at + runs[k].result.end_time,
+                     monitors_for(arrival.config)});
+      recorded[batch[k]] = std::move(runs[k]);
+    }
+    held += batch_monitors;
+    batch.clear();
+    batch_monitors = 0;
+  };
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const int monitors = monitors_for(arrivals[i].config);
+    release_until(arrivals[i].at);
+    if (!fits(held + batch_monitors, monitors)) {
+      if (!fits(held, monitors)) continue;  // refused even if the batch ended
+      simulate_batch();
+      release_until(arrivals[i].at);
+      if (!fits(held, monitors)) continue;
+    }
+    batch.push_back(i);
+    batch_monitors += monitors;
+  }
+  if (!batch.empty()) simulate_batch();
+  return recorded;
+}
+
 /// Replay the audited lifecycle of an admitted tenant from its attempt
 /// provenance, on the fleet timeline.
 std::vector<sched::JobLifecycle::Transition> audit_lifecycle(
@@ -75,25 +143,16 @@ FleetResult run_fleet(const FleetConfig& config) {
   const int n = static_cast<int>(arrivals.size());
   const bool multi = n > 1;
 
-  // Phase 1: simulate every tenant (the campaign fan-out, always recorded:
-  // the recordings feed the journal replay and the ingestion layer).
-  const bool spans =
-      config.telemetry != nullptr && config.telemetry->wants_rank_spans();
-  std::vector<harness::RecordedRun> recorded = harness::run_recorded(
-      n, config.jobs, spans, [&](int i) {
-        harness::RunConfig c = arrivals[static_cast<std::size_t>(i)].config;
-        c.perf = config.perf;
-        return c;
-      });
+  // Phase 1: simulate the tenants admission will admit.
+  std::vector<harness::RecordedRun> recorded =
+      simulate_admitted(config, arrivals);
 
   // Phase 2: the admission walk, in arrival order. Monitors release at the
   // instant the owning job ends.
   FleetResult out;
   out.pool_capacity = config.monitor_pool;
   sched::MonitorPool pool(config.monitor_pool);
-  using Release = std::pair<sim::Time, int>;  // (end instant, monitors)
-  std::priority_queue<Release, std::vector<Release>, std::greater<Release>>
-      releases;
+  ReleaseQueue releases;
   obs::perf::Counter* perf_admitted = nullptr;
   obs::perf::Counter* perf_refused = nullptr;
   obs::perf::HighWater* perf_pool = nullptr;
@@ -127,6 +186,8 @@ FleetResult run_fleet(const FleetConfig& config) {
       out.tenants.push_back(std::move(tenant));
       continue;
     }
+    PS_CHECK(recorded[static_cast<std::size_t>(i)].recording != nullptr,
+             "fleet admitted a tenant the planning walk did not simulate");
     tenant.pool_in_use = pool.in_use();
     PS_PERF_ADD(perf_admitted, 1);
     PS_PERF_OBSERVE(perf_pool,

@@ -30,8 +30,9 @@ struct FleetConfig {
   /// tenant. A single-tenant fleet replays tenant 0's stream bare, so the
   /// journal is byte-identical to the legacy single-job path. Not owned.
   obs::TelemetrySink* telemetry = nullptr;
-  /// Shared counter registry: tenant runs feed it like campaign trials do;
-  /// fleet.* instruments register only for multi-tenant fleets. Not owned.
+  /// Shared counter registry: admitted tenants' runs feed it like campaign
+  /// trials do; fleet.* instruments register only for multi-tenant fleets.
+  /// Not owned.
   obs::perf::ProfileRegistry* perf = nullptr;
   /// Capture each tenant's journal bytes separately (tenant-isolation
   /// oracle and per-tenant artifact export).
@@ -70,10 +71,11 @@ struct FleetResult {
 
 /// Run the fleet to completion. Deterministic for a fixed config at any
 /// worker count: tenant simulations are independently seeded, recorded
-/// privately, and reduced in tenant order (the campaign pattern). Refused
-/// tenants are still simulated internally — admission depends on earlier
-/// tenants' durations, which the parallel phase precomputes — but nothing
-/// of a refused job is billed, replayed, or ingested.
+/// privately, and reduced in tenant order (the campaign pattern). Only
+/// admitted tenants are simulated: admission depends on earlier tenants'
+/// end instants, so admitted tenants run in batches, and a batch runs as
+/// soon as a later tenant's decision needs its end instants. A refused
+/// tenant is never simulated, billed, replayed, or ingested.
 FleetResult run_fleet(const FleetConfig& config);
 
 }  // namespace parastack::fleet

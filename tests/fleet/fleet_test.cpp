@@ -170,6 +170,31 @@ TEST(Fleet, AdmissionRefusesWithoutBurnWhenThePoolIsExhausted) {
   EXPECT_NE(out.str().find("\"admitted\":false"), std::string::npos);
 }
 
+TEST(Fleet, RefusedTenantIsNeverSimulated) {
+  // Admission decides which tenants run: a refused tenant costs no
+  // simulation, so the fleet's engine counters are exactly those of its
+  // admitted tenant running alone.
+  const auto events_fired = [](int tenants) {
+    obs::perf::ProfileRegistry registry;
+    FleetConfig config;
+    config.base = small_lu();
+    config.arrivals.jobs = tenants;
+    config.arrivals.model = ArrivalModel::kTrace;
+    config.arrivals.mean_interarrival = sim::kMillisecond;  // arrive mid-run
+    config.monitor_pool = monitors_for(config.base);  // room for one tenant
+    config.perf = &registry;
+    const FleetResult result = run_fleet(config);
+    EXPECT_TRUE(result.tenants[0].admitted);
+    if (tenants > 1) {
+      EXPECT_FALSE(result.tenants[1].admitted);
+    }
+    return registry.counter_snapshot().at("sim.events_fired");
+  };
+  const std::uint64_t alone = events_fired(1);
+  EXPECT_GT(alone, 0u);
+  EXPECT_EQ(events_fired(2), alone);
+}
+
 TEST(Fleet, PoolSlotsReleaseWhenTheOwningJobEnds) {
   // Learn the first job's span, then schedule the second tenant after it:
   // the same one-tenant pool must now admit both.
@@ -231,25 +256,65 @@ TEST(Fleet, BillRollsUpEveryAdmittedTenant) {
 }
 
 TEST(Fleet, ResultIsDeterministicAcrossWorkerCounts) {
-  const auto run_with = [](int workers) {
-    FleetConfig config;
-    config.base = small_lu();
-    config.arrivals.jobs = 3;
-    config.jobs = workers;
-    config.capture_tenant_journals = true;
-    return run_fleet(config);
-  };
-  const FleetResult serial = run_with(1);
-  const FleetResult parallel = run_with(3);
-  ASSERT_EQ(serial.tenants.size(), parallel.tenants.size());
-  EXPECT_EQ(serial.makespan, parallel.makespan);
-  EXPECT_DOUBLE_EQ(serial.bill.su_billed, parallel.bill.su_billed);
-  EXPECT_EQ(serial.ingest.pushed, parallel.ingest.pushed);
-  EXPECT_EQ(serial.ingest.last_done, parallel.ingest.last_done);
-  for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
-    EXPECT_EQ(serial.tenant_journals[i], parallel.tenant_journals[i]);
-    EXPECT_EQ(serial.tenants[i].end_at, parallel.tenants[i].end_at);
+  // Two inputs: an unbounded pool, where every tenant runs in one batch,
+  // and a pool for two tenants where the third arrives while both still
+  // run, and the fourth after the first has ended. The walk must simulate
+  // the first two before it can decide the third, refuse it, and admit the
+  // fourth into the monitors the first released.
+  FleetConfig probe;
+  probe.base = small_lu();
+  const sim::Time span = run_fleet(probe).makespan;
+  ASSERT_GT(span, 0);
+  FleetConfig unbounded;
+  unbounded.base = small_lu();
+  unbounded.arrivals.jobs = 3;
+  FleetConfig bounded;
+  bounded.base = small_lu();
+  bounded.arrivals.jobs = 4;
+  bounded.arrivals.model = ArrivalModel::kTrace;
+  bounded.arrivals.mean_interarrival = span * 2 / 5;
+  bounded.monitor_pool = 2 * monitors_for(bounded.base);
+
+  for (const FleetConfig& input : {unbounded, bounded}) {
+    obs::perf::ProfileRegistry serial_perf;
+    obs::perf::ProfileRegistry parallel_perf;
+    const auto run_with = [&input](int workers,
+                                   obs::perf::ProfileRegistry& registry) {
+      FleetConfig config = input;
+      config.jobs = workers;
+      config.capture_tenant_journals = true;
+      config.perf = &registry;
+      return run_fleet(config);
+    };
+    const FleetResult serial = run_with(1, serial_perf);
+    const FleetResult parallel = run_with(3, parallel_perf);
+    ASSERT_EQ(serial.tenants.size(), parallel.tenants.size());
+    EXPECT_EQ(serial.makespan, parallel.makespan);
+    EXPECT_EQ(serial.bill.jobs, parallel.bill.jobs);
+    EXPECT_EQ(serial.bill.refused, parallel.bill.refused);
+    EXPECT_DOUBLE_EQ(serial.bill.su_billed, parallel.bill.su_billed);
+    EXPECT_DOUBLE_EQ(serial.bill.su_saved, parallel.bill.su_saved);
+    EXPECT_EQ(serial.ingest.pushed, parallel.ingest.pushed);
+    EXPECT_EQ(serial.ingest.last_done, parallel.ingest.last_done);
+    EXPECT_EQ(serial_perf.counter_snapshot(), parallel_perf.counter_snapshot());
+    for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
+      EXPECT_EQ(serial.tenants[i].admitted, parallel.tenants[i].admitted);
+      EXPECT_EQ(serial.tenants[i].pool_in_use,
+                parallel.tenants[i].pool_in_use);
+      EXPECT_EQ(serial.tenant_journals[i], parallel.tenant_journals[i]);
+      EXPECT_EQ(serial.tenants[i].end_at, parallel.tenants[i].end_at);
+    }
   }
+
+  // The bounded input took the path it was built for.
+  const FleetResult result = run_fleet(bounded);
+  ASSERT_EQ(result.tenants.size(), 4u);
+  EXPECT_TRUE(result.tenants[0].admitted);
+  EXPECT_TRUE(result.tenants[1].admitted);
+  EXPECT_FALSE(result.tenants[2].admitted);
+  EXPECT_TRUE(result.tenants[3].admitted);
+  EXPECT_LE(result.tenants[0].end_at, result.tenants[3].arrival);
+  EXPECT_GT(result.tenants[1].end_at, result.tenants[3].arrival);
 }
 
 }  // namespace
