@@ -48,6 +48,24 @@ expect_reject bad-fleet-jobs "bad --fleet value" \
   run --bench LU --ranks 32 --fleet=0
 expect_reject bad-fleet-arrival "expected JOBS[,poisson|trace,POOL]" \
   run --bench LU --ranks 32 --fleet=2,bursty
+# Numbers are parsed whole and must fit their field: a trailing character
+# or a value the field cannot hold is an error, never a truncated value.
+expect_reject trailing-fleet-jobs "bad --fleet value '2x'" \
+  run --bench LU --ranks 32 --fleet=2x
+expect_reject overflowing-fleet-jobs "bad --fleet value '4294967298'" \
+  run --bench LU --ranks 32 --fleet=4294967298
+expect_reject trailing-fleet-pool "bad --fleet value '2,poisson,1x'" \
+  run --bench LU --ranks 32 --fleet=2,poisson,1x
+expect_reject trailing-tree-fanout "bad --tree value '2x'" \
+  run --bench LU --ranks 32 --tree=2x
+expect_reject trailing-tool-fault-values "bad --tool-faults value" \
+  run --bench LU --ranks 32 --tool-faults=loss=0.1x,retries=3x
+expect_reject trailing-tool-fault-retries "bad --tool-faults value" \
+  run --bench LU --ranks 32 --tool-faults=retries=3x
+expect_reject negative-campaign-jobs "bad --jobs value '-5'" \
+  campaign --bench LU --ranks 32 --runs 2 --fault compute-hang --jobs -5
+expect_reject negative-fleet-jobs "bad --jobs value '-1'" \
+  run --bench LU --ranks 32 --fleet=2 --jobs -1
 # Options a subcommand does not read are rejected, never ignored: a typo
 # like --tre for --tree must not quietly run the default topology.
 expect_reject unknown-campaign-flag "psim campaign: unknown option --bogus-flag" \

@@ -20,6 +20,7 @@
 // silently runs the default.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -227,6 +228,34 @@ bool known_options_only(const util::Args& args, const char* command,
   return unknown.empty();
 }
 
+/// Parse all of `text` as a T. Throws std::invalid_argument when the text
+/// is empty, has anything after the number, or holds a value T cannot
+/// represent; each option's catch turns that into its diagnostic.
+template <typename T>
+T parse_whole(const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) throw std::invalid_argument(text);
+  return value;
+}
+
+/// --jobs N: worker threads, 0 = one per hardware thread. False (with a
+/// diagnostic) when N is malformed or negative.
+bool parse_jobs(const util::Args& args, int& jobs) {
+  try {
+    jobs = parse_whole<int>(args.get("jobs", "0"));
+  } catch (const std::invalid_argument&) {
+    jobs = -1;
+  }
+  if (jobs >= 0) return true;
+  std::fprintf(stderr,
+               "bad --jobs value '%s' (expected N >= 0, 0 = one worker per "
+               "hardware thread)\n",
+               args.get("jobs").c_str());
+  return false;
+}
+
 workloads::Bench parse_bench(const std::string& name, bool& ok) {
   ok = true;
   for (const auto bench : workloads::kAllBenches) {
@@ -267,9 +296,9 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
     const std::string value =
         eq == std::string::npos ? "" : entry.substr(eq + 1);
     if (key == "loss") {
-      plan.loss_probability = std::stod(value);
+      plan.loss_probability = parse_whole<double>(value);
     } else if (key == "delay-ms") {
-      plan.delay_mean = sim::from_millis(std::stod(value));
+      plan.delay_mean = sim::from_millis(parse_whole<double>(value));
     } else if (key == "crash") {
       // NODE@SEC, or rand@SEC for a seed-chosen non-lead monitor.
       const std::size_t at = value.find('@');
@@ -282,29 +311,30 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
       }
       faults::MonitorCrash crash;
       const std::string node = value.substr(0, at);
-      crash.monitor = node == "rand" ? -1 : static_cast<int>(std::stol(node));
-      crash.at = sim::from_seconds(std::stod(value.substr(at + 1)));
+      crash.monitor = node == "rand" ? -1 : parse_whole<int>(node);
+      crash.at = sim::from_seconds(parse_whole<double>(value.substr(at + 1)));
       plan.monitor_crashes.push_back(crash);
     } else if (key == "lead-crash") {
-      plan.lead_crash_at = sim::from_seconds(std::stod(value));
+      plan.lead_crash_at = sim::from_seconds(parse_whole<double>(value));
     } else if (key == "timeout-ms") {
-      plan.sample_timeout = sim::from_millis(std::stod(value));
+      plan.sample_timeout = sim::from_millis(parse_whole<double>(value));
     } else if (key == "retries") {
-      plan.max_retries = static_cast<int>(std::stol(value));
+      plan.max_retries = parse_whole<int>(value);
     } else if (key == "backoff-ms") {
-      plan.retry_backoff = sim::from_millis(std::stod(value));
+      plan.retry_backoff = sim::from_millis(parse_whole<double>(value));
     } else if (key == "rereg-ms") {
-      plan.reregistration_latency = sim::from_millis(std::stod(value));
+      plan.reregistration_latency =
+          sim::from_millis(parse_whole<double>(value));
     } else if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(std::stoull(value));
+      plan.seed = parse_whole<std::uint64_t>(value);
     } else if (key == "quorum") {
-      config.parastack_config().coverage_quorum = std::stod(value);
+      config.parastack_config().coverage_quorum = parse_whole<double>(value);
     } else if (key == "degraded-after") {
       config.parastack_config().degraded_mode_after =
-          static_cast<std::size_t>(std::stoul(value));
+          parse_whole<std::size_t>(value);
     } else if (key == "extra-streak") {
       config.parastack_config().low_coverage_extra_streak =
-          static_cast<std::size_t>(std::stoul(value));
+          parse_whole<std::size_t>(value);
     } else if (key == "fallback") {
       config.degraded_fallback_timeout = true;
     } else {
@@ -390,16 +420,15 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
       if (fanout == "inf" || fanout == "star") {
         config.monitor_tree.fanout = 0;
       } else {
-        config.monitor_tree.fanout = static_cast<int>(std::stol(fanout));
+        config.monitor_tree.fanout = parse_whole<int>(fanout);
       }
       if (comma != std::string::npos) {
         const std::string rest = spec.substr(comma + 1);
         const std::size_t comma2 = rest.find(',');
-        config.monitor_tree.depth =
-            static_cast<int>(std::stol(rest.substr(0, comma2)));
+        config.monitor_tree.depth = parse_whole<int>(rest.substr(0, comma2));
         if (comma2 != std::string::npos) {
           config.monitor_tree.level_deadline =
-              sim::from_millis(std::stod(rest.substr(comma2 + 1)));
+              sim::from_millis(parse_whole<double>(rest.substr(comma2 + 1)));
         }
       }
       if (config.monitor_tree.fanout < 0 || config.monitor_tree.depth < 0 ||
@@ -445,7 +474,7 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
 
 /// Parse the --fleet spec: JOBS[,ARRIVAL,POOL]. JOBS is the tenant count
 /// (>= 1), ARRIVAL the arrival model (poisson|trace), POOL the shared
-/// monitor-pool bound (0 = unbounded). Throws on non-numeric fields; the
+/// monitor-pool bound (0 = unbounded). Throws on malformed numbers; the
 /// caller turns both paths into one diagnostic.
 bool parse_fleet(const std::string& spec, fleet::FleetConfig& config) {
   std::size_t pos = 0;
@@ -456,7 +485,7 @@ bool parse_fleet(const std::string& spec, fleet::FleetConfig& config) {
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
     switch (field) {
       case 0:
-        config.arrivals.jobs = static_cast<int>(std::stol(value));
+        config.arrivals.jobs = parse_whole<int>(value);
         if (config.arrivals.jobs < 1) return false;
         break;
       case 1:
@@ -469,7 +498,7 @@ bool parse_fleet(const std::string& spec, fleet::FleetConfig& config) {
         }
         break;
       case 2:
-        config.monitor_pool = static_cast<int>(std::stol(value));
+        config.monitor_pool = parse_whole<int>(value);
         if (config.monitor_pool < 0) return false;
         break;
       default:
@@ -499,11 +528,11 @@ int cmd_run_fleet(const util::Args& args, const std::string& spec) {
                  spec.c_str());
     return 2;
   }
+  if (!parse_jobs(args, fc.jobs)) return 2;
   Telemetry telemetry;
   if (!telemetry.init(args)) return 2;
   fc.telemetry = telemetry.sink();
   fc.perf = telemetry.perf_registry();
-  fc.jobs = static_cast<int>(args.get_int("jobs", 0));
   std::fprintf(telemetry.human(),
                "fleet: %d tenant%s, %s arrivals, pool %s — base %s(%s) on "
                "%d ranks (%s), seed %llu...\n",
@@ -660,14 +689,13 @@ int cmd_campaign(const util::Args& args) {
   harness::CampaignConfig campaign;
   campaign.base = build_config(args, ok);
   if (!ok) return 2;
+  if (!parse_jobs(args, campaign.jobs)) return 2;
   Telemetry telemetry;
   if (!telemetry.init(args)) return 2;
   campaign.base.telemetry = telemetry.sink();
   campaign.base.perf = telemetry.perf_registry();
   campaign.runs = static_cast<int>(args.get_int("runs", 10));
   campaign.seed0 = campaign.base.seed * 1000 + 7;
-  // 0 = auto (one worker per hardware thread); identical output regardless.
-  campaign.jobs = static_cast<int>(args.get_int("jobs", 0));
   if (campaign.base.fault == faults::FaultType::kNone) {
     const auto result = harness::run_clean_campaign(campaign);
     std::fprintf(telemetry.human(), "%d clean runs: %d false positives, mean runtime %.1fs "
