@@ -11,12 +11,20 @@ namespace parastack::stats {
 
 namespace {
 
+/// lgamma(x) for x > 0. std::lgamma also stores the sign in the global
+/// signgam, a data race when campaign or fleet workers run runs tests at
+/// once; lgamma_r computes the same value into a local instead.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// log C(n, k) via lgamma; -inf when k out of range.
 double log_choose(std::size_t n, std::size_t k) {
   if (k > n) return -std::numeric_limits<double>::infinity();
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double choose_ratio_exp(double log_num, double log_den) {
