@@ -245,10 +245,9 @@ T parse_whole(const std::string& text) {
 bool parse_jobs(const util::Args& args, int& jobs) {
   try {
     jobs = parse_whole<int>(args.get("jobs", "0"));
+    if (jobs >= 0) return true;
   } catch (const std::invalid_argument&) {
-    jobs = -1;
   }
-  if (jobs >= 0) return true;
   std::fprintf(stderr,
                "bad --jobs value '%s' (expected N >= 0, 0 = one worker per "
                "hardware thread)\n",
