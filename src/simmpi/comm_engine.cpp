@@ -133,14 +133,27 @@ sim::Time CommEngine::alltoall_latency(std::size_t bytes) const {
              platform_.network_latency + volume;
 }
 
-void CommEngine::release_waiter(CollectiveInstance& inst,
-                                CollectiveInstance::Waiter& waiter,
+void CommEngine::release_waiter(CollectiveInstance::Waiter& waiter,
                                 sim::Time when) {
   if (waiter.released) return;
   waiter.released = true;
-  ++inst.completed;
   sim::PooledCallback done = std::move(waiter.done);
   engine_.schedule_at(std::max(when, engine_.now()), std::move(done));
+}
+
+void CommEngine::release_all(CollectiveInstance& inst, sim::Time when) {
+  // One event runs every continuation in arrival order. One event per
+  // waiter would give the same firing order: those events would share
+  // `when` and consecutive sequence numbers, so nothing could fire between
+  // them, and whatever a continuation schedules for `when` fires after the
+  // last of them either way. A mismatched rank's waiter was marked
+  // released on entry; dropping it here leaves that rank blocked.
+  std::erase_if(inst.waiters, [](const CollectiveInstance::Waiter& waiter) {
+    return waiter.released;
+  });
+  engine_.schedule_at(when, [waiters = std::move(inst.waiters)]() mutable {
+    for (auto& waiter : waiters) waiter.done();
+  });
 }
 
 void CommEngine::try_release_bcast(CollectiveInstance& inst) {
@@ -153,11 +166,11 @@ void CommEngine::try_release_bcast(CollectiveInstance& inst) {
   for (auto& waiter : inst.waiters) {
     if (waiter.released) continue;
     if (waiter.rank == inst.root) {
-      release_waiter(inst, waiter,
-                     waiter.arrival + eager_send_cost(platform_, inst.bytes) +
-                         platform_.network_latency);
+      release_waiter(waiter, waiter.arrival +
+                                 eager_send_cost(platform_, inst.bytes) +
+                                 platform_.network_latency);
     } else {
-      release_waiter(inst, waiter, std::max(waiter.arrival, fanout));
+      release_waiter(waiter, std::max(waiter.arrival, fanout));
     }
   }
 }
@@ -194,9 +207,9 @@ void CommEngine::enter_collective(MpiFunc kind, Rank rank, Rank root,
     case MpiFunc::kReduce:
       // Non-roots only inject their contribution and move on.
       if (rank != root) {
-        release_waiter(inst, waiter,
-                       engine_.now() + eager_send_cost(platform_, bytes) +
-                           platform_.network_latency);
+        release_waiter(waiter, engine_.now() +
+                                   eager_send_cost(platform_, bytes) +
+                                   platform_.network_latency);
       }
       break;
     case MpiFunc::kBcast:
@@ -213,31 +226,24 @@ void CommEngine::finalize_collective(std::uint64_t id,
                                      CollectiveInstance& inst) {
   const sim::Time t_last = engine_.now();  // the last arrival is this event
   switch (inst.kind) {
-    case MpiFunc::kBarrier: {
-      const sim::Time done =
-          t_last + static_cast<sim::Time>(log2_ceil(nranks_)) *
-                       platform_.network_latency;
-      for (auto& waiter : inst.waiters) release_waiter(inst, waiter, done);
+    case MpiFunc::kBarrier:
+      release_all(inst, t_last + static_cast<sim::Time>(log2_ceil(nranks_)) *
+                                     platform_.network_latency);
       break;
-    }
     case MpiFunc::kAllreduce:
-    case MpiFunc::kAllgather: {
-      const sim::Time done = t_last + tree_latency(inst.bytes, nranks_);
-      for (auto& waiter : inst.waiters) release_waiter(inst, waiter, done);
+    case MpiFunc::kAllgather:
+      release_all(inst, t_last + tree_latency(inst.bytes, nranks_));
       break;
-    }
-    case MpiFunc::kAlltoall: {
-      const sim::Time done = t_last + alltoall_latency(inst.bytes);
-      for (auto& waiter : inst.waiters) release_waiter(inst, waiter, done);
+    case MpiFunc::kAlltoall:
+      release_all(inst, t_last + alltoall_latency(inst.bytes));
       break;
-    }
     case MpiFunc::kGather:
     case MpiFunc::kReduce: {
       // Only the root is still waiting (plus any mismatched stragglers,
       // which stay deadlocked: their waiters are marked released already).
       const sim::Time done = t_last + tree_latency(inst.bytes, nranks_);
       for (auto& waiter : inst.waiters) {
-        if (waiter.rank == inst.root) release_waiter(inst, waiter, done);
+        if (waiter.rank == inst.root) release_waiter(waiter, done);
       }
       break;
     }

@@ -161,7 +161,6 @@ class CommEngine {
     Rank root = 0;
     std::size_t bytes = 0;
     int arrived = 0;
-    int completed = 0;
     sim::Time root_arrival = -1;
     struct Waiter {
       Rank rank;
@@ -176,8 +175,11 @@ class CommEngine {
   void match(Channel& channel);
   sim::Time tree_latency(std::size_t bytes, int ranks_involved) const;
   sim::Time alltoall_latency(std::size_t bytes) const;
-  void release_waiter(CollectiveInstance& inst,
-                      CollectiveInstance::Waiter& waiter, sim::Time when);
+  /// Schedule one waiter's continuation (rooted kinds: per-rank times).
+  void release_waiter(CollectiveInstance::Waiter& waiter, sim::Time when);
+  /// Release every waiter of a synchronizing collective at `when` with one
+  /// event.
+  void release_all(CollectiveInstance& inst, sim::Time when);
   void try_release_bcast(CollectiveInstance& inst);
   void finalize_collective(std::uint64_t id, CollectiveInstance& inst);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/platform.hpp"
 
@@ -156,6 +159,53 @@ TEST_F(CommEngineTest, CollectiveMismatchIsRecordedAndHangsTheOffender) {
   EXPECT_EQ(comm.mismatch_count(), 1u);
   EXPECT_TRUE(a_done);    // instance completed once `arrived` reached nranks
   EXPECT_FALSE(b_done);   // the mismatched rank deadlocks
+}
+
+TEST_F(CommEngineTest, SynchronizingCollectiveReleasesWithOneEvent) {
+  // Ranks arrive in the order 2, 0, 3, 1; rank 3 names another root, so
+  // it is a mismatch that counts as an arrival but is never released.
+  // Rank 2's continuation, the first to run, also calls `first_done`.
+  const auto enter_all = [](CommEngine& comm, MpiFunc kind,
+                            std::vector<int>& order,
+                            const std::function<void()>& first_done) {
+    for (const Rank rank : {2, 0, 3, 1}) {
+      comm.enter_collective(kind, rank, rank == 3 ? 1 : 0, 64,
+                            [&order, first_done, rank] {
+                              if (rank == 2) first_done();
+                              order.push_back(rank);
+                            });
+    }
+  };
+  for (const MpiFunc kind : {MpiFunc::kBarrier, MpiFunc::kAllreduce,
+                             MpiFunc::kAllgather, MpiFunc::kAlltoall}) {
+    SCOPED_TRACE(mpi_func_name(kind));
+    // The instance adds exactly one event, and the continuations run in
+    // arrival order.
+    sim::Engine engine;
+    CommEngine comm(engine, platform_, 4);
+    std::vector<int> order;
+    enter_all(comm, kind, order, [] {});
+    engine.run_until_idle();
+    EXPECT_EQ(engine.events_fired(), 1u);
+    EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+    EXPECT_EQ(comm.mismatch_count(), 1u);
+    EXPECT_EQ(comm.open_collectives(), 0u);
+    const sim::Time release = engine.now();
+
+    // An event scheduled for the release instant before the last arrival
+    // fires before the first continuation; one scheduled at `now` from
+    // inside the first continuation fires after the last.
+    sim::Engine engine2;
+    CommEngine comm2(engine2, platform_, 4);
+    std::vector<int> order2;
+    engine2.schedule_at(release, [&order2] { order2.push_back(-1); });
+    enter_all(comm2, kind, order2, [&engine2, &order2] {
+      engine2.schedule_at(engine2.now(), [&order2] { order2.push_back(-2); });
+    });
+    engine2.run_until_idle();
+    EXPECT_EQ(order2, (std::vector<int>{-1, 2, 0, 1, -2}));
+    EXPECT_EQ(engine2.events_fired(), 3u);
+  }
 }
 
 TEST_F(CommEngineTest, SuccessiveCollectivesMatchByPosition) {
