@@ -9,31 +9,36 @@ namespace parastack::stats {
 
 void EmpiricalCdf::add(double x) {
   samples_.push_back(x);
+  count(x);
+}
+
+void EmpiricalCdf::count(double x) {
+  const auto it = std::lower_bound(
+      counts_.begin(), counts_.end(), x,
+      [](const Count& c, double v) { return c.value < v; });
+  if (it != counts_.end() && it->value == x) {
+    ++it->n;
+  } else {
+    counts_.insert(it, {x, 1});
+  }
   dirty_ = true;
 }
 
 void EmpiricalCdf::clear() {
   samples_.clear();
-  sorted_.clear();
+  counts_.clear();
   support_.clear();
   dirty_ = false;
 }
 
 void EmpiricalCdf::refresh() const {
   if (!dirty_) return;
-  if (sorted_.size() > samples_.size()) sorted_.clear();  // after thin_half
-  const std::size_t merged = sorted_.size();
-  sorted_.insert(sorted_.end(), samples_.begin() + merged, samples_.end());
-  std::sort(sorted_.begin() + merged, sorted_.end());
-  std::inplace_merge(sorted_.begin(), sorted_.begin() + merged, sorted_.end());
   support_.clear();
-  const auto n = static_cast<double>(sorted_.size());
-  std::size_t i = 0;
-  while (i < sorted_.size()) {
-    std::size_t j = i;
-    while (j < sorted_.size() && sorted_[j] == sorted_[i]) ++j;
-    support_.push_back({sorted_[i], static_cast<double>(j) / n});
-    i = j;
+  const auto n = static_cast<double>(samples_.size());
+  std::size_t below = 0;
+  for (const Count& c : counts_) {
+    below += c.n;
+    support_.push_back({c.value, static_cast<double>(below) / n});
   }
   dirty_ = false;
 }
@@ -80,7 +85,8 @@ void EmpiricalCdf::thin_half() {
     kept.push_back(samples_[i]);
   }
   samples_ = std::move(kept);
-  sorted_.clear();
+  counts_.clear();
+  for (const double x : samples_) count(x);
   dirty_ = true;
 }
 

@@ -10,9 +10,10 @@ namespace parastack::stats {
 /// Samples are retained in insertion (time) order so the detector can both
 /// (a) run the runs test over the most recent window and (b) thin the
 /// history when the sampling interval doubles (paper §3.1: "we cut the
-/// sample size by half"). Distribution queries use a sorted cache rebuilt
-/// lazily; with the detector's sample counts (tens to low thousands) this is
-/// far below the cost of event dispatch.
+/// sample size by half"). Distribution queries use the distinct values in
+/// increasing order with a count for each, kept current by add() and
+/// thin_half(). S_crout over C monitored ranks takes at most C + 1 values,
+/// so a query costs O(C) however many samples have been taken.
 class EmpiricalCdf {
  public:
   void add(double x);
@@ -51,14 +52,19 @@ class EmpiricalCdf {
   void thin_half();
 
  private:
+  struct Count {
+    double value;
+    std::size_t n;
+  };
+
+  void count(double x);
   void refresh() const;
 
   std::vector<double> samples_;
-  /// Sorted copy of samples_ maintained incrementally: refresh() sorts only
-  /// the tail added since the last refresh and merges it in, so the
-  /// add-then-query pattern of the detector costs O(new log new + n) per
-  /// sample batch instead of a full O(n log n) re-sort.
-  mutable std::vector<double> sorted_;
+  /// Distinct sample values in increasing order, each with its count.
+  std::vector<Count> counts_;
+  /// support() built from counts_; rebuilt on the first query after a
+  /// change.
   mutable std::vector<Point> support_;
   mutable bool dirty_ = false;
 };

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace parastack::stats {
 namespace {
 
@@ -88,24 +96,106 @@ TEST(EmpiricalCdf, QuantileZeroIsMinimumSample) {
   EXPECT_DOUBLE_EQ(ecdf.quantile(1.0), 0.9);
 }
 
-TEST(EmpiricalCdf, IncrementalRefreshMatchesFullRebuild) {
-  // Interleave adds with queries so the sorted cache's merge path (not just
-  // the first full sort) is exercised, including duplicate values landing
-  // in both the old and new halves of the merge.
-  EmpiricalCdf ecdf;
-  EmpiricalCdf oracle;
-  const double values[] = {0.5, 0.1, 0.5, 0.9, 0.1, 0.3, 0.9, 0.3, 0.0};
-  for (const double v : values) {
-    ecdf.add(v);
-    EXPECT_DOUBLE_EQ(ecdf.cdf(v), ecdf.cdf(v));  // force refresh per add
+/// The ECDF rebuilt from scratch: sort the samples, group equal values.
+std::vector<EmpiricalCdf::Point> reference_support(
+    const std::vector<double>& samples) {
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<EmpiricalCdf::Point> support;
+  const auto n = static_cast<double>(sorted.size());
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t j = i;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    support.push_back({sorted[i], static_cast<double>(j) / n});
+    i = j;
   }
-  for (const double v : values) oracle.add(v);
+  return support;
+}
+
+double reference_cdf(const std::vector<EmpiricalCdf::Point>& support,
+                     double x) {
+  double f = 0.0;
+  for (const auto& point : support) {
+    if (point.value <= x) f = point.cum_prob;
+  }
+  return f;
+}
+
+double reference_quantile(const std::vector<EmpiricalCdf::Point>& support,
+                          double p) {
+  for (const auto& point : support) {
+    if (point.cum_prob >= p - 1e-12) return point.value;
+  }
+  return support.back().value;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Check every query against the reference built from samples().
+void expect_matches_reference(const EmpiricalCdf& ecdf, util::Rng& rng) {
+  const auto want = reference_support(ecdf.samples());
   const auto& got = ecdf.support();
-  const auto& want = oracle.support();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i].value, want[i].value);
-    EXPECT_DOUBLE_EQ(got[i].cum_prob, want[i].cum_prob);
+    ASSERT_EQ(bits(got[i].value), bits(want[i].value)) << "point " << i;
+    ASSERT_EQ(bits(got[i].cum_prob), bits(want[i].cum_prob)) << "point " << i;
+  }
+  std::vector<double> probes = {-1.0, 2.0, rng.uniform()};
+  for (const auto& point : want) {
+    probes.push_back(point.value);
+    probes.push_back(std::nextafter(point.value, -1.0));
+  }
+  for (const double x : probes) {
+    ASSERT_EQ(bits(ecdf.cdf(x)), bits(reference_cdf(want, x))) << "x " << x;
+  }
+  if (want.empty()) return;
+  std::vector<double> ps = {0.0, 1.0, rng.uniform()};
+  for (const auto& point : want) ps.push_back(point.cum_prob);
+  for (const double p : ps) {
+    ASSERT_EQ(bits(ecdf.quantile(p)), bits(reference_quantile(want, p)))
+        << "p " << p;
+  }
+}
+
+TEST(EmpiricalCdf, IncrementalRefreshMatchesFullRebuild) {
+  // Randomized differential test: interleave add, thin_half and clear with
+  // queries, and hold support(), cdf() and quantile() bit for bit to an
+  // ECDF rebuilt from samples(). Two kinds of input: the 11 values S_crout
+  // takes over ten monitored ranks (k/10), and continuous values that are
+  // almost all distinct.
+  for (const bool few_values : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "few_values " << few_values
+                                      << " seed " << seed);
+      util::Rng rng(seed);
+      EmpiricalCdf ecdf;
+      std::vector<double> mirror;  // the samples, in time order
+      for (int step = 0; step < 3000; ++step) {
+        const double op = rng.uniform();
+        if (op < 0.95) {
+          const double x =
+              few_values ? static_cast<double>(rng.uniform_int(11)) / 10.0
+                         : rng.uniform();
+          ecdf.add(x);
+          mirror.push_back(x);
+        } else if (op < 0.996) {
+          expect_matches_reference(ecdf, rng);
+        } else if (op < 0.999) {
+          ecdf.thin_half();
+          std::vector<double> kept;
+          for (std::size_t i = 0; i < mirror.size(); i += 2) {
+            kept.push_back(mirror[i]);
+          }
+          mirror = std::move(kept);
+        } else {
+          ecdf.clear();
+          mirror.clear();
+        }
+        ASSERT_EQ(ecdf.samples(), mirror);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+      expect_matches_reference(ecdf, rng);
+    }
   }
 }
 
