@@ -1,9 +1,6 @@
 #include "util/args.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "util/check.hpp"
 
 namespace parastack::util {
 
@@ -37,26 +34,6 @@ std::string Args::get(const std::string& name,
                       const std::string& fallback) const {
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
-}
-
-long Args::get_int(const std::string& name, long fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  PS_CHECK(end != nullptr && *end == '\0' && !it->second.empty(),
-           "option expects an integer value");
-  return value;
-}
-
-double Args::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  PS_CHECK(end != nullptr && *end == '\0' && !it->second.empty(),
-           "option expects a numeric value");
-  return value;
 }
 
 std::vector<std::string> Args::unknown_keys(

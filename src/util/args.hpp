@@ -1,7 +1,11 @@
 #pragma once
 
+#include <charconv>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace parastack::util {
@@ -20,9 +24,45 @@ class Args {
   std::string get(const std::string& name,
                   const std::string& fallback = "") const;
 
-  /// Numeric accessors with fallbacks; die with a clear message on garbage.
-  long get_int(const std::string& name, long fallback) const;
-  double get_double(const std::string& name, double fallback) const;
+  /// The numeric getter: the value of `--name` parsed whole as a T, or
+  /// `fallback` when the option is absent. Throws std::invalid_argument,
+  /// with a message that names the option, when the value is malformed,
+  /// does not fit T, or lies outside [lo, hi] (NaN lies outside every
+  /// range).
+  template <typename T>
+  T get_whole(const std::string& name, T fallback,
+              T lo = std::numeric_limits<T>::lowest(),
+              T hi = std::numeric_limits<T>::max()) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    try {
+      const T value = parse_whole<T>(it->second);
+      if (value >= lo && value <= hi) return value;
+    } catch (const std::invalid_argument&) {
+    }
+    std::string message = "bad --" + name + " value '" + it->second + "'";
+    if constexpr (std::is_integral_v<T>) {
+      message += " (expected an integer from " + std::to_string(lo) +
+                 " to " + std::to_string(hi) + ")";
+    } else {
+      message += " (expected a number)";
+    }
+    throw std::invalid_argument(message);
+  }
+
+  /// Parse all of `text` as a T. Throws std::invalid_argument when the
+  /// text is empty, has anything after the number (a sign an unsigned T
+  /// cannot take included), or holds a value T cannot represent.
+  template <typename T>
+  static T parse_whole(const std::string& text) {
+    T value{};
+    const char* const end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end) {
+      throw std::invalid_argument(text);
+    }
+    return value;
+  }
 
   const std::vector<std::string>& positionals() const noexcept {
     return positionals_;

@@ -4,7 +4,7 @@
 #   2. a planted clock violation is caught (exit 1), shrunk, and the
 #      printed one-line repro command reproduces the failure;
 #   3. without the plant, the same repro scenario is clean again;
-#   4. flag typos are rejected loudly.
+#   4. flag typos and bad numeric values are rejected loudly.
 # Usage: pscheck_cli_test.sh /path/to/pscheck
 set -u
 
@@ -93,6 +93,21 @@ if [[ $? -ne 2 || $err != *"malformed"* ]]; then
 else
   note bad-repro-rejected
 fi
+
+# Numeric options are parsed whole: an out-of-range or malformed value
+# exits 2 naming the option, never wraps or saturates.
+for bad in "--seeds 4294967297" "--seeds 0" "--seed 18446744073709551616" \
+    "--seed -1" "--seed0 1x" "--jobs -2" "--shrink-budget x"; do
+  # shellcheck disable=SC2086
+  err=$("$PSCHECK" $bad 2>&1 >/dev/null)
+  rc=$?
+  option=${bad%% *}
+  if [[ $rc -ne 2 || $err != *"bad $option value"* ]]; then
+    flunk "bad-number-rejected ($bad): exit $rc: $err"
+  else
+    note "bad-number-rejected ($bad)"
+  fi
+done
 
 if [[ $failures -ne 0 ]]; then
   echo "$failures pscheck CLI check(s) failed" >&2

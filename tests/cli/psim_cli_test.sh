@@ -66,6 +66,43 @@ expect_reject negative-campaign-jobs "bad --jobs value '-5'" \
   campaign --bench LU --ranks 32 --runs 2 --fault compute-hang --jobs -5
 expect_reject negative-fleet-jobs "bad --jobs value '-1'" \
   run --bench LU --ranks 32 --fleet=2 --jobs -1
+# Every numeric option is parsed whole by Args::get_whole: a malformed,
+# out-of-range or unrepresentable value exits 2 naming the option, never
+# wraps, saturates or aborts.
+expect_reject overflowing-ranks "bad --ranks value '4294967298'" \
+  run --bench LU --ranks 4294967298
+expect_reject trailing-ranks "bad --ranks value '32x'" \
+  run --bench LU --ranks 32x
+expect_reject zero-ranks "bad --ranks value '0'" \
+  run --bench LU --ranks 0
+expect_reject overflowing-runs "bad --runs value '4294967297'" \
+  campaign --bench LU --ranks 32 --runs 4294967297
+expect_reject overflowing-seed "bad --seed value '99999999999999999999'" \
+  run --bench LU --ranks 32 --seed 99999999999999999999
+expect_reject negative-seed "bad --seed value '-1'" \
+  run --bench LU --ranks 32 --seed -1
+expect_reject nan-alpha "bad --alpha value 'nan'" \
+  run --bench LU --ranks 32 --alpha nan
+expect_reject zero-alpha "bad --alpha value '0' (expected 0 < A < 1)" \
+  run --bench LU --ranks 32 --alpha 0
+expect_reject unused-bad-alpha "bad --alpha value '2'" \
+  run --bench LU --ranks 32 --no-parastack --alpha 2
+expect_reject negative-trace-ranks "bad --trace-ranks value '-1'" \
+  run --bench LU --ranks 32 --trace-ranks -1
+expect_reject overflowing-walltime "bad --walltime-min value '999999999999999'" \
+  submit --bench LU --ranks 32 --walltime-min 999999999999999
+
+# The largest seed is a valid seed and runs as itself.
+out=$("$PSIM" run --bench LU --input C --ranks 32 \
+  --seed 18446744073709551615 2>&1)
+rc=$?
+if [[ $rc -ne 0 || $out != *"seed 18446744073709551615"* ]]; then
+  echo "FAIL max-seed: exit code $rc: $out" >&2
+  failures=$((failures + 1))
+else
+  echo "ok max-seed"
+fi
+
 # Options a subcommand does not read are rejected, never ignored: a typo
 # like --tre for --tree must not quietly run the default topology.
 expect_reject unknown-campaign-flag "psim campaign: unknown option --bogus-flag" \

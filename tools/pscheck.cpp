@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -94,9 +95,21 @@ int main(int argc, char** argv) {
   util::set_log_level(util::LogLevel::kWarn);  // keep sweep output readable
 
   check::DriverOptions options;
+  std::uint64_t single_seed = 0;
+  int seeds = 0;
+  std::uint64_t seed0 = 0;
+  int jobs = 0;
+  try {
+    options.shrink_budget = args.get_whole<int>("shrink-budget", 80, 0);
+    single_seed = args.get_whole<std::uint64_t>("seed", 1);
+    seeds = args.get_whole<int>("seeds", 64, 1);
+    seed0 = args.get_whole<std::uint64_t>("seed0", 1);
+    jobs = harness::resolve_jobs(args.get_whole<int>("jobs", 0, 0));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "pscheck: %s\n", error.what());
+    return 2;
+  }
   options.shrink = !args.has("no-shrink");
-  options.shrink_budget =
-      static_cast<int>(args.get_int("shrink-budget", 80));
   options.oracles.campaign_differential = !args.has("no-campaign-oracle");
   if (args.has("plant")) {
     const std::string plant = args.get("plant");
@@ -127,26 +140,19 @@ int main(int argc, char** argv) {
 
   // --- Single seed ---
   if (args.has("seed")) {
-    const auto seed =
-        static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const auto outcome = check::check_seed(seed, options);
+    const auto outcome = check::check_seed(single_seed, options);
     if (!outcome.ok()) {
       print_failure(outcome);
       return 1;
     }
     std::printf("seed %llu clean (%d runs, repro %s)\n",
-                static_cast<unsigned long long>(seed), outcome.runs_executed,
+                static_cast<unsigned long long>(single_seed),
+                outcome.runs_executed,
                 check::to_repro(outcome.report.scenario).c_str());
     return 0;
   }
 
   // --- Seed sweep ---
-  const int seeds = static_cast<int>(args.get_int("seeds", 64));
-  const auto seed0 = static_cast<std::uint64_t>(args.get_int("seed0", 1));
-  const int jobs =
-      harness::resolve_jobs(static_cast<int>(args.get_int("jobs", 0)));
-  if (seeds <= 0) return usage();
-
   std::atomic<int> failed{0};
   std::atomic<long> total_runs{0};
   std::mutex report_mutex;

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -43,6 +44,7 @@
 #include "util/log.hpp"
 
 using namespace parastack;
+using util::Args;
 
 namespace {
 
@@ -113,6 +115,9 @@ struct Telemetry {
   std::FILE* human() const noexcept { return stdout_taken ? stderr : stdout; }
 
   bool init(const util::Args& args) {
+    // Parsed first, and even without --chrome-trace, so a bad value fails
+    // before any file is opened and is never silently ignored.
+    const int trace_ranks = args.get_whole<int>("trace-ranks", 8, 0);
     if (const std::string level = args.get("log-level", ""); !level.empty()) {
       const auto parsed = util::parse_log_level(level);
       if (!parsed) {
@@ -153,7 +158,7 @@ struct Telemetry {
     if (trace_path = args.get("chrome-trace", ""); !trace_path.empty()) {
       if (trace_path == "-") stdout_taken = true;
       obs::ChromeTraceWriter::Options options;
-      options.max_ranks = static_cast<int>(args.get_int("trace-ranks", 8));
+      options.max_ranks = trace_ranks;
       trace = std::make_unique<obs::ChromeTraceWriter>(options);
       multi.add(trace.get());
     }
@@ -204,6 +209,10 @@ struct Telemetry {
   }
 };
 
+/// Largest --ranks psim accepts: far beyond the paper's 16k-rank runs, and
+/// small enough that the node count of a submit ticket cannot overflow.
+constexpr int kMaxRanks = 1 << 20;
+
 /// Options every simulating subcommand reads through build_config().
 const std::vector<std::string> kConfigKeys = {
     "bench", "ranks", "input", "platform", "seed", "fault", "detectors",
@@ -226,33 +235,6 @@ bool known_options_only(const util::Args& args, const char* command,
                  key.c_str());
   }
   return unknown.empty();
-}
-
-/// Parse all of `text` as a T. Throws std::invalid_argument when the text
-/// is empty, has anything after the number, or holds a value T cannot
-/// represent; each option's catch turns that into its diagnostic.
-template <typename T>
-T parse_whole(const std::string& text) {
-  T value{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end) throw std::invalid_argument(text);
-  return value;
-}
-
-/// --jobs N: worker threads, 0 = one per hardware thread. False (with a
-/// diagnostic) when N is malformed or negative.
-bool parse_jobs(const util::Args& args, int& jobs) {
-  try {
-    jobs = parse_whole<int>(args.get("jobs", "0"));
-    if (jobs >= 0) return true;
-  } catch (const std::invalid_argument&) {
-  }
-  std::fprintf(stderr,
-               "bad --jobs value '%s' (expected N >= 0, 0 = one worker per "
-               "hardware thread)\n",
-               args.get("jobs").c_str());
-  return false;
 }
 
 workloads::Bench parse_bench(const std::string& name, bool& ok) {
@@ -295,9 +277,9 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
     const std::string value =
         eq == std::string::npos ? "" : entry.substr(eq + 1);
     if (key == "loss") {
-      plan.loss_probability = parse_whole<double>(value);
+      plan.loss_probability = Args::parse_whole<double>(value);
     } else if (key == "delay-ms") {
-      plan.delay_mean = sim::from_millis(parse_whole<double>(value));
+      plan.delay_mean = sim::from_millis(Args::parse_whole<double>(value));
     } else if (key == "crash") {
       // NODE@SEC, or rand@SEC for a seed-chosen non-lead monitor.
       const std::size_t at = value.find('@');
@@ -310,30 +292,32 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
       }
       faults::MonitorCrash crash;
       const std::string node = value.substr(0, at);
-      crash.monitor = node == "rand" ? -1 : parse_whole<int>(node);
-      crash.at = sim::from_seconds(parse_whole<double>(value.substr(at + 1)));
+      crash.monitor = node == "rand" ? -1 : Args::parse_whole<int>(node);
+      crash.at =
+          sim::from_seconds(Args::parse_whole<double>(value.substr(at + 1)));
       plan.monitor_crashes.push_back(crash);
     } else if (key == "lead-crash") {
-      plan.lead_crash_at = sim::from_seconds(parse_whole<double>(value));
+      plan.lead_crash_at = sim::from_seconds(Args::parse_whole<double>(value));
     } else if (key == "timeout-ms") {
-      plan.sample_timeout = sim::from_millis(parse_whole<double>(value));
+      plan.sample_timeout = sim::from_millis(Args::parse_whole<double>(value));
     } else if (key == "retries") {
-      plan.max_retries = parse_whole<int>(value);
+      plan.max_retries = Args::parse_whole<int>(value);
     } else if (key == "backoff-ms") {
-      plan.retry_backoff = sim::from_millis(parse_whole<double>(value));
+      plan.retry_backoff = sim::from_millis(Args::parse_whole<double>(value));
     } else if (key == "rereg-ms") {
       plan.reregistration_latency =
-          sim::from_millis(parse_whole<double>(value));
+          sim::from_millis(Args::parse_whole<double>(value));
     } else if (key == "seed") {
-      plan.seed = parse_whole<std::uint64_t>(value);
+      plan.seed = Args::parse_whole<std::uint64_t>(value);
     } else if (key == "quorum") {
-      config.parastack_config().coverage_quorum = parse_whole<double>(value);
+      config.parastack_config().coverage_quorum =
+          Args::parse_whole<double>(value);
     } else if (key == "degraded-after") {
       config.parastack_config().degraded_mode_after =
-          parse_whole<std::size_t>(value);
+          Args::parse_whole<std::size_t>(value);
     } else if (key == "extra-streak") {
       config.parastack_config().low_coverage_extra_streak =
-          parse_whole<std::size_t>(value);
+          Args::parse_whole<std::size_t>(value);
     } else if (key == "fallback") {
       config.degraded_fallback_timeout = true;
     } else {
@@ -355,7 +339,7 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
                  args.get("bench").c_str());
     return config;
   }
-  config.nranks = static_cast<int>(args.get_int("ranks", 256));
+  config.nranks = args.get_whole<int>("ranks", 256, 1, kMaxRanks);
   config.input = args.get("input", "");
   const std::string platform = args.get("platform", "Tianhe-2");
   if (platform == "Tardis") {
@@ -371,7 +355,7 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
     ok = false;
     return config;
   }
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  config.seed = args.get_whole<std::uint64_t>("seed", 1);
   config.fault = parse_fault(args.get("fault", "none"), ok);
   if (!ok) {
     std::fprintf(stderr, "unknown fault type '%s'\n",
@@ -406,8 +390,15 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
   }
   if (args.has("no-parastack")) config.remove(core::DetectorKind::kParastack);
   if (args.has("timeout-baseline")) config.spec(core::DetectorKind::kTimeout);
+  // Read even when no ParaStack detector is attached, so a bad value is
+  // never silently ignored.
+  const double alpha = args.get_whole<double>("alpha", 0.001);
+  if (!(alpha > 0.0 && alpha < 1.0)) {
+    throw std::invalid_argument("bad --alpha value '" + args.get("alpha") +
+                                "' (expected 0 < A < 1)");
+  }
   if (auto* parastack = config.find(core::DetectorKind::kParastack)) {
-    parastack->parastack.alpha = args.get_double("alpha", 0.001);
+    parastack->parastack.alpha = alpha;
   }
   if (const std::string spec = args.get("tree", ""); !spec.empty()) {
     // FANOUT[,DEPTH][,DEADLINE-MS]; 'inf' (or 0) keeps the flat star for
@@ -419,15 +410,16 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
       if (fanout == "inf" || fanout == "star") {
         config.monitor_tree.fanout = 0;
       } else {
-        config.monitor_tree.fanout = parse_whole<int>(fanout);
+        config.monitor_tree.fanout = Args::parse_whole<int>(fanout);
       }
       if (comma != std::string::npos) {
         const std::string rest = spec.substr(comma + 1);
         const std::size_t comma2 = rest.find(',');
-        config.monitor_tree.depth = parse_whole<int>(rest.substr(0, comma2));
+        config.monitor_tree.depth =
+            Args::parse_whole<int>(rest.substr(0, comma2));
         if (comma2 != std::string::npos) {
-          config.monitor_tree.level_deadline =
-              sim::from_millis(parse_whole<double>(rest.substr(comma2 + 1)));
+          config.monitor_tree.level_deadline = sim::from_millis(
+              Args::parse_whole<double>(rest.substr(comma2 + 1)));
         }
       }
       if (config.monitor_tree.fanout < 0 || config.monitor_tree.depth < 0 ||
@@ -484,7 +476,7 @@ bool parse_fleet(const std::string& spec, fleet::FleetConfig& config) {
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
     switch (field) {
       case 0:
-        config.arrivals.jobs = parse_whole<int>(value);
+        config.arrivals.jobs = Args::parse_whole<int>(value);
         if (config.arrivals.jobs < 1) return false;
         break;
       case 1:
@@ -497,7 +489,7 @@ bool parse_fleet(const std::string& spec, fleet::FleetConfig& config) {
         }
         break;
       case 2:
-        config.monitor_pool = parse_whole<int>(value);
+        config.monitor_pool = Args::parse_whole<int>(value);
         if (config.monitor_pool < 0) return false;
         break;
       default:
@@ -527,7 +519,7 @@ int cmd_run_fleet(const util::Args& args, const std::string& spec) {
                  spec.c_str());
     return 2;
   }
-  if (!parse_jobs(args, fc.jobs)) return 2;
+  fc.jobs = args.get_whole<int>("jobs", 0, 0);
   Telemetry telemetry;
   if (!telemetry.init(args)) return 2;
   fc.telemetry = telemetry.sink();
@@ -688,12 +680,12 @@ int cmd_campaign(const util::Args& args) {
   harness::CampaignConfig campaign;
   campaign.base = build_config(args, ok);
   if (!ok) return 2;
-  if (!parse_jobs(args, campaign.jobs)) return 2;
+  campaign.jobs = args.get_whole<int>("jobs", 0, 0);
+  campaign.runs = args.get_whole<int>("runs", 10, 0);
   Telemetry telemetry;
   if (!telemetry.init(args)) return 2;
   campaign.base.telemetry = telemetry.sink();
   campaign.base.perf = telemetry.perf_registry();
-  campaign.runs = static_cast<int>(args.get_int("runs", 10));
   campaign.seed0 = campaign.base.seed * 1000 + 7;
   if (campaign.base.fault == faults::FaultType::kNone) {
     const auto result = harness::run_clean_campaign(campaign);
@@ -747,7 +739,11 @@ int cmd_submit(const util::Args& args) {
   ticket.cores_per_node = config.platform.cores_per_node;
   ticket.nodes = (config.nranks + ticket.cores_per_node - 1) /
                  ticket.cores_per_node;
-  ticket.walltime = sim::kMinute * args.get_int("walltime-min", 60);
+  ticket.walltime =
+      sim::kMinute *
+      args.get_whole<sim::Time>("walltime-min", 60, 1,
+                                std::numeric_limits<sim::Time>::max() /
+                                    sim::kMinute);
   ticket.job_name = std::string(workloads::bench_name(config.bench));
   const std::string system_name = args.get("system", "slurm");
   if (system_name != "slurm" && system_name != "torque") {
@@ -787,9 +783,15 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const util::Args args(argc - 1, argv + 1);
-  if (command == "run") return cmd_run(args);
-  if (command == "campaign") return cmd_campaign(args);
-  if (command == "submit") return cmd_submit(args);
-  if (command == "list") return cmd_list(args);
+  try {
+    if (command == "run") return cmd_run(args);
+    if (command == "campaign") return cmd_campaign(args);
+    if (command == "submit") return cmd_submit(args);
+    if (command == "list") return cmd_list(args);
+  } catch (const std::invalid_argument& error) {
+    // A malformed or out-of-range numeric option (Args::get_whole).
+    std::fprintf(stderr, "psim %s: %s\n", command.c_str(), error.what());
+    return 2;
+  }
   return usage();
 }
