@@ -20,7 +20,6 @@
 // silently runs the default.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
