@@ -97,20 +97,20 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 void write_bench_json(std::ostream& out, const std::vector<Record>& records,
                       bool quick) {
-  out << "{\"bench\":\"bench_fleet\",\"issue\":10,\"mode\":"
-      << (quick ? "\"quick\"" : "\"full\"") << ",\"records\":[";
+  std::string doc = "{\"bench\":\"bench_fleet\",\"issue\":10,\"mode\":";
+  doc += quick ? "\"quick\"" : "\"full\"";
+  doc += ",\"records\":[";
   bool first = true;
   for (const auto& record : records) {
-    out << (first ? "" : ",") << "\n  {\"scenario\":";
+    doc += first ? "\n  " : ",\n  ";
     first = false;
-    obs::json_string(out, record.scenario);
-    out << ",\"metric\":";
-    obs::json_string(out, record.metric);
-    out << ",\"value\":";
-    obs::json_number(out, record.value);
-    out << '}';
+    obs::JsonObject object(doc);
+    object.field("scenario", record.scenario)
+        .field("metric", record.metric)
+        .field("value", record.value);
   }
-  out << "\n]}\n";
+  doc += "\n]}\n";
+  out << doc;
 }
 
 }  // namespace

@@ -130,33 +130,28 @@ double timed_repeat(const ScenarioSpec& spec, int runs,
 
 void write_bench_json(std::ostream& out, const std::vector<Record>& records,
                       bool quick) {
-  out << "{\"bench\":\"bench_perf\",\"issue\":10,\"mode\":"
-      << (quick ? "\"quick\"" : "\"full\"") << ",\"records\":[";
+  std::string doc = "{\"bench\":\"bench_perf\",\"issue\":10,\"mode\":";
+  doc += quick ? "\"quick\"" : "\"full\"";
+  doc += ",\"records\":[";
   bool first_record = true;
   for (const auto& record : records) {
-    out << (first_record ? "" : ",") << "\n  {\"scenario\":";
+    doc += first_record ? "\n  " : ",\n  ";
     first_record = false;
-    obs::json_string(out, record.scenario);
-    out << ",\"metric\":";
-    obs::json_string(out, record.metric);
-    out << ",\"value\":";
-    obs::json_number(out, record.value);
-    out << ",\"stddev\":";
-    obs::json_number(out, record.stddev);
+    obs::JsonObject object(doc);
+    object.field("scenario", record.scenario)
+        .field("metric", record.metric)
+        .field("value", record.value)
+        .field("stddev", record.stddev);
     if (!record.counters.empty()) {
-      out << ",\"counters\":{";
-      bool first_counter = true;
+      object.key("counters");
+      obs::JsonObject counters(doc);
       for (const auto& [name, value] : record.counters) {
-        if (!first_counter) out << ',';
-        first_counter = false;
-        obs::json_string(out, name);
-        out << ':' << value;
+        counters.field(name, value);
       }
-      out << '}';
     }
-    out << '}';
   }
-  out << "\n]}\n";
+  doc += "\n]}\n";
+  out << doc;
 }
 
 }  // namespace

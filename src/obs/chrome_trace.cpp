@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json.hpp"
+
 namespace parastack::obs {
 
 namespace {
@@ -14,39 +16,21 @@ constexpr int kToolPid = 1;
 constexpr int kDetectorTid = 0;
 constexpr int kMonitorTid = 1;
 
+/// Append a virtual instant or duration in microseconds with three
+/// decimals, Chrome's `ts`/`dur` unit. Rendered from the integer
+/// nanoseconds, so the digits are exact; they equal "%.3f" of t / 1e3 for
+/// any |t| below 2^43 microseconds (101 days).
 void append_ts(std::string& out, sim::Time t) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(t) / 1e3);
-  out += buf;
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-/// Escape externally-provided text (function names, bench names) for use
-/// inside a JSON string literal. Identifiers never need it, but a hostile
-/// name must not corrupt the document.
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+  if (t < 0) {
+    out += '-';
+    t = -t;
   }
+  json_integer(out, t / 1000);
+  const auto ns = static_cast<int>(t % 1000);
+  const char decimals[] = {'.', static_cast<char>('0' + ns / 100),
+                           static_cast<char>('0' + ns / 10 % 10),
+                           static_cast<char>('0' + ns % 10)};
+  out.append(decimals, sizeof decimals);
 }
 
 const char* span_category(RankSpanEvent::Kind kind) {
@@ -88,7 +72,7 @@ void ChromeTraceWriter::counter(sim::Time t, const char* name, double value) {
   ev += "\",\"ts\":";
   append_ts(ev, t);
   ev += ",\"args\":{\"value\":";
-  append_number(ev, value);
+  json_number(ev, value);
   ev += "}}";
 }
 
@@ -99,11 +83,11 @@ void ChromeTraceWriter::on_run_start(const RunStartEvent& e) {
     char head[96];
     std::snprintf(head, sizeof head,
                   "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"%s\","
-                  "\"args\":{\"name\":\"",
+                  "\"args\":{\"name\":",
                   pid, tid, what);
     ev += head;
-    append_escaped(ev, name);
-    ev += "\"}}";
+    json_string(ev, name);
+    ev += "}}";
   };
   metadata(kJobPid, 0, "process_name",
            std::string(e.bench) + "(" + std::string(e.input) + ") x " +
@@ -121,12 +105,12 @@ void ChromeTraceWriter::on_rank_span(const RankSpanEvent& e) {
   if (e.rank < 0 || e.rank >= options_.max_ranks) return;
   std::string& ev = begin_event();
   ev += "{\"ph\":\"X\",\"pid\":0,\"tid\":";
-  ev += std::to_string(e.rank);
+  json_integer(ev, e.rank);
   ev += ",\"cat\":\"";
   ev += span_category(e.kind);
-  ev += "\",\"name\":\"";
-  append_escaped(ev, e.func);
-  ev += "\",\"ts\":";
+  ev += "\",\"name\":";
+  json_string(ev, e.func);
+  ev += ",\"ts\":";
   append_ts(ev, e.begin);
   ev += ",\"dur\":";
   append_ts(ev, std::max<sim::Time>(e.end - e.begin, 1));
@@ -136,9 +120,9 @@ void ChromeTraceWriter::on_rank_span(const RankSpanEvent& e) {
 void ChromeTraceWriter::on_detection_span(const DetectionSpanEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"cat\":\"detection-latency\","
-        "\"name\":\"";
-  append_escaped(ev, e.span);
-  ev += "\",\"ts\":";
+        "\"name\":";
+  json_string(ev, e.span);
+  ev += ",\"ts\":";
   append_ts(ev, e.begin);
   ev += ",\"dur\":";
   append_ts(ev, std::max<sim::Time>(e.end - e.begin, 1));
@@ -202,7 +186,7 @@ void ChromeTraceWriter::on_monitor_sample(const MonitorSampleEvent& e) {
   ev += "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"name\":\"tool_bytes\",\"ts\":";
   append_ts(ev, e.time);
   ev += ",\"args\":{\"value\":";
-  ev += std::to_string(tool_bytes_total_);
+  json_integer(ev, tool_bytes_total_);
   ev += "}}";
 }
 
@@ -213,15 +197,15 @@ void ChromeTraceWriter::on_monitor_level(const MonitorLevelEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"tree-gather\","
         "\"name\":\"level ";
-  ev += std::to_string(e.level);
+  json_integer(ev, e.level);
   ev += " gather\",\"ts\":";
   append_ts(ev, e.time);
   ev += ",\"dur\":";
   append_ts(ev, std::max<sim::Time>(e.latency, 1));
   ev += ",\"args\":{\"senders\":";
-  ev += std::to_string(e.senders);
+  json_integer(ev, e.senders);
   ev += ",\"max_fan_in\":";
-  ev += std::to_string(e.max_fan_in);
+  json_integer(ev, e.max_fan_in);
   ev += "}}";
 }
 
@@ -229,11 +213,11 @@ void ChromeTraceWriter::on_tree_failover(const TreeFailoverEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":1,"
         "\"name\":\"tree failover: ";
-  ev += std::to_string(e.failed);
+  json_integer(ev, e.failed);
   ev += " -> ";
-  ev += std::to_string(e.promoted);
+  json_integer(ev, e.promoted);
   ev += " (+";
-  ev += std::to_string(e.adopted);
+  json_integer(ev, e.adopted);
   ev += " adopted)\",\"ts\":";
   append_ts(ev, e.time);
   ev += '}';
@@ -242,9 +226,9 @@ void ChromeTraceWriter::on_tree_failover(const TreeFailoverEvent& e) {
 void ChromeTraceWriter::on_phase_change(const PhaseChangeEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"name\":\"phase ";
-  ev += std::to_string(e.from_phase);
+  json_integer(ev, e.from_phase);
   ev += " -> ";
-  ev += std::to_string(e.to_phase);
+  json_integer(ev, e.to_phase);
   ev += "\",\"ts\":";
   append_ts(ev, e.time);
   ev += '}';
@@ -255,7 +239,7 @@ void ChromeTraceWriter::on_fault(const FaultEvent& e) {
   ev += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"name\":\"fault: ";
   ev.append(e.type.data(), e.type.size());
   ev += " @ rank ";
-  ev += std::to_string(e.victim);
+  json_integer(ev, e.victim);
   ev += "\",\"ts\":";
   append_ts(ev, e.time);
   ev += '}';

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <ostream>
+#include <string>
+#include <string_view>
 
 #include "obs/telemetry.hpp"
 
@@ -14,6 +16,10 @@ namespace parastack::obs {
 /// Rank spans are journalled only when `record_rank_spans` is set: they
 /// fire per simulated action and would swamp the detector's signal (use the
 /// ChromeTraceWriter for timelines).
+///
+/// Each line is built in one reused buffer and handed to the stream with a
+/// single write as its event fires; lines are never held back across
+/// events.
 class JsonlJournal final : public TelemetrySink {
  public:
   struct Options {
@@ -53,8 +59,14 @@ class JsonlJournal final : public TelemetrySink {
   std::uint64_t lines_written() const noexcept { return lines_; }
 
  private:
+  /// Render one line — `ev`, then `det` when `detector` is not empty, then
+  /// whatever `fields` adds — and write it out.
+  template <typename Fields>
+  void emit(std::string_view ev, std::string_view detector, Fields&& fields);
+
   std::ostream& out_;
   Options options_;
+  std::string line_;
   std::uint64_t lines_ = 0;
 };
 

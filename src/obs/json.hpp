@@ -1,28 +1,43 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <ostream>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace parastack::obs {
 
-/// Write `s` as a JSON string literal (quotes included), escaping the
-/// control characters and the two mandatory specials. The simulator only
-/// produces ASCII identifiers, so no UTF-8 handling is needed.
-void json_string(std::ostream& out, std::string_view s);
+// Every JSON document the telemetry sinks render is built by appending to a
+// std::string, which the sink then hands to its stream in one write.
 
-/// Write a double as a JSON number. Uses a fixed "%.9g" rendering so the
-/// output is byte-stable for identical values (determinism requirement of
-/// the journal). Non-finite values — which no telemetry source produces —
+/// Append `s` as a JSON string literal (quotes included), escaping the
+/// control characters and the two mandatory specials; the runs between
+/// escapes are copied whole. The simulator only produces ASCII
+/// identifiers, so no UTF-8 handling is needed.
+void json_string(std::string& out, std::string_view s);
+
+/// Append a double as a JSON number, rendered byte for byte as "%.9g"
+/// renders it: std::to_chars with chars_format::general and precision 9 is
+/// defined as that printf conversion in the "C" locale. The output is
+/// byte-stable for identical values (determinism requirement of the
+/// journal). Non-finite values — which no telemetry source produces —
 /// degrade to null to keep the document parseable.
-void json_number(std::ostream& out, double value);
+void json_number(std::string& out, double value);
 
-/// Streaming writer for one JSON object: handles the comma discipline so
-/// call sites read as a flat list of fields. Close with done(); the
-/// destructor also closes (idempotent) so early returns stay valid JSON.
+/// Append an integer in decimal, as the classic locale renders it.
+template <typename Int>
+void json_integer(std::string& out, Int value) {
+  char buf[24];  // a sign and the 20 digits of the widest 64-bit value
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+/// Writer for one JSON object: handles the comma discipline so call sites
+/// read as a flat list of fields. Close with done(); the destructor also
+/// closes (idempotent) so early returns stay valid JSON.
 class JsonObject {
  public:
-  explicit JsonObject(std::ostream& out) : out_(out) { out_ << '{'; }
+  explicit JsonObject(std::string& out) : out_(out) { out_ += '{'; }
   ~JsonObject() { done(); }
 
   JsonObject(const JsonObject&) = delete;
@@ -37,16 +52,16 @@ class JsonObject {
   JsonObject& field(std::string_view key, std::int64_t value);
   JsonObject& field(std::string_view key, std::uint64_t value);
   JsonObject& field(std::string_view key, double value);
-  /// Insert `json` verbatim as the value (for nested arrays/objects the
-  /// caller has already rendered).
-  JsonObject& raw(std::string_view key, std::string_view json);
+  /// A JSON array of integers.
+  JsonObject& field(std::string_view key, const std::vector<int>& values);
+  /// Write the next key and leave its value to the caller: a nested
+  /// JsonObject, or text rendered with the json_* functions.
+  JsonObject& key(std::string_view k);
 
   void done();
 
  private:
-  void key(std::string_view k);
-
-  std::ostream& out_;
+  std::string& out_;
   bool first_ = true;
   bool closed_ = false;
 };

@@ -32,24 +32,21 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':' << value;
+  std::string doc;
+  JsonObject root(doc);
+  root.key("counters");
+  {
+    JsonObject counters(doc);
+    for (const auto& [name, value] : counters_) counters.field(name, value);
   }
-  out << "},\"digests\":{";
-  first = true;
-  for (const auto& [name, d] : digests_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':';
-    JsonObject obj(out);
-    obj.field("count", static_cast<std::uint64_t>(d.count()));
-    if (!d.empty()) {
+  root.key("digests");
+  {
+    JsonObject digests(doc);
+    for (const auto& [name, d] : digests_) {
+      digests.key(name);
+      JsonObject obj(doc);
+      obj.field("count", static_cast<std::uint64_t>(d.count()));
+      if (d.empty()) continue;
       util::Summary moments;
       for (const double v : d.values()) moments.add(v);
       obj.field("mean", moments.mean())
@@ -59,53 +56,48 @@ void MetricsRegistry::write_json(std::ostream& out) const {
           .field("p95", util::quantile(d.values(), 0.95))
           .field("p99", util::quantile(d.values(), 0.99));
     }
-    obj.done();
   }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':';
-    json_number(out, value);
+  root.key("gauges");
+  {
+    JsonObject gauges(doc);
+    for (const auto& [name, value] : gauges_) gauges.field(name, value);
   }
-  out << "},\"summaries\":{";
-  first = true;
-  for (const auto& [name, s] : summaries_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':';
-    JsonObject obj(out);
-    obj.field("count", static_cast<std::uint64_t>(s.count()));
-    if (!s.empty()) {
+  root.key("summaries");
+  {
+    JsonObject summaries(doc);
+    for (const auto& [name, s] : summaries_) {
+      summaries.key(name);
+      JsonObject obj(doc);
+      obj.field("count", static_cast<std::uint64_t>(s.count()));
+      if (s.empty()) continue;
       obj.field("mean", s.mean())
           .field("stddev", s.stddev())
           .field("min", s.min())
           .field("max", s.max());
     }
-    obj.done();
   }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ":{\"lo\":";
-    json_number(out, h.bucket_lo(0));
-    out << ",\"hi\":";
-    json_number(out, h.bucket_hi(h.bucket_count() - 1));
-    out << ",\"total\":" << h.total() << ",\"underflow\":" << h.underflow()
-        << ",\"overflow\":" << h.overflow() << ",\"buckets\":[";
-    for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-      if (b > 0) out << ',';
-      out << h.count(b);
+  root.key("histograms");
+  {
+    JsonObject histograms(doc);
+    for (const auto& [name, h] : histograms_) {
+      histograms.key(name);
+      JsonObject obj(doc);
+      obj.field("lo", h.bucket_lo(0))
+          .field("hi", h.bucket_hi(h.bucket_count() - 1))
+          .field("total", static_cast<std::uint64_t>(h.total()))
+          .field("underflow", static_cast<std::uint64_t>(h.underflow()))
+          .field("overflow", static_cast<std::uint64_t>(h.overflow()))
+          .key("buckets");
+      doc += '[';
+      for (std::size_t b = 0; b < h.bucket_count(); ++b) {
+        if (b > 0) doc += ',';
+        json_integer(doc, h.count(b));
+      }
+      doc += ']';
     }
-    out << "]}";
   }
-  out << "}}";
+  root.done();
+  out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
 MetricsSink::MetricsSink(MetricsRegistry& registry) : registry_(registry) {

@@ -7,36 +7,31 @@ namespace parastack::obs::perf {
 void ProfileRegistry::write_json(std::ostream& out,
                                  bool include_timers) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  out << '{';
-  out << "\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':' << c.value();
+  std::string doc;
+  JsonObject root(doc);
+  root.key("counters");
+  {
+    JsonObject counters(doc);
+    for (const auto& [name, c] : counters_) counters.field(name, c.value());
   }
-  out << "},\"high_water\":{";
-  first = true;
-  for (const auto& [name, g] : high_waters_) {
-    if (!first) out << ',';
-    first = false;
-    json_string(out, name);
-    out << ':' << g.value();
-  }
-  out << '}';
-  if (include_timers) {
-    out << ",\"timers\":{";
-    first = true;
-    for (const auto& [name, t] : timers_) {
-      if (!first) out << ',';
-      first = false;
-      json_string(out, name);
-      out << ":{\"ns\":" << t.nanos() << ",\"calls\":" << t.calls() << '}';
+  root.key("high_water");
+  {
+    JsonObject high_waters(doc);
+    for (const auto& [name, g] : high_waters_) {
+      high_waters.field(name, g.value());
     }
-    out << '}';
   }
-  out << '}';
+  if (include_timers) {
+    root.key("timers");
+    JsonObject timers(doc);
+    for (const auto& [name, t] : timers_) {
+      timers.key(name);
+      JsonObject timer(doc);
+      timer.field("ns", t.nanos()).field("calls", t.calls());
+    }
+  }
+  root.done();
+  out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
 }
 
 }  // namespace parastack::obs::perf
