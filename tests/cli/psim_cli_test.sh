@@ -200,6 +200,41 @@ else
   echo "ok fleet-run"
 fi
 
+# expect_write_failure NAME STDOUT PATH ARGS...
+# Runs psim with stdout sent to STDOUT; asserts exit code 1 (the code a
+# file that cannot be opened gets) and that stderr names PATH as unwritable.
+expect_write_failure() {
+  local name=$1 stdout=$2 path=$3
+  shift 3
+  local err
+  err=$("$PSIM" "$@" 2>&1 >"$stdout")
+  local rc=$?
+  if [[ $rc -ne 1 ]]; then
+    echo "FAIL $name: exit code $rc, expected 1" >&2
+    failures=$((failures + 1))
+  elif [[ $err != *"cannot write '$path'"* ]]; then
+    echo "FAIL $name: stderr missing \"cannot write '$path'\": $err" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok $name"
+  fi
+}
+
+# A telemetry artifact that cannot be written fails the command instead of
+# being lost silently.
+if [[ -c /dev/full ]]; then
+  expect_write_failure journal-write-error /dev/null /dev/full \
+    run --bench LU --input C --ranks 32 --journal /dev/full
+  expect_write_failure metrics-write-error /dev/null /dev/full \
+    run --bench LU --input C --ranks 32 --metrics-out /dev/full
+  expect_write_failure trace-write-error /dev/null /dev/full \
+    run --bench LU --input C --ranks 32 --chrome-trace /dev/full
+  expect_write_failure stdout-journal-write-error /dev/full - \
+    run --bench LU --input C --ranks 32 --journal -
+else
+  echo "skip write-error cases: no /dev/full"
+fi
+
 if [[ $failures -ne 0 ]]; then
   echo "$failures CLI check(s) failed" >&2
   exit 1

@@ -98,6 +98,7 @@ int usage() {
 /// run/campaign. sink() is null when nothing was requested, so the hot path
 /// stays free.
 struct Telemetry {
+  std::string journal_path;
   std::ofstream journal_file;
   std::unique_ptr<obs::JsonlJournal> journal;
   obs::MetricsRegistry registry;
@@ -128,17 +129,17 @@ struct Telemetry {
       }
       util::set_log_level(*parsed);
     }
-    if (const std::string path = args.get("journal", ""); !path.empty()) {
+    if (journal_path = args.get("journal", ""); !journal_path.empty()) {
       obs::JsonlJournal::Options options;
       options.record_rank_spans = args.has("journal-spans");
-      if (path == "-") {
+      if (journal_path == "-") {
         stdout_taken = true;
         journal = std::make_unique<obs::JsonlJournal>(std::cout, options);
       } else {
-        journal_file.open(path);
+        journal_file.open(journal_path);
         if (!journal_file) {
           std::fprintf(stderr, "cannot open journal file '%s'\n",
-                       path.c_str());
+                       journal_path.c_str());
           return false;
         }
         journal = std::make_unique<obs::JsonlJournal>(journal_file, options);
@@ -174,13 +175,21 @@ struct Telemetry {
     return metrics ? &perf : nullptr;
   }
 
-  /// Write the buffered documents (metrics, chrome trace); the journal
-  /// streamed as it went.
+  /// Write the buffered documents (metrics, chrome trace; the journal
+  /// streamed as it went) and flush every stream. False when a file could
+  /// not be opened or written: the artifact is lost, so the command fails.
   bool finish() {
     bool ok = true;
-    const auto write_doc = [&ok](const std::string& path, const auto& emit) {
+    const auto flush = [&ok](std::ostream& out, const std::string& path) {
+      if (!out.flush()) {
+        std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+        ok = false;
+      }
+    };
+    const auto write_doc = [&](const std::string& path, const auto& emit) {
       if (path == "-") {
         emit(std::cout);
+        flush(std::cout, path);
         return;
       }
       std::ofstream out(path);
@@ -190,7 +199,11 @@ struct Telemetry {
         return;
       }
       emit(out);
+      flush(out, path);
     };
+    if (journal) {
+      flush(journal_path == "-" ? std::cout : journal_file, journal_path);
+    }
     if (metrics) {
       // Fold the deterministic perf counters into the metrics document
       // (high-waters keep their ".hw" suffix; wall-clock timers excluded).
