@@ -20,7 +20,8 @@ void json_string(std::string& out, std::string_view s) {
       case '\t': out += "\\t"; break;
       default: {
         constexpr char kHex[] = "0123456789abcdef";
-        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
         out.append(escape, sizeof escape);
       }
     }

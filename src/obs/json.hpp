@@ -8,8 +8,8 @@
 
 namespace parastack::obs {
 
-// Every JSON document the telemetry sinks render is built by appending to a
-// std::string, which the sink then hands to its stream in one write.
+// The telemetry sinks build their JSON by appending to a std::string and
+// hand finished text to a stream whole, never a character at a time.
 
 /// Append `s` as a JSON string literal (quotes included), escaping the
 /// control characters and the two mandatory specials; the runs between
