@@ -97,9 +97,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 void write_bench_json(std::ostream& out, const std::vector<Record>& records,
                       bool quick) {
-  std::string doc = "{\"bench\":\"bench_fleet\",\"issue\":10,\"mode\":";
-  doc += quick ? "\"quick\"" : "\"full\"";
-  doc += ",\"records\":[";
+  out << "{\"bench\":\"bench_fleet\",\"issue\":10,\"mode\":"
+      << (quick ? "\"quick\"" : "\"full\"") << ",\"records\":[";
+  std::string doc;
   bool first = true;
   for (const auto& record : records) {
     doc += first ? "\n  " : ",\n  ";

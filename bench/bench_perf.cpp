@@ -130,9 +130,9 @@ double timed_repeat(const ScenarioSpec& spec, int runs,
 
 void write_bench_json(std::ostream& out, const std::vector<Record>& records,
                       bool quick) {
-  std::string doc = "{\"bench\":\"bench_perf\",\"issue\":10,\"mode\":";
-  doc += quick ? "\"quick\"" : "\"full\"";
-  doc += ",\"records\":[";
+  out << "{\"bench\":\"bench_perf\",\"issue\":10,\"mode\":"
+      << (quick ? "\"quick\"" : "\"full\"") << ",\"records\":[";
+  std::string doc;
   bool first_record = true;
   for (const auto& record : records) {
     doc += first_record ? "\n  " : ",\n  ";
