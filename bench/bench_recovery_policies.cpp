@@ -101,14 +101,14 @@ CellStats run_cell(const LatencyPoint& latency, const PolicyPoint& policy,
   for (const auto& result : results) {
     const auto ticket = ticket_for(result.walltime);
     const auto charge = sched::settle_recovered(
-        ticket, result.job_finish_time(),
+        ticket, result.finish_time,
         result.completed ? std::optional<sim::Time>()
-                         : std::optional<sim::Time>(result.job_end_time()),
+                         : std::optional<sim::Time>(result.end_time),
         result.recovery.gave_up, result.recovery.su_multiplier);
     stats.service_units.add(charge.service_units);
     if (result.completed) {
       ++stats.completed;
-      stats.finish_seconds.add(sim::to_seconds(*result.job_finish_time()));
+      stats.finish_seconds.add(sim::to_seconds(*result.finish_time));
     }
     if (result.fault.activated()) {
       stats.detect_latency_s.add(sim::to_seconds(
@@ -153,9 +153,9 @@ void acceptance_scenario(int nruns) {
     for (const auto& result : results) {
       const auto ticket = ticket_for(result.walltime);
       const auto charge = sched::settle_recovered(
-          ticket, result.job_finish_time(),
+          ticket, result.finish_time,
           result.completed ? std::optional<sim::Time>()
-                           : std::optional<sim::Time>(result.job_end_time()),
+                           : std::optional<sim::Time>(result.end_time),
           result.recovery.gave_up, result.recovery.su_multiplier);
       su_billed.add(charge.service_units);
       // An incomplete job's whole bill is wasted work; a completed one
@@ -163,7 +163,7 @@ void acceptance_scenario(int nruns) {
       su_wasted.add(result.completed ? 0.0 : charge.service_units);
       if (result.completed) {
         ++completed;
-        finish_seconds.add(sim::to_seconds(*result.job_finish_time()));
+        finish_seconds.add(sim::to_seconds(*result.finish_time));
       }
     }
     std::printf("%-8s %6d/%-3d %12.1f %12.1f %10.1f\n", policy, completed,

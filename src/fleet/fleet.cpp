@@ -195,13 +195,13 @@ FleetResult run_fleet(const FleetConfig& config) {
     tenant.admitted = true;
     tenant.run = std::move(recorded[static_cast<std::size_t>(i)].result);
     tenant.ticket.walltime = tenant.run.walltime;
-    tenant.end_at = arrival.at + tenant.run.job_end_time();
+    tenant.end_at = arrival.at + tenant.run.end_time;
     tenant.lifecycle = audit_lifecycle(arrival.at, tenant.run);
     tenant.charge = sched::settle_recovered(
-        tenant.ticket, tenant.run.job_finish_time(),
+        tenant.ticket, tenant.run.finish_time,
         tenant.run.completed
             ? std::optional<sim::Time>()
-            : std::optional<sim::Time>(tenant.run.job_end_time()),
+            : std::optional<sim::Time>(tenant.run.end_time),
         tenant.run.recovery.gave_up, tenant.run.recovery.su_multiplier);
     out.bill.add(tenant.ticket, tenant.charge);
     out.makespan = std::max(out.makespan, tenant.end_at);

@@ -250,10 +250,6 @@ struct RunResult {
   /// (detected runs).
   double response_delay_seconds() const;
 
-  /// Explicit final-attempt aliases of the compat fields above, for call
-  /// sites that care about the distinction once recovery is in play.
-  sim::Time job_end_time() const noexcept { return end_time; }
-  std::optional<sim::Time> job_finish_time() const { return finish_time; }
   /// End of the first attempt: the kill (or expiry) instant the recovery
   /// loop first intervened at. Equals end_time for single-attempt runs.
   sim::Time first_attempt_end_time() const noexcept {

@@ -1,8 +1,8 @@
-// Regression coverage for the RunResult compat accessors (job_end_time,
-// job_finish_time, first_attempt_end_time) under the combination PR 9 left
-// unpinned: multi-attempt recovery with a detector bank attached. Includes
-// the expire-mid-restore case, where the job's billable end is the walltime
-// the slot burned to — not the kill instant the last attempt stopped at.
+// Regression coverage for the RunResult final-attempt fields (end_time,
+// finish_time) and first_attempt_end_time() under multi-attempt recovery
+// with a detector bank attached. Includes the expire-mid-restore case,
+// where the job's billable end is the walltime the slot burned to — not
+// the kill instant the last attempt stopped at.
 
 #include <gtest/gtest.h>
 
@@ -41,17 +41,17 @@ TEST(CompatAccessors, MultiAttemptWithDetectorBankDescribesTheFinalAttempt) {
   EXPECT_EQ(result.detectors[1].kind, core::DetectorKind::kTimeout);
   EXPECT_TRUE(result.detectors[0].detected());
 
-  // The accessors describe the FINAL attempt; the first kill stays
-  // reachable through first_attempt_end_time().
+  // The fields describe the FINAL attempt; the first kill stays reachable
+  // through first_attempt_end_time().
   const AttemptRecord& first = result.attempts.front();
   const AttemptRecord& last = result.attempts.back();
   EXPECT_TRUE(first.killed);
   EXPECT_TRUE(last.completed);
   EXPECT_EQ(result.first_attempt_end_time(), first.end_time);
-  EXPECT_EQ(result.job_end_time(), last.end_time);
-  ASSERT_TRUE(result.job_finish_time().has_value());
-  EXPECT_EQ(*result.job_finish_time(), last.end_time);
-  EXPECT_GT(result.job_end_time(), result.first_attempt_end_time());
+  EXPECT_EQ(result.end_time, last.end_time);
+  ASSERT_TRUE(result.finish_time.has_value());
+  EXPECT_EQ(*result.finish_time, last.end_time);
+  EXPECT_GT(result.end_time, result.first_attempt_end_time());
 }
 
 TEST(CompatAccessors, ExpireMidRestoreReportsWalltimeAsTheJobEnd) {
@@ -74,10 +74,10 @@ TEST(CompatAccessors, ExpireMidRestoreReportsWalltimeAsTheJobEnd) {
   // The regression: end_time must be the walltime expiry the lifecycle (and
   // the scheduler's bill) records, not the kill instant of the dead
   // attempt — that one stays on the attempt record.
-  EXPECT_EQ(result.job_end_time(), *config.walltime_override);
+  EXPECT_EQ(result.end_time, *config.walltime_override);
   EXPECT_EQ(result.first_attempt_end_time(), kill_time);
-  EXPECT_LT(result.first_attempt_end_time(), result.job_end_time());
-  EXPECT_FALSE(result.job_finish_time().has_value());
+  EXPECT_LT(result.first_attempt_end_time(), result.end_time);
+  EXPECT_FALSE(result.finish_time.has_value());
 
   // Billing coherence (what the fleet ledger builds on): the charge is a
   // full-slot expiry with no savings credit.
@@ -86,7 +86,7 @@ TEST(CompatAccessors, ExpireMidRestoreReportsWalltimeAsTheJobEnd) {
   ticket.cores_per_node = 24;
   ticket.walltime = result.walltime;
   const sched::JobCharge charge = sched::settle_recovered(
-      ticket, result.job_finish_time(), result.job_end_time(),
+      ticket, result.finish_time, result.end_time,
       result.recovery.gave_up, result.recovery.su_multiplier);
   EXPECT_EQ(charge.end, sched::JobEnd::kWalltimeExpired);
   EXPECT_EQ(charge.elapsed, result.walltime);
@@ -103,13 +103,13 @@ TEST(CompatAccessors, GiveUpKeepsTheKillInstantAsTheJobEnd) {
   ASSERT_FALSE(result.completed);
   EXPECT_TRUE(result.recovery.gave_up);
   ASSERT_EQ(result.attempts.size(), 1u);
-  EXPECT_EQ(result.job_end_time(), result.attempts.front().end_time);
-  EXPECT_LT(result.job_end_time(), result.walltime);
+  EXPECT_EQ(result.end_time, result.attempts.front().end_time);
+  EXPECT_LT(result.end_time, result.walltime);
 
   sched::JobTicket ticket;
   ticket.walltime = result.walltime;
   const sched::JobCharge charge = sched::settle_recovered(
-      ticket, result.job_finish_time(), result.job_end_time(),
+      ticket, result.finish_time, result.end_time,
       result.recovery.gave_up, result.recovery.su_multiplier);
   EXPECT_EQ(charge.end, sched::JobEnd::kGaveUp);
   EXPECT_DOUBLE_EQ(charge.savings_fraction, 0.0);

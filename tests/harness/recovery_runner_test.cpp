@@ -27,15 +27,12 @@ RunConfig small_lu(std::uint64_t seed = 1) {
 }
 
 TEST(RecoveryRunner, OffKeepsTheLegacyResultShape) {
-  // Satellite regression: with recovery off, the multi-attempt surface must
-  // be empty and the compat accessors must alias the legacy fields exactly.
+  // With recovery off, the multi-attempt surface must be empty.
   auto config = small_lu(3);
   config.fault = faults::FaultType::kComputeHang;
   const auto result = run_one(config);
   EXPECT_FALSE(result.recovery.enabled);
   EXPECT_TRUE(result.attempts.empty());
-  EXPECT_EQ(result.job_end_time(), result.end_time);
-  EXPECT_EQ(result.job_finish_time(), result.finish_time);
   // With no attempts recorded, the first attempt IS the run.
   EXPECT_EQ(result.first_attempt_end_time(), result.end_time);
 }
@@ -70,12 +67,12 @@ TEST(RecoveryRunner, CkptRecoversAHangRunToCompletion) {
   EXPECT_GT(second.resumed_from, 0);
   EXPECT_LE(second.resumed_from, first.end_time);
 
-  // Accessors describe the FINAL attempt; the first attempt's end is still
+  // The fields describe the FINAL attempt; the first attempt's end is still
   // reachable explicitly.
   EXPECT_EQ(result.first_attempt_end_time(), first.end_time);
-  EXPECT_EQ(result.job_end_time(), second.end_time);
-  ASSERT_TRUE(result.job_finish_time().has_value());
-  EXPECT_GT(*result.job_finish_time(), first.end_time);
+  EXPECT_EQ(result.end_time, second.end_time);
+  ASSERT_TRUE(result.finish_time.has_value());
+  EXPECT_GT(*result.finish_time, first.end_time);
   // The job still finished inside its original allocation.
   EXPECT_LT(*result.finish_time, result.walltime);
 }
