@@ -4,6 +4,7 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "obs/journal.hpp"
 #include "simmpi/comm_engine.hpp"
 
 namespace parastack::check {
@@ -29,20 +30,34 @@ void InvariantSink::violation(std::string what) {
   violations_.push_back(std::move(what));
 }
 
-void InvariantSink::clock(sim::Time t, const char* what) {
+void InvariantSink::clock(sim::Time t, std::string_view what) {
+  const int n = static_cast<int>(what.size());
   if (t < 0) {
-    violation(format("%s carries negative time %lld", what,
+    violation(format("%.*s carries negative time %lld", n, what.data(),
                      static_cast<long long>(t)));
     return;
   }
   if (t < last_time_) {
-    violation(format("virtual time went backwards: %s at %lld after %lld",
-                     what, static_cast<long long>(t),
+    violation(format("virtual time went backwards: %.*s at %lld after %lld",
+                     n, what.data(), static_cast<long long>(t),
                      static_cast<long long>(last_time_)));
     return;
   }
-  if (run_ended_) violation(format("%s emitted after run_end", what));
+  if (run_ended_) {
+    violation(format("%.*s emitted after run_end", n, what.data()));
+  }
   last_time_ = t;
+}
+
+void InvariantSink::on_event(const obs::Event& event) {
+  std::visit(
+      [&](const auto& e) {
+        if constexpr (requires { e.time; }) {
+          clock(e.time, obs::event_name(event));
+        }
+        check(e);
+      },
+      event);
 }
 
 InvariantSink::DetectorState& InvariantSink::detector(std::string_view label) {
@@ -51,8 +66,7 @@ InvariantSink::DetectorState& InvariantSink::detector(std::string_view label) {
   return detectors_.emplace(std::string(label), DetectorState{}).first->second;
 }
 
-void InvariantSink::on_sample(const obs::SampleEvent& e) {
-  clock(e.time, "sample");
+void InvariantSink::check(const obs::SampleEvent& e) {
   if (e.scrout < 0.0 || e.scrout > 1.0) {
     violation(format("S_crout %.6f outside [0, 1]", e.scrout));
   }
@@ -71,8 +85,7 @@ void InvariantSink::on_sample(const obs::SampleEvent& e) {
   if (e.streak == 0) det.verified = false;
 }
 
-void InvariantSink::on_runs_test(const obs::RunsTestEvent& e) {
-  clock(e.time, "runs_test");
+void InvariantSink::check(const obs::RunsTestEvent& e) {
   if (e.runs > e.sample_size) {
     violation(format("runs test reported %zu runs over %zu samples", e.runs,
                      e.sample_size));
@@ -82,8 +95,7 @@ void InvariantSink::on_runs_test(const obs::RunsTestEvent& e) {
   }
 }
 
-void InvariantSink::on_interval(const obs::IntervalEvent& e) {
-  clock(e.time, "interval");
+void InvariantSink::check(const obs::IntervalEvent& e) {
   if (!e.capped && e.new_interval != 2 * e.old_interval) {
     violation(format("interval step %lld -> %lld is not a doubling",
                      static_cast<long long>(e.old_interval),
@@ -91,8 +103,7 @@ void InvariantSink::on_interval(const obs::IntervalEvent& e) {
   }
 }
 
-void InvariantSink::on_streak(const obs::StreakEvent& e) {
-  clock(e.time, "streak");
+void InvariantSink::check(const obs::StreakEvent& e) {
   DetectorState& det = detector(e.detector);
   switch (e.kind) {
     case obs::StreakEvent::Kind::kAdvance:
@@ -116,18 +127,15 @@ void InvariantSink::on_streak(const obs::StreakEvent& e) {
   }
 }
 
-void InvariantSink::on_filter(const obs::FilterEvent& e) {
-  clock(e.time, "filter");
+void InvariantSink::check(const obs::FilterEvent& e) {
   if (e.round < 0) violation("filter round went negative");
 }
 
-void InvariantSink::on_sweep(const obs::SweepEvent& e) {
-  clock(e.time, "sweep");
+void InvariantSink::check(const obs::SweepEvent& e) {
   if (e.ranks <= 0) violation("sweep over a non-positive rank count");
 }
 
-void InvariantSink::on_hang(const obs::HangEvent& e) {
-  clock(e.time, "hang");
+void InvariantSink::check(const obs::HangEvent& e) {
   DetectorState& det = detector(e.detector);
   if (!det.verified) {
     violation("hang verdict without a completed verification streak");
@@ -135,20 +143,14 @@ void InvariantSink::on_hang(const obs::HangEvent& e) {
   ++det.hangs;
 }
 
-void InvariantSink::on_slowdown(const obs::SlowdownEvent& e) {
-  clock(e.time, "slowdown");
+void InvariantSink::check(const obs::SlowdownEvent& e) {
   DetectorState& det = detector(e.detector);
   if (!det.verified) {
     violation("slowdown verdict without a completed verification streak");
   }
 }
 
-void InvariantSink::on_detection(const obs::DetectionEvent& e) {
-  clock(e.time, "detection");
-}
-
-void InvariantSink::on_detection_span(const obs::DetectionSpanEvent& e) {
-  clock(e.time, "det_span");
+void InvariantSink::check(const obs::DetectionSpanEvent& e) {
   if (e.begin < 0) violation("detection span begins before t=0");
   if (e.end < e.begin) violation("detection span ends before it begins");
   if (e.end > e.time) {
@@ -156,8 +158,7 @@ void InvariantSink::on_detection_span(const obs::DetectionSpanEvent& e) {
   }
 }
 
-void InvariantSink::on_monitor_sample(const obs::MonitorSampleEvent& e) {
-  clock(e.time, "monitor_sample");
+void InvariantSink::check(const obs::MonitorSampleEvent& e) {
   if (e.coverage < 0.0 || e.coverage > 1.0) {
     violation(format("monitor coverage %.6f outside [0, 1]", e.coverage));
   }
@@ -174,8 +175,7 @@ void InvariantSink::on_monitor_sample(const obs::MonitorSampleEvent& e) {
   }
 }
 
-void InvariantSink::on_monitor_crash(const obs::MonitorCrashEvent& e) {
-  clock(e.time, "monitor_crash");
+void InvariantSink::check(const obs::MonitorCrashEvent& e) {
   if (monitors_alive_ >= 0 && e.alive != monitors_alive_ - 1) {
     violation(format("monitor population %d -> %d across one crash",
                      monitors_alive_, e.alive));
@@ -184,18 +184,15 @@ void InvariantSink::on_monitor_crash(const obs::MonitorCrashEvent& e) {
   if (e.alive < 0) violation("negative monitor population");
 }
 
-void InvariantSink::on_lead_failover(const obs::LeadFailoverEvent& e) {
-  clock(e.time, "lead_failover");
+void InvariantSink::check(const obs::LeadFailoverEvent& e) {
   if (e.to == e.from) violation("lead failover re-elected the dead lead");
 }
 
-void InvariantSink::on_sample_timeout(const obs::SampleTimeoutEvent& e) {
-  clock(e.time, "sample_timeout");
+void InvariantSink::check(const obs::SampleTimeoutEvent& e) {
   if (e.retries < 0) violation("negative retry count");
 }
 
-void InvariantSink::on_degraded_mode(const obs::DegradedModeEvent& e) {
-  clock(e.time, "degraded_mode");
+void InvariantSink::check(const obs::DegradedModeEvent& e) {
   DetectorState& det = detector(e.detector);
   if (e.entered == det.degraded) {
     violation(e.entered ? "degraded mode entered twice without an exit"
@@ -204,20 +201,17 @@ void InvariantSink::on_degraded_mode(const obs::DegradedModeEvent& e) {
   det.degraded = e.entered;
 }
 
-void InvariantSink::on_phase_change(const obs::PhaseChangeEvent& e) {
-  clock(e.time, "phase_change");
+void InvariantSink::check(const obs::PhaseChangeEvent& e) {
   if (e.from_phase == e.to_phase) violation("phase change to the same phase");
 }
 
-void InvariantSink::on_fault(const obs::FaultEvent& e) {
-  clock(e.time, "fault");
+void InvariantSink::check(const obs::FaultEvent&) {
   if (++faults_activated_ > fault_budget_) {
     violation("application fault activated more than once per attempt");
   }
 }
 
-void InvariantSink::on_recovery(const obs::RecoveryEvent& e) {
-  clock(e.time, "recovery");
+void InvariantSink::check(const obs::RecoveryEvent& e) {
   if (e.attempt <= last_recovery_attempt_) {
     violation(format("recovery attempt %d after attempt %d", e.attempt,
                      last_recovery_attempt_));
@@ -247,15 +241,14 @@ void InvariantSink::on_recovery(const obs::RecoveryEvent& e) {
   }
 }
 
-void InvariantSink::on_run_start(const obs::RunStartEvent& e) {
+void InvariantSink::check(const obs::RunStartEvent& e) {
   if (run_started_) violation("second run_start within one run");
   run_started_ = true;
   if (e.nranks < 2) violation("run_start with fewer than two ranks");
   if (e.walltime <= 0) violation("run_start with non-positive walltime");
 }
 
-void InvariantSink::on_run_end(const obs::RunEndEvent& e) {
-  clock(e.time, "run_end");
+void InvariantSink::check(const obs::RunEndEvent& e) {
   if (!run_started_) violation("run_end without run_start");
   if (run_ended_) violation("second run_end within one run");
   run_ended_ = true;

@@ -46,26 +46,7 @@ class InvariantSink final : public obs::TelemetrySink {
   }
   bool clean() const noexcept { return violations_.empty(); }
 
-  void on_sample(const obs::SampleEvent& e) override;
-  void on_runs_test(const obs::RunsTestEvent& e) override;
-  void on_interval(const obs::IntervalEvent& e) override;
-  void on_streak(const obs::StreakEvent& e) override;
-  void on_filter(const obs::FilterEvent& e) override;
-  void on_sweep(const obs::SweepEvent& e) override;
-  void on_hang(const obs::HangEvent& e) override;
-  void on_slowdown(const obs::SlowdownEvent& e) override;
-  void on_detection(const obs::DetectionEvent& e) override;
-  void on_detection_span(const obs::DetectionSpanEvent& e) override;
-  void on_monitor_sample(const obs::MonitorSampleEvent& e) override;
-  void on_monitor_crash(const obs::MonitorCrashEvent& e) override;
-  void on_lead_failover(const obs::LeadFailoverEvent& e) override;
-  void on_sample_timeout(const obs::SampleTimeoutEvent& e) override;
-  void on_degraded_mode(const obs::DegradedModeEvent& e) override;
-  void on_phase_change(const obs::PhaseChangeEvent& e) override;
-  void on_fault(const obs::FaultEvent& e) override;
-  void on_run_start(const obs::RunStartEvent& e) override;
-  void on_run_end(const obs::RunEndEvent& e) override;
-  void on_recovery(const obs::RecoveryEvent& e) override;
+  void on_event(const obs::Event& event) override;
 
  private:
   struct DetectorState {
@@ -75,9 +56,33 @@ class InvariantSink final : public obs::TelemetrySink {
     std::size_t hangs = 0;
   };
 
+  // Per-kind checks, run after the clock check of every timed kind.
+  void check(const obs::SampleEvent& e);
+  void check(const obs::RunsTestEvent& e);
+  void check(const obs::IntervalEvent& e);
+  void check(const obs::StreakEvent& e);
+  void check(const obs::FilterEvent& e);
+  void check(const obs::SweepEvent& e);
+  void check(const obs::HangEvent& e);
+  void check(const obs::SlowdownEvent& e);
+  void check(const obs::DetectionSpanEvent& e);
+  void check(const obs::MonitorSampleEvent& e);
+  void check(const obs::MonitorCrashEvent& e);
+  void check(const obs::LeadFailoverEvent& e);
+  void check(const obs::SampleTimeoutEvent& e);
+  void check(const obs::DegradedModeEvent& e);
+  void check(const obs::PhaseChangeEvent& e);
+  void check(const obs::FaultEvent&);
+  void check(const obs::RunStartEvent& e);
+  void check(const obs::RunEndEvent& e);
+  void check(const obs::RecoveryEvent& e);
+  /// Kinds held only to the clock.
+  template <typename E>
+  void check(const E&) {}
+
   void violation(std::string what);
   /// Advance the global clock check; `what` names the event for messages.
-  void clock(sim::Time t, const char* what);
+  void clock(sim::Time t, std::string_view what);
   DetectorState& detector(std::string_view label);
 
   std::vector<std::string> violations_;

@@ -85,120 +85,19 @@ class ClockWarpSink final : public obs::TelemetrySink {
                 std::size_t warp_from)
       : inner_(inner), skew_(skew), warp_from_(warp_from) {}
 
-  void on_sample(const obs::SampleEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_sample(w);
-  }
-  void on_runs_test(const obs::RunsTestEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_runs_test(w);
-  }
-  void on_interval(const obs::IntervalEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_interval(w);
-  }
-  void on_streak(const obs::StreakEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_streak(w);
-  }
-  void on_filter(const obs::FilterEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_filter(w);
-  }
-  void on_sweep(const obs::SweepEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_sweep(w);
-  }
-  void on_hang(const obs::HangEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_hang(w);
-  }
-  void on_slowdown(const obs::SlowdownEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_slowdown(w);
-  }
-  void on_detection(const obs::DetectionEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_detection(w);
-  }
-  void on_detection_span(const obs::DetectionSpanEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_detection_span(w);
-  }
-  void on_monitor_sample(const obs::MonitorSampleEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_monitor_sample(w);
-  }
-  void on_monitor_level(const obs::MonitorLevelEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_monitor_level(w);
-  }
-  void on_tree_failover(const obs::TreeFailoverEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_tree_failover(w);
-  }
-  void on_monitor_crash(const obs::MonitorCrashEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_monitor_crash(w);
-  }
-  void on_lead_failover(const obs::LeadFailoverEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_lead_failover(w);
-  }
-  void on_sample_timeout(const obs::SampleTimeoutEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_sample_timeout(w);
-  }
-  void on_degraded_mode(const obs::DegradedModeEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_degraded_mode(w);
-  }
-  void on_phase_change(const obs::PhaseChangeEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_phase_change(w);
-  }
-  void on_fault(const obs::FaultEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_fault(w);
-  }
-  void on_run_start(const obs::RunStartEvent& e) override {
-    inner_.on_run_start(e);  // carries no clock: nothing to warp
-  }
-  void on_run_end(const obs::RunEndEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_run_end(w);
-  }
-  void on_recovery(const obs::RecoveryEvent& e) override {
-    auto w = e;
-    w.time = warp(w.time);
-    inner_.on_recovery(w);
+  void on_event(const obs::Event& event) override {
+    obs::Event warped = event;
+    std::visit(
+        [this](auto& e) {
+          if constexpr (requires { e.time; }) {
+            if (timed_seen_++ >= warp_from_) e.time -= skew_;
+          }
+        },
+        warped);
+    inner_.on_event(warped);
   }
 
  private:
-  sim::Time warp(sim::Time t) {
-    return timed_seen_++ >= warp_from_ ? t - skew_ : t;
-  }
-
   obs::TelemetrySink& inner_;
   sim::Time skew_;
   std::size_t warp_from_;

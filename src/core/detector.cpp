@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core/slowdown_filter.hpp"
 #include "obs/perf.hpp"
@@ -37,7 +38,7 @@ void emit_streak(obs::TelemetrySink* sink, sim::Time now,
   event.length = length;
   event.required = required;
   event.reason = reason;
-  sink->on_streak(event);
+  sink->on_event(event);
 }
 
 }  // namespace
@@ -133,7 +134,7 @@ void HangDetector::notify_phase_change(int phase_id) {
     event.to_phase = phase_id;
     event.resumed = resumed;
     event.aborted_verification = state_ == State::kVerifying;
-    sink->on_phase_change(event);
+    sink->on_event(event);
   }
 
   // A phase change is progress: abandon any in-flight hang verification.
@@ -225,7 +226,7 @@ void HangDetector::take_sample() {
     event.streak = judge_.streak();
     event.coverage = qualified.coverage;
     event.degraded = judge_.degraded_mode();
-    sink->on_sample(event);
+    sink->on_event(event);
     if (verdict.suspicious) {
       emit_streak(sink, now, label(),
                   verdict.verify ? obs::StreakEvent::Kind::kVerify
@@ -248,7 +249,7 @@ void HangDetector::take_sample() {
       event.entered = verdict.entered_degraded;
       event.coverage = qualified.coverage;
       event.consecutive_low = judge_.consecutive_low_coverage();
-      sink->on_degraded_mode(event);
+      sink->on_event(event);
     }
     if (on_degraded) on_degraded(verdict.entered_degraded);
   }
@@ -302,14 +303,14 @@ void HangDetector::begin_verification() {
     event.detector = label();
     event.stage = obs::FilterEvent::Stage::kEnter;
     event.round = 1;
-    sink->on_filter(event);
+    sink->on_event(std::move(event));
     obs::SweepEvent sweep;
     sweep.time = now;
     sweep.detector = label();
     sweep.ranks = world_.nranks();
     sweep.purpose = "slowdown-filter";
     sweep.round = 1;
-    sink->on_sweep(sweep);
+    sink->on_event(sweep);
   }
   world_.engine().schedule_after(verification_gap(),
                                  [this] { continue_filter(); });
@@ -327,7 +328,7 @@ void HangDetector::continue_filter() {
     sweep.ranks = world_.nranks();
     sweep.purpose = "slowdown-filter";
     sweep.round = filter_.rounds_done() + 1;
-    sink->on_sweep(sweep);
+    sink->on_event(sweep);
   }
   PS_PERF_ADD(perf_filter_.calls, 1);
   const auto check = [&] {
@@ -348,7 +349,7 @@ void HangDetector::continue_filter() {
       event.detector = label();
       event.stage = obs::FilterEvent::Stage::kHangConfirmed;
       event.round = filter_.rounds_done();
-      sink->on_filter(event);
+      sink->on_event(std::move(event));
     }
     identifier_.reset();
     faulty_sweep_round();
@@ -362,7 +363,7 @@ void HangDetector::continue_filter() {
     event.detector = label();
     event.stage = obs::FilterEvent::Stage::kRetry;
     event.round = filter_.rounds_done();
-    sink->on_filter(event);
+    sink->on_event(std::move(event));
   }
   const sim::Time gap = std::min<sim::Time>(
       verification_gap() << (filter_.rounds_done() - 1), 4 * sim::kSecond);
@@ -388,13 +389,13 @@ void HangDetector::conclude_slowdown(const SlowdownEvidence& evidence) {
     event.stage = obs::FilterEvent::Stage::kSlowdown;
     event.round = filter_.rounds_done() + 1;
     event.evidence = what;
-    sink->on_filter(event);
+    sink->on_event(std::move(event));
     obs::SlowdownEvent slowdown;
     slowdown.time = now;
     slowdown.detector = label();
     slowdown.rounds = filter_.rounds_done() + 1;
     slowdown.evidence = what;
-    sink->on_slowdown(slowdown);
+    sink->on_event(std::move(slowdown));
     if (judge_.streak() > 0) {
       emit_streak(sink, now, label(), obs::StreakEvent::Kind::kReset,
                   judge_.streak(), judge_.decision().k, "slowdown-verdict");
@@ -421,7 +422,7 @@ void HangDetector::faulty_sweep_round() {
     sweep.ranks = world_.nranks();
     sweep.purpose = "faulty-id";
     sweep.round = identifier_.rounds();
-    sink->on_sweep(sweep);
+    sink->on_event(sweep);
   }
   if (!done) {
     world_.engine().schedule_after(identifier_.gap(),
@@ -460,12 +461,12 @@ void HangDetector::report_hang() {
     event.q = report.q;
     event.required_streak = report.required_streak;
     event.interval = report.interval;
-    sink->on_hang(event);
+    sink->on_event(std::move(event));
     obs::DetectionEvent detection;
     detection.time = report.detected_at;
     detection.detector = label();
     detection.kind = detector_kind_name(kind());
-    sink->on_detection(detection);
+    sink->on_event(detection);
   }
   Detection detection;
   detection.detected_at = report.detected_at;

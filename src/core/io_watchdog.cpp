@@ -37,7 +37,7 @@ void IoWatchdog::poll() {
       event.detector = label();
       event.kind = detector_kind_name(kind());
       event.silence = silence;
-      sink->on_detection(event);
+      sink->on_event(event);
     }
     record_detection(detection);
     if (on_hang) on_hang(report);

@@ -186,7 +186,7 @@ sim::Time MonitorNetwork::tree_gather_latency(int levels, sim::Time now) {
       event.max_fan_in =
           level_max_fan_in_[static_cast<std::size_t>(receiver_level)];
       event.latency = gather;
-      sink->on_monitor_level(event);
+      sink->on_event(event);
     }
   }
   return total;
@@ -260,7 +260,7 @@ void MonitorNetwork::crash_monitor(int node, sim::Time at) {
     event.monitor = node;
     event.was_lead = was_lead;
     event.alive = alive;
-    sink->on_monitor_crash(event);
+    sink->on_event(event);
   }
 
   if (topology_.built()) {
@@ -283,7 +283,7 @@ void MonitorNetwork::crash_monitor(int node, sim::Time at) {
         event.from = old_lead;
         event.to = lead_;
         event.reregistration_latency = plan_->reregistration_latency;
-        sink->on_lead_failover(event);
+        sink->on_event(event);
       }
     } else if (removal.promoted >= 0) {
       ++subtree_failovers_;
@@ -298,7 +298,7 @@ void MonitorNetwork::crash_monitor(int node, sim::Time at) {
         event.parent = topology_.parent(removal.promoted);
         event.adopted = removal.adopted;
         event.reregistration_latency = plan_->reregistration_latency;
-        sink->on_tree_failover(event);
+        sink->on_event(event);
       }
     }
     return;
@@ -324,7 +324,7 @@ void MonitorNetwork::crash_monitor(int node, sim::Time at) {
     event.from = old_lead;
     event.to = lead_;
     event.reregistration_latency = plan_->reregistration_latency;
-    sink->on_lead_failover(event);
+    sink->on_event(event);
   }
 }
 
@@ -483,7 +483,7 @@ MonitorNetwork::Measurement MonitorNetwork::measure_under_faults(
           event.monitor = node;
           event.retries = attempts_retried;
           event.recovered = delivered;
-          sink->on_sample_timeout(event);
+          sink->on_event(event);
         }
       }
     }
@@ -678,7 +678,7 @@ MonitorNetwork::Measurement MonitorNetwork::measure_tree_under_faults(
             event.monitor = c;
             event.retries = attempts_retried;
             event.recovered = delivered;
-            sink->on_sample_timeout(event);
+            sink->on_event(event);
           }
         }
       }
@@ -748,7 +748,7 @@ void MonitorNetwork::emit_sample_event(const Measurement& measurement,
   event.retries = measurement.retries;
   event.coverage = measurement.coverage;
   event.degraded = measurement.degraded;
-  sink->on_monitor_sample(event);
+  sink->on_event(event);
 }
 
 }  // namespace parastack::core

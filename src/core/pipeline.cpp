@@ -139,7 +139,7 @@ void IntervalTuner::on_model_sample(ScroutModel& model,
     event.n_pos = result.n_pos;
     event.n_neg = result.n_neg;
     event.random = result.random;
-    sink->on_runs_test(event);
+    sink->on_event(event);
   }
   if (result.random) {
     state_.randomness_confirmed = true;
@@ -162,7 +162,7 @@ void IntervalTuner::on_model_sample(ScroutModel& model,
       event.new_interval = state_.interval;
       event.doublings = state_.doublings;
       event.capped = true;
-      sink->on_interval(event);
+      sink->on_event(event);
     }
     return;
   }
@@ -180,7 +180,7 @@ void IntervalTuner::on_model_sample(ScroutModel& model,
     event.new_interval = state_.interval;
     event.doublings = state_.doublings;
     event.capped = false;
-    sink->on_interval(event);
+    sink->on_event(event);
   }
 }
 

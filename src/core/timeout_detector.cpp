@@ -59,7 +59,7 @@ void TimeoutDetector::tick() {
       event.time = report.detected_at;
       event.detector = label();
       event.kind = detector_kind_name(kind());
-      sink->on_detection(event);
+      sink->on_event(event);
     }
     record_detection(detection);
     if (on_hang) on_hang(report);

@@ -139,7 +139,7 @@ void FaultInjector::arm(simmpi::World& world) {
       event.time = now;
       event.type = fault_type_name(plan.type);
       event.victim = plan.victim;
-      sink->on_fault(event);
+      sink->on_event(event);
     }
   };
   switch (plan_.type) {

@@ -20,11 +20,12 @@ class SampleCollector final : public obs::TelemetrySink {
   SampleCollector(int tenant, sim::Time offset, std::vector<SampleRecord>& out)
       : tenant_(tenant), offset_(offset), out_(out) {}
 
-  void on_sample(const obs::SampleEvent& e) override {
-    out_.push_back({tenant_, offset_ + e.time, e.coverage, false});
-  }
-  void on_detection(const obs::DetectionEvent& e) override {
-    out_.push_back({tenant_, offset_ + e.time, 1.0, true});
+  void on_event(const obs::Event& event) override {
+    if (const auto* e = std::get_if<obs::SampleEvent>(&event)) {
+      out_.push_back({tenant_, offset_ + e->time, e->coverage, false});
+    } else if (const auto* d = std::get_if<obs::DetectionEvent>(&event)) {
+      out_.push_back({tenant_, offset_ + d->time, 1.0, true});
+    }
   }
 
  private:
@@ -249,7 +250,7 @@ FleetResult run_fleet(const FleetConfig& config) {
         event.monitors = tenant.monitors;
         event.pool_in_use = tenant.pool_in_use;
         event.pool_capacity = config.monitor_pool > 0 ? config.monitor_pool : 0;
-        config.telemetry->on_fleet_admit(event);
+        config.telemetry->on_event(event);
       }
       if (tenant.admitted) {
         recorded[static_cast<std::size_t>(i)].recording->replay(

@@ -423,7 +423,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
     event.estimated_clean = result.estimated_clean;
     event.walltime = result.walltime;
     event.fault_planned = faults::fault_type_name(config.fault);
-    config.telemetry->on_run_start(event);
+    config.telemetry->on_event(event);
   }
 
   world.start();
@@ -561,7 +561,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
         event.begin = begin;
         event.end = end;
         event.run_index = config.run_index;
-        config.telemetry->on_detection_span(event);
+        config.telemetry->on_event(event);
       };
       emit_span("fault-to-suspicion", fault_at, hang->first_suspicion_at);
       emit_span("suspicion-to-confirm", hang->first_suspicion_at,
@@ -588,7 +588,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
     event.slowdowns = static_cast<int>(result.slowdowns().size());
     event.model_samples = result.model_samples;
     event.final_interval = result.final_interval;
-    config.telemetry->on_run_end(event);
+    config.telemetry->on_event(event);
   }
   // Invariant probe (pscheck): audit run internals while the world is
   // still alive — the engine and comm ledgers die with this frame.
@@ -794,7 +794,7 @@ RunResult run_one(const RunConfig& config) {
       event.next_start = ctx.kill_time + decision.overhead;
       event.run_index = config.run_index;
       event.detail = decision.detail;
-      config.telemetry->on_recovery(event);
+      config.telemetry->on_event(std::move(event));
     }
 
     if (giving_up) {
@@ -855,7 +855,7 @@ RunResult run_one(const RunConfig& config) {
       event.begin = begin;
       event.end = end;
       event.run_index = config.run_index;
-      config.telemetry->on_detection_span(event);
+      config.telemetry->on_event(event);
     };
     if (summary.recovered) {
       emit_span("kill-to-restore", first_kill_time, first_restore_start);
@@ -878,7 +878,7 @@ RunResult run_one(const RunConfig& config) {
     event.slowdowns = slowdowns_total;
     event.model_samples = result.model_samples;
     event.final_interval = result.final_interval;
-    config.telemetry->on_run_end(event);
+    config.telemetry->on_event(event);
   }
   return result;
 }

@@ -47,6 +47,10 @@ const char* span_category(RankSpanEvent::Kind kind) {
 
 ChromeTraceWriter::ChromeTraceWriter(Options options) : options_(options) {}
 
+void ChromeTraceWriter::on_event(const Event& event) {
+  std::visit([this](const auto& e) { record(e); }, event);
+}
+
 std::string& ChromeTraceWriter::begin_event() {
   events_.emplace_back();
   std::string& ev = events_.back();
@@ -76,7 +80,7 @@ void ChromeTraceWriter::counter(sim::Time t, const char* name, double value) {
   ev += "}}";
 }
 
-void ChromeTraceWriter::on_run_start(const RunStartEvent& e) {
+void ChromeTraceWriter::record(const RunStartEvent& e) {
   auto metadata = [this](int pid, int tid, const char* what,
                          const std::string& name) {
     std::string& ev = begin_event();
@@ -101,7 +105,7 @@ void ChromeTraceWriter::on_run_start(const RunStartEvent& e) {
   }
 }
 
-void ChromeTraceWriter::on_rank_span(const RankSpanEvent& e) {
+void ChromeTraceWriter::record(const RankSpanEvent& e) {
   if (e.rank < 0 || e.rank >= options_.max_ranks) return;
   std::string& ev = begin_event();
   ev += "{\"ph\":\"X\",\"pid\":0,\"tid\":";
@@ -117,7 +121,7 @@ void ChromeTraceWriter::on_rank_span(const RankSpanEvent& e) {
   ev += '}';
 }
 
-void ChromeTraceWriter::on_detection_span(const DetectionSpanEvent& e) {
+void ChromeTraceWriter::record(const DetectionSpanEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"cat\":\"detection-latency\","
         "\"name\":";
@@ -129,13 +133,13 @@ void ChromeTraceWriter::on_detection_span(const DetectionSpanEvent& e) {
   ev += '}';
 }
 
-void ChromeTraceWriter::on_sample(const SampleEvent& e) {
+void ChromeTraceWriter::record(const SampleEvent& e) {
   counter(e.time, "S_crout", e.scrout);
   counter(e.time, "streak", static_cast<double>(e.streak));
   instant(e.time, e.suspicious ? "sample (suspicious)" : "sample", false);
 }
 
-void ChromeTraceWriter::on_filter(const FilterEvent& e) {
+void ChromeTraceWriter::record(const FilterEvent& e) {
   switch (e.stage) {
     case FilterEvent::Stage::kEnter:
       verification_started_ = e.time;
@@ -161,7 +165,7 @@ void ChromeTraceWriter::on_filter(const FilterEvent& e) {
   }
 }
 
-void ChromeTraceWriter::on_sweep(const SweepEvent& e) {
+void ChromeTraceWriter::record(const SweepEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\"name\":\"sweep: ";
   ev.append(e.purpose.data(), e.purpose.size());
@@ -170,17 +174,17 @@ void ChromeTraceWriter::on_sweep(const SweepEvent& e) {
   ev += '}';
 }
 
-void ChromeTraceWriter::on_hang(const HangEvent& e) {
+void ChromeTraceWriter::record(const HangEvent& e) {
   instant(e.time, e.computation_error ? "HANG (computation)"
                                       : "HANG (communication)",
           true);
 }
 
-void ChromeTraceWriter::on_slowdown(const SlowdownEvent& e) {
+void ChromeTraceWriter::record(const SlowdownEvent& e) {
   instant(e.time, "transient slowdown absorbed", true);
 }
 
-void ChromeTraceWriter::on_monitor_sample(const MonitorSampleEvent& e) {
+void ChromeTraceWriter::record(const MonitorSampleEvent& e) {
   tool_bytes_total_ += e.bytes;
   std::string& ev = begin_event();
   ev += "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"name\":\"tool_bytes\",\"ts\":";
@@ -190,7 +194,7 @@ void ChromeTraceWriter::on_monitor_sample(const MonitorSampleEvent& e) {
   ev += "}}";
 }
 
-void ChromeTraceWriter::on_monitor_level(const MonitorLevelEvent& e) {
+void ChromeTraceWriter::record(const MonitorLevelEvent& e) {
   // One complete event per tree level on the monitor-network track: the
   // per-level gather latency becomes a visible slice, widest-fan-in level
   // dominating the sample's aggregation span.
@@ -209,7 +213,7 @@ void ChromeTraceWriter::on_monitor_level(const MonitorLevelEvent& e) {
   ev += "}}";
 }
 
-void ChromeTraceWriter::on_tree_failover(const TreeFailoverEvent& e) {
+void ChromeTraceWriter::record(const TreeFailoverEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":1,"
         "\"name\":\"tree failover: ";
@@ -223,7 +227,7 @@ void ChromeTraceWriter::on_tree_failover(const TreeFailoverEvent& e) {
   ev += '}';
 }
 
-void ChromeTraceWriter::on_phase_change(const PhaseChangeEvent& e) {
+void ChromeTraceWriter::record(const PhaseChangeEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"name\":\"phase ";
   json_integer(ev, e.from_phase);
@@ -234,7 +238,7 @@ void ChromeTraceWriter::on_phase_change(const PhaseChangeEvent& e) {
   ev += '}';
 }
 
-void ChromeTraceWriter::on_fault(const FaultEvent& e) {
+void ChromeTraceWriter::record(const FaultEvent& e) {
   std::string& ev = begin_event();
   ev += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"name\":\"fault: ";
   ev.append(e.type.data(), e.type.size());

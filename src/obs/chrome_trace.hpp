@@ -27,19 +27,7 @@ class ChromeTraceWriter final : public TelemetrySink {
   ChromeTraceWriter() : ChromeTraceWriter(Options()) {}
   explicit ChromeTraceWriter(Options options);
 
-  void on_sample(const SampleEvent& e) override;
-  void on_filter(const FilterEvent& e) override;
-  void on_sweep(const SweepEvent& e) override;
-  void on_hang(const HangEvent& e) override;
-  void on_slowdown(const SlowdownEvent& e) override;
-  void on_monitor_sample(const MonitorSampleEvent& e) override;
-  void on_monitor_level(const MonitorLevelEvent& e) override;
-  void on_tree_failover(const TreeFailoverEvent& e) override;
-  void on_phase_change(const PhaseChangeEvent& e) override;
-  void on_fault(const FaultEvent& e) override;
-  void on_run_start(const RunStartEvent& e) override;
-  void on_detection_span(const DetectionSpanEvent& e) override;
-  void on_rank_span(const RankSpanEvent& e) override;
+  void on_event(const Event& event) override;
   bool wants_rank_spans() const override { return options_.max_ranks > 0; }
 
   /// Emit the complete trace document.
@@ -48,6 +36,23 @@ class ChromeTraceWriter final : public TelemetrySink {
   std::size_t event_count() const noexcept { return events_.size(); }
 
  private:
+  void record(const SampleEvent& e);
+  void record(const FilterEvent& e);
+  void record(const SweepEvent& e);
+  void record(const HangEvent& e);
+  void record(const SlowdownEvent& e);
+  void record(const MonitorSampleEvent& e);
+  void record(const MonitorLevelEvent& e);
+  void record(const TreeFailoverEvent& e);
+  void record(const PhaseChangeEvent& e);
+  void record(const FaultEvent& e);
+  void record(const RunStartEvent& e);
+  void record(const DetectionSpanEvent& e);
+  void record(const RankSpanEvent& e);
+  /// Kinds with no place on the timeline.
+  template <typename E>
+  void record(const E&) {}
+
   std::string& begin_event();
   void instant(sim::Time t, const char* name, bool global);
   void counter(sim::Time t, const char* name, double value);

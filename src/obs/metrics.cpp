@@ -107,175 +107,192 @@ MetricsSink::MetricsSink(MetricsRegistry& registry) : registry_(registry) {
   registry_.histogram("detector.scrout", 0.0, 1.0, 20);
 }
 
-void MetricsSink::on_sample(const SampleEvent& e) {
-  ++registry_.counter("detector.samples");
-  if (e.suspicious) ++registry_.counter("detector.suspicious_samples");
-  if (e.model_frozen) ++registry_.counter("detector.frozen_samples");
-  registry_.histogram("detector.scrout", 0.0, 1.0, 20).add(e.scrout);
-  registry_.summary("detector.interval_ms").add(sim::to_millis(e.interval));
-  registry_.gauge("detector.interval_ms") = sim::to_millis(e.interval);
-  registry_.gauge("detector.q") = e.q;
-  registry_.gauge("detector.required_streak") =
-      static_cast<double>(e.required_streak);
-}
+namespace {
 
-void MetricsSink::on_runs_test(const RunsTestEvent& e) {
-  ++registry_.counter("detector.runs_tests");
-  if (e.random) ++registry_.counter("detector.runs_tests_passed");
-}
+/// Folds each kind into the registry; kinds with no metric fall through to
+/// the catch-all.
+struct Fold {
+  MetricsRegistry& registry;
 
-void MetricsSink::on_interval(const IntervalEvent&) {
-  ++registry_.counter("detector.interval_doublings");
-}
-
-void MetricsSink::on_streak(const StreakEvent& e) {
-  // Record completed streak lengths: both resets (length reached before the
-  // reset is in the event's reason path, so log the length at verify/reset
-  // transitions only when it ends a streak).
-  if (e.kind == StreakEvent::Kind::kReset ||
-      e.kind == StreakEvent::Kind::kVerify) {
-    registry_.histogram("detector.streak_length", 0.0, 32.0, 32)
-        .add(static_cast<double>(e.length));
+  void operator()(const SampleEvent& e) const {
+    ++registry.counter("detector.samples");
+    if (e.suspicious) ++registry.counter("detector.suspicious_samples");
+    if (e.model_frozen) ++registry.counter("detector.frozen_samples");
+    registry.histogram("detector.scrout", 0.0, 1.0, 20).add(e.scrout);
+    registry.summary("detector.interval_ms").add(sim::to_millis(e.interval));
+    registry.gauge("detector.interval_ms") = sim::to_millis(e.interval);
+    registry.gauge("detector.q") = e.q;
+    registry.gauge("detector.required_streak") =
+        static_cast<double>(e.required_streak);
   }
-  if (e.kind == StreakEvent::Kind::kReset) {
-    ++registry_.counter("detector.streak_resets");
+
+  void operator()(const RunsTestEvent& e) const {
+    ++registry.counter("detector.runs_tests");
+    if (e.random) ++registry.counter("detector.runs_tests_passed");
   }
-  if (e.kind == StreakEvent::Kind::kVerify) {
-    ++registry_.counter("detector.verifications");
+
+  void operator()(const IntervalEvent&) const {
+    ++registry.counter("detector.interval_doublings");
   }
-}
 
-void MetricsSink::on_filter(const FilterEvent& e) {
-  if (e.stage == FilterEvent::Stage::kRetry) {
-    ++registry_.counter("detector.filter_retries");
+  void operator()(const StreakEvent& e) const {
+    // Record completed streak lengths: both resets (length reached before the
+    // reset is in the event's reason path, so log the length at verify/reset
+    // transitions only when it ends a streak).
+    if (e.kind == StreakEvent::Kind::kReset ||
+        e.kind == StreakEvent::Kind::kVerify) {
+      registry.histogram("detector.streak_length", 0.0, 32.0, 32)
+          .add(static_cast<double>(e.length));
+    }
+    if (e.kind == StreakEvent::Kind::kReset) {
+      ++registry.counter("detector.streak_resets");
+    }
+    if (e.kind == StreakEvent::Kind::kVerify) {
+      ++registry.counter("detector.verifications");
+    }
   }
-}
 
-void MetricsSink::on_sweep(const SweepEvent& e) {
-  ++registry_.counter("detector.sweeps");
-  registry_.counter("detector.ranks_swept") +=
-      static_cast<std::uint64_t>(e.ranks);
-}
-
-void MetricsSink::on_hang(const HangEvent& e) {
-  ++registry_.counter("detector.hangs");
-  registry_.counter("detector.faulty_ranks_reported") +=
-      static_cast<std::uint64_t>(e.faulty_ranks.size());
-}
-
-void MetricsSink::on_slowdown(const SlowdownEvent&) {
-  ++registry_.counter("detector.slowdowns_absorbed");
-}
-
-void MetricsSink::on_detection(const DetectionEvent& e) {
-  ++registry_.counter("detector.detections");
-  if (!e.detector.empty()) {
-    ++registry_.counter("detector." + std::string(e.detector) + ".detections");
+  void operator()(const FilterEvent& e) const {
+    if (e.stage == FilterEvent::Stage::kRetry) {
+      ++registry.counter("detector.filter_retries");
+    }
   }
-}
 
-void MetricsSink::on_monitor_sample(const MonitorSampleEvent& e) {
-  ++registry_.counter("monitor.samples");
-  registry_.counter("monitor.ranks_traced") +=
-      static_cast<std::uint64_t>(e.ranks_traced);
-  registry_.counter("monitor.messages") += e.messages;
-  registry_.counter("monitor.bytes") += e.bytes;
-  registry_.summary("monitor.aggregation_latency_us")
-      .add(static_cast<double>(e.aggregation_latency) / 1e3);
-  registry_.summary("monitor.active_monitors")
-      .add(static_cast<double>(e.active_monitors));
-  // Guarded so a healthy run's metrics document is byte-identical to the
-  // pre-fault-model one (create-on-first-use keeps the keys absent).
-  if (e.partials_missing > 0) {
-    registry_.counter("monitor.partials_missing") +=
-        static_cast<std::uint64_t>(e.partials_missing);
+  void operator()(const SweepEvent& e) const {
+    ++registry.counter("detector.sweeps");
+    registry.counter("detector.ranks_swept") +=
+        static_cast<std::uint64_t>(e.ranks);
   }
-  if (e.retries > 0) {
-    registry_.counter("monitor.retries") +=
-        static_cast<std::uint64_t>(e.retries);
+
+  void operator()(const HangEvent& e) const {
+    ++registry.counter("detector.hangs");
+    registry.counter("detector.faulty_ranks_reported") +=
+        static_cast<std::uint64_t>(e.faulty_ranks.size());
   }
-  if (e.coverage < 1.0) registry_.summary("monitor.coverage").add(e.coverage);
-  if (e.degraded) ++registry_.counter("monitor.degraded_samples");
-  // Tree-mode keys appear only when a k-ary topology is armed: the metrics
-  // document of a flat-star run stays byte-identical to the pre-tree one.
-  if (e.tree) {
-    registry_.summary("monitor.tree_levels")
-        .add(static_cast<double>(e.levels));
-    registry_.summary("monitor.root_fan_in")
-        .add(static_cast<double>(e.root_fan_in));
+
+  void operator()(const SlowdownEvent&) const {
+    ++registry.counter("detector.slowdowns_absorbed");
   }
-}
 
-void MetricsSink::on_monitor_level(const MonitorLevelEvent& e) {
-  ++registry_.counter("monitor.level_gathers");
-  registry_.summary("monitor.level_latency_us")
-      .add(static_cast<double>(e.latency) / 1e3);
-  registry_.summary("monitor.level_fan_in")
-      .add(static_cast<double>(e.max_fan_in));
-}
-
-void MetricsSink::on_monitor_crash(const MonitorCrashEvent&) {
-  ++registry_.counter("monitor.crashes");
-}
-
-void MetricsSink::on_lead_failover(const LeadFailoverEvent&) {
-  ++registry_.counter("monitor.lead_failovers");
-}
-
-void MetricsSink::on_tree_failover(const TreeFailoverEvent& e) {
-  ++registry_.counter("monitor.subtree_failovers");
-  registry_.counter("monitor.subtree_ranks_adopted") +=
-      static_cast<std::uint64_t>(e.adopted);
-}
-
-void MetricsSink::on_sample_timeout(const SampleTimeoutEvent& e) {
-  ++registry_.counter("monitor.sample_timeouts");
-  if (!e.recovered) ++registry_.counter("monitor.partials_lost");
-}
-
-void MetricsSink::on_degraded_mode(const DegradedModeEvent& e) {
-  if (e.entered) {
-    ++registry_.counter("detector.degraded_entries");
-  } else {
-    ++registry_.counter("detector.degraded_exits");
+  void operator()(const DetectionEvent& e) const {
+    ++registry.counter("detector.detections");
+    if (!e.detector.empty()) {
+      ++registry.counter("detector." + std::string(e.detector) +
+                          ".detections");
+    }
   }
-}
 
-void MetricsSink::on_phase_change(const PhaseChangeEvent&) {
-  ++registry_.counter("detector.phase_changes");
-}
+  void operator()(const MonitorSampleEvent& e) const {
+    ++registry.counter("monitor.samples");
+    registry.counter("monitor.ranks_traced") +=
+        static_cast<std::uint64_t>(e.ranks_traced);
+    registry.counter("monitor.messages") += e.messages;
+    registry.counter("monitor.bytes") += e.bytes;
+    registry.summary("monitor.aggregation_latency_us")
+        .add(static_cast<double>(e.aggregation_latency) / 1e3);
+    registry.summary("monitor.active_monitors")
+        .add(static_cast<double>(e.active_monitors));
+    // Guarded so a healthy run's metrics document is byte-identical to the
+    // pre-fault-model one (create-on-first-use keeps the keys absent).
+    if (e.partials_missing > 0) {
+      registry.counter("monitor.partials_missing") +=
+          static_cast<std::uint64_t>(e.partials_missing);
+    }
+    if (e.retries > 0) {
+      registry.counter("monitor.retries") +=
+          static_cast<std::uint64_t>(e.retries);
+    }
+    if (e.coverage < 1.0) registry.summary("monitor.coverage").add(e.coverage);
+    if (e.degraded) ++registry.counter("monitor.degraded_samples");
+    // Tree-mode keys appear only when a k-ary topology is armed: the metrics
+    // document of a flat-star run stays byte-identical to the pre-tree one.
+    if (e.tree) {
+      registry.summary("monitor.tree_levels")
+          .add(static_cast<double>(e.levels));
+      registry.summary("monitor.root_fan_in")
+          .add(static_cast<double>(e.root_fan_in));
+    }
+  }
 
-void MetricsSink::on_fault(const FaultEvent&) {
-  ++registry_.counter("faults.activated");
-}
+  void operator()(const MonitorLevelEvent& e) const {
+    ++registry.counter("monitor.level_gathers");
+    registry.summary("monitor.level_latency_us")
+        .add(static_cast<double>(e.latency) / 1e3);
+    registry.summary("monitor.level_fan_in")
+        .add(static_cast<double>(e.max_fan_in));
+  }
 
-void MetricsSink::on_run_start(const RunStartEvent&) {
-  ++registry_.counter("harness.runs");
-}
+  void operator()(const MonitorCrashEvent&) const {
+    ++registry.counter("monitor.crashes");
+  }
 
-void MetricsSink::on_run_end(const RunEndEvent& e) {
-  if (e.completed) ++registry_.counter("harness.runs_completed");
-  if (e.killed) ++registry_.counter("harness.runs_killed");
-  registry_.counter("trace.traces") += e.traces;
-  registry_.summary("harness.run_seconds").add(sim::to_seconds(e.end_time));
-  registry_.summary("trace.cost_seconds_per_run")
-      .add(sim::to_seconds(e.trace_cost));
-}
+  void operator()(const LeadFailoverEvent&) const {
+    ++registry.counter("monitor.lead_failovers");
+  }
 
-void MetricsSink::on_recovery(const RecoveryEvent& e) {
-  ++registry_.counter("recovery.events");
-  if (e.action == "restore") ++registry_.counter("recovery.restores");
-  if (e.action == "give-up") ++registry_.counter("recovery.give_ups");
-  if (e.degraded) ++registry_.counter("recovery.degraded_verdicts");
-  registry_.summary("recovery.overhead_seconds")
-      .add(sim::to_seconds(e.overhead));
-  registry_.summary("recovery.rollback_seconds")
-      .add(sim::to_seconds(e.time - e.resume_from));
-}
+  void operator()(const TreeFailoverEvent& e) const {
+    ++registry.counter("monitor.subtree_failovers");
+    registry.counter("monitor.subtree_ranks_adopted") +=
+        static_cast<std::uint64_t>(e.adopted);
+  }
 
-void MetricsSink::on_detection_span(const DetectionSpanEvent& e) {
-  registry_.digest("span." + std::string(e.span) + "_ms")
-      .add(sim::to_millis(e.end - e.begin));
+  void operator()(const SampleTimeoutEvent& e) const {
+    ++registry.counter("monitor.sample_timeouts");
+    if (!e.recovered) ++registry.counter("monitor.partials_lost");
+  }
+
+  void operator()(const DegradedModeEvent& e) const {
+    if (e.entered) {
+      ++registry.counter("detector.degraded_entries");
+    } else {
+      ++registry.counter("detector.degraded_exits");
+    }
+  }
+
+  void operator()(const PhaseChangeEvent&) const {
+    ++registry.counter("detector.phase_changes");
+  }
+
+  void operator()(const FaultEvent&) const {
+    ++registry.counter("faults.activated");
+  }
+
+  void operator()(const RunStartEvent&) const {
+    ++registry.counter("harness.runs");
+  }
+
+  void operator()(const RunEndEvent& e) const {
+    if (e.completed) ++registry.counter("harness.runs_completed");
+    if (e.killed) ++registry.counter("harness.runs_killed");
+    registry.counter("trace.traces") += e.traces;
+    registry.summary("harness.run_seconds").add(sim::to_seconds(e.end_time));
+    registry.summary("trace.cost_seconds_per_run")
+        .add(sim::to_seconds(e.trace_cost));
+  }
+
+  void operator()(const RecoveryEvent& e) const {
+    ++registry.counter("recovery.events");
+    if (e.action == "restore") ++registry.counter("recovery.restores");
+    if (e.action == "give-up") ++registry.counter("recovery.give_ups");
+    if (e.degraded) ++registry.counter("recovery.degraded_verdicts");
+    registry.summary("recovery.overhead_seconds")
+        .add(sim::to_seconds(e.overhead));
+    registry.summary("recovery.rollback_seconds")
+        .add(sim::to_seconds(e.time - e.resume_from));
+  }
+
+  void operator()(const DetectionSpanEvent& e) const {
+    registry.digest("span." + std::string(e.span) + "_ms")
+        .add(sim::to_millis(e.end - e.begin));
+  }
+
+  void operator()(const auto&) const {}
+};
+
+}  // namespace
+
+void MetricsSink::on_event(const Event& event) {
+  std::visit(Fold{registry_}, event);
 }
 
 }  // namespace parastack::obs

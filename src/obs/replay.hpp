@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <deque>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -37,42 +36,10 @@ class RecordingSink final : public TelemetrySink {
   std::size_t size() const noexcept { return events_.size(); }
   bool empty() const noexcept { return events_.empty(); }
 
-  void on_sample(const SampleEvent& e) override;
-  void on_runs_test(const RunsTestEvent& e) override;
-  void on_interval(const IntervalEvent& e) override;
-  void on_streak(const StreakEvent& e) override;
-  void on_filter(const FilterEvent& e) override;
-  void on_sweep(const SweepEvent& e) override;
-  void on_hang(const HangEvent& e) override;
-  void on_slowdown(const SlowdownEvent& e) override;
-  void on_detection(const DetectionEvent& e) override;
-  void on_monitor_sample(const MonitorSampleEvent& e) override;
-  void on_monitor_level(const MonitorLevelEvent& e) override;
-  void on_monitor_crash(const MonitorCrashEvent& e) override;
-  void on_lead_failover(const LeadFailoverEvent& e) override;
-  void on_tree_failover(const TreeFailoverEvent& e) override;
-  void on_sample_timeout(const SampleTimeoutEvent& e) override;
-  void on_degraded_mode(const DegradedModeEvent& e) override;
-  void on_phase_change(const PhaseChangeEvent& e) override;
-  void on_fault(const FaultEvent& e) override;
-  void on_run_start(const RunStartEvent& e) override;
-  void on_run_end(const RunEndEvent& e) override;
-  void on_recovery(const RecoveryEvent& e) override;
-  void on_fleet_admit(const FleetAdmitEvent& e) override;
-  void on_detection_span(const DetectionSpanEvent& e) override;
-  void on_rank_span(const RankSpanEvent& e) override;
+  void on_event(const Event& event) override;
   bool wants_rank_spans() const override { return wants_rank_spans_; }
 
  private:
-  using Event =
-      std::variant<SampleEvent, RunsTestEvent, IntervalEvent, StreakEvent,
-                   FilterEvent, SweepEvent, HangEvent, SlowdownEvent,
-                   DetectionEvent, MonitorSampleEvent, MonitorLevelEvent,
-                   MonitorCrashEvent, LeadFailoverEvent, TreeFailoverEvent,
-                   SampleTimeoutEvent, DegradedModeEvent, PhaseChangeEvent,
-                   FaultEvent, RunStartEvent, RunEndEvent, RecoveryEvent,
-                   FleetAdmitEvent, DetectionSpanEvent, RankSpanEvent>;
-
   /// Copy `view` into the arena and return a view of the stable copy.
   std::string_view intern(std::string_view view);
 

@@ -16,77 +16,8 @@ void MultiSink::add(TelemetrySink* sink) {
   sinks_.push_back(sink);
 }
 
-void MultiSink::on_sample(const SampleEvent& e) {
-  for (auto* s : sinks_) s->on_sample(e);
-}
-void MultiSink::on_runs_test(const RunsTestEvent& e) {
-  for (auto* s : sinks_) s->on_runs_test(e);
-}
-void MultiSink::on_interval(const IntervalEvent& e) {
-  for (auto* s : sinks_) s->on_interval(e);
-}
-void MultiSink::on_streak(const StreakEvent& e) {
-  for (auto* s : sinks_) s->on_streak(e);
-}
-void MultiSink::on_filter(const FilterEvent& e) {
-  for (auto* s : sinks_) s->on_filter(e);
-}
-void MultiSink::on_sweep(const SweepEvent& e) {
-  for (auto* s : sinks_) s->on_sweep(e);
-}
-void MultiSink::on_hang(const HangEvent& e) {
-  for (auto* s : sinks_) s->on_hang(e);
-}
-void MultiSink::on_slowdown(const SlowdownEvent& e) {
-  for (auto* s : sinks_) s->on_slowdown(e);
-}
-void MultiSink::on_detection(const DetectionEvent& e) {
-  for (auto* s : sinks_) s->on_detection(e);
-}
-void MultiSink::on_monitor_sample(const MonitorSampleEvent& e) {
-  for (auto* s : sinks_) s->on_monitor_sample(e);
-}
-void MultiSink::on_monitor_level(const MonitorLevelEvent& e) {
-  for (auto* s : sinks_) s->on_monitor_level(e);
-}
-void MultiSink::on_monitor_crash(const MonitorCrashEvent& e) {
-  for (auto* s : sinks_) s->on_monitor_crash(e);
-}
-void MultiSink::on_lead_failover(const LeadFailoverEvent& e) {
-  for (auto* s : sinks_) s->on_lead_failover(e);
-}
-void MultiSink::on_tree_failover(const TreeFailoverEvent& e) {
-  for (auto* s : sinks_) s->on_tree_failover(e);
-}
-void MultiSink::on_sample_timeout(const SampleTimeoutEvent& e) {
-  for (auto* s : sinks_) s->on_sample_timeout(e);
-}
-void MultiSink::on_degraded_mode(const DegradedModeEvent& e) {
-  for (auto* s : sinks_) s->on_degraded_mode(e);
-}
-void MultiSink::on_phase_change(const PhaseChangeEvent& e) {
-  for (auto* s : sinks_) s->on_phase_change(e);
-}
-void MultiSink::on_fault(const FaultEvent& e) {
-  for (auto* s : sinks_) s->on_fault(e);
-}
-void MultiSink::on_run_start(const RunStartEvent& e) {
-  for (auto* s : sinks_) s->on_run_start(e);
-}
-void MultiSink::on_run_end(const RunEndEvent& e) {
-  for (auto* s : sinks_) s->on_run_end(e);
-}
-void MultiSink::on_recovery(const RecoveryEvent& e) {
-  for (auto* s : sinks_) s->on_recovery(e);
-}
-void MultiSink::on_fleet_admit(const FleetAdmitEvent& e) {
-  for (auto* s : sinks_) s->on_fleet_admit(e);
-}
-void MultiSink::on_detection_span(const DetectionSpanEvent& e) {
-  for (auto* s : sinks_) s->on_detection_span(e);
-}
-void MultiSink::on_rank_span(const RankSpanEvent& e) {
-  for (auto* s : sinks_) s->on_rank_span(e);
+void MultiSink::on_event(const Event& event) {
+  for (auto* s : sinks_) s->on_event(event);
 }
 
 bool MultiSink::wants_rank_spans() const {

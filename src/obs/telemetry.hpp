@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -317,52 +318,39 @@ struct RankSpanEvent {
   std::string_view func;  ///< user function or MPI function name
 };
 
+/// Every telemetry fact, one alternative per kind. Adding a kind means
+/// adding its struct above and its alternative here, emitting it from its
+/// producer, and giving it a name and a line in the journal (which fails
+/// to compile until it can render it); RecordingSink must also intern any
+/// string view it holds other than `detector`.
+using Event =
+    std::variant<SampleEvent, RunsTestEvent, IntervalEvent, StreakEvent,
+                 FilterEvent, SweepEvent, HangEvent, SlowdownEvent,
+                 DetectionEvent, MonitorSampleEvent, MonitorLevelEvent,
+                 MonitorCrashEvent, LeadFailoverEvent, TreeFailoverEvent,
+                 SampleTimeoutEvent, DegradedModeEvent, PhaseChangeEvent,
+                 FaultEvent, RunStartEvent, RunEndEvent, RecoveryEvent,
+                 FleetAdmitEvent, DetectionSpanEvent, RankSpanEvent>;
+
 // ---------------------------------------------------------------------------
 // Sink interface.
 // ---------------------------------------------------------------------------
 
-/// Observer for the telemetry stream. Every handler is a no-op by default,
-/// so a sink overrides only what it consumes; with no sink attached the
-/// producers skip event construction entirely (one null-pointer test on the
-/// hot path — telemetry is pay-for-what-you-use).
+/// Observer for the telemetry stream. A sink visits the kinds it consumes
+/// and ignores the rest; with no sink attached the producers skip event
+/// construction entirely (one null-pointer test on the hot path —
+/// telemetry is pay-for-what-you-use).
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;
 
-  virtual void on_sample(const SampleEvent&) {}
-  virtual void on_runs_test(const RunsTestEvent&) {}
-  virtual void on_interval(const IntervalEvent&) {}
-  virtual void on_streak(const StreakEvent&) {}
-  virtual void on_filter(const FilterEvent&) {}
-  virtual void on_sweep(const SweepEvent&) {}
-  virtual void on_hang(const HangEvent&) {}
-  virtual void on_slowdown(const SlowdownEvent&) {}
-  virtual void on_detection(const DetectionEvent&) {}
-  virtual void on_monitor_sample(const MonitorSampleEvent&) {}
-  virtual void on_monitor_level(const MonitorLevelEvent&) {}
-  virtual void on_monitor_crash(const MonitorCrashEvent&) {}
-  virtual void on_lead_failover(const LeadFailoverEvent&) {}
-  virtual void on_tree_failover(const TreeFailoverEvent&) {}
-  virtual void on_sample_timeout(const SampleTimeoutEvent&) {}
-  virtual void on_degraded_mode(const DegradedModeEvent&) {}
-  virtual void on_phase_change(const PhaseChangeEvent&) {}
-  virtual void on_fault(const FaultEvent&) {}
-  virtual void on_run_start(const RunStartEvent&) {}
-  virtual void on_run_end(const RunEndEvent&) {}
-  virtual void on_recovery(const RecoveryEvent&) {}
-  virtual void on_fleet_admit(const FleetAdmitEvent&) {}
-  virtual void on_detection_span(const DetectionSpanEvent&) {}
-  virtual void on_rank_span(const RankSpanEvent&) {}
+  virtual void on_event(const Event& event) = 0;
 
   /// Rank spans fire per simulated action; producers consult this before
   /// building one so an attached journal does not drag the simulator
   /// through span bookkeeping it will not record.
   virtual bool wants_rank_spans() const { return false; }
 };
-
-/// Explicit do-nothing sink (equivalent to attaching nothing; exists so
-/// call sites can hold a reference instead of a nullable pointer).
-class NullSink final : public TelemetrySink {};
 
 /// Fans every event out to several sinks in attachment order (e.g. journal
 /// + metrics + trace from one run).
@@ -374,30 +362,7 @@ class MultiSink final : public TelemetrySink {
   void add(TelemetrySink* sink);
   bool empty() const noexcept { return sinks_.empty(); }
 
-  void on_sample(const SampleEvent& e) override;
-  void on_runs_test(const RunsTestEvent& e) override;
-  void on_interval(const IntervalEvent& e) override;
-  void on_streak(const StreakEvent& e) override;
-  void on_filter(const FilterEvent& e) override;
-  void on_sweep(const SweepEvent& e) override;
-  void on_hang(const HangEvent& e) override;
-  void on_slowdown(const SlowdownEvent& e) override;
-  void on_detection(const DetectionEvent& e) override;
-  void on_monitor_sample(const MonitorSampleEvent& e) override;
-  void on_monitor_level(const MonitorLevelEvent& e) override;
-  void on_monitor_crash(const MonitorCrashEvent& e) override;
-  void on_lead_failover(const LeadFailoverEvent& e) override;
-  void on_tree_failover(const TreeFailoverEvent& e) override;
-  void on_sample_timeout(const SampleTimeoutEvent& e) override;
-  void on_degraded_mode(const DegradedModeEvent& e) override;
-  void on_phase_change(const PhaseChangeEvent& e) override;
-  void on_fault(const FaultEvent& e) override;
-  void on_run_start(const RunStartEvent& e) override;
-  void on_run_end(const RunEndEvent& e) override;
-  void on_recovery(const RecoveryEvent& e) override;
-  void on_fleet_admit(const FleetAdmitEvent& e) override;
-  void on_detection_span(const DetectionSpanEvent& e) override;
-  void on_rank_span(const RankSpanEvent& e) override;
+  void on_event(const Event& event) override;
   bool wants_rank_spans() const override;
 
  private:

@@ -23,7 +23,7 @@ void emit_rank_span(sim::Engine& engine, obs::RankSpanEvent::Kind kind,
   event.rank = rank;
   event.kind = kind;
   event.func = func;
-  sink->on_rank_span(event);
+  sink->on_event(event);
 }
 // Busy-wait loop granularity: a short user-code body and an MPI_Test probe.
 // Busy-waiting ranks flip state every couple hundred microseconds, as the

@@ -2,6 +2,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "check/driver.hpp"
 #include "check/invariants.hpp"
@@ -9,6 +11,7 @@
 #include "check/scenario.hpp"
 #include "check/shrink.hpp"
 #include "harness/runner.hpp"
+#include "obs/journal.hpp"
 
 namespace parastack::check {
 namespace {
@@ -125,18 +128,38 @@ TEST(InvariantSink, CleanOnAHealthyRun) {
   EXPECT_TRUE(probe.empty()) << probe.front();
 }
 
+/// Sends a default `E` stamped 10 s, then one stamped 5 s: the second must
+/// open with the monotonicity violation, naming its kind. A kind without a
+/// `time` field carries no clock; its name goes to `untimed` instead.
+template <typename E>
+void expect_backwards_clock_flagged(std::set<std::string>& untimed) {
+  E event{};
+  const std::string name(obs::event_name(event));
+  if constexpr (requires { event.time; }) {
+    InvariantSink sink;
+    event.time = 10 * sim::kSecond;
+    sink.on_event(event);
+    const std::size_t before = sink.violations().size();
+    event.time = 5 * sim::kSecond;
+    sink.on_event(event);
+    ASSERT_GT(sink.violations().size(), before) << name;
+    EXPECT_EQ(sink.violations()[before].rfind(
+                  "virtual time went backwards: " + name + " at ", 0),
+              0u)
+        << sink.violations()[before];
+  } else {
+    untimed.insert(name);
+  }
+}
+
 TEST(InvariantSink, FlagsABackwardsClock) {
-  InvariantSink sink;
-  obs::SampleEvent a;
-  a.time = 10 * sim::kSecond;
-  a.detector = "parastack";
-  a.interval = sim::kSecond;
-  sink.on_sample(a);
-  obs::SampleEvent b = a;
-  b.time = 5 * sim::kSecond;  // backwards
-  sink.on_sample(b);
-  ASSERT_FALSE(sink.clean());
-  EXPECT_NE(sink.violations().front().find("backwards"), std::string::npos);
+  std::set<std::string> untimed;
+  [&untimed]<std::size_t... I>(std::index_sequence<I...>) {
+    (expect_backwards_clock_flagged<
+         std::variant_alternative_t<I, obs::Event>>(untimed),
+     ...);
+  }(std::make_index_sequence<std::variant_size_v<obs::Event>>());
+  EXPECT_EQ(untimed, (std::set<std::string>{"run_start", "rank_span"}));
 }
 
 TEST(InvariantSink, FlagsHangWithoutVerification) {
@@ -144,7 +167,7 @@ TEST(InvariantSink, FlagsHangWithoutVerification) {
   obs::HangEvent hang;
   hang.time = sim::kSecond;
   hang.detector = "parastack";
-  sink.on_hang(hang);
+  sink.on_event(hang);
   ASSERT_FALSE(sink.clean());
   EXPECT_NE(sink.violations().front().find("verification"),
             std::string::npos);

@@ -150,8 +150,10 @@ TEST(PhaseModel, PhaseChangeAbortsPendingVerification) {
 
 /// Captures phase-change telemetry so the abort is observable from outside.
 struct PhaseChangeRecorder final : obs::TelemetrySink {
-  void on_phase_change(const obs::PhaseChangeEvent& event) override {
-    events.push_back(event);
+  void on_event(const obs::Event& event) override {
+    if (const auto* e = std::get_if<obs::PhaseChangeEvent>(&event)) {
+      events.push_back(*e);
+    }
   }
   std::vector<obs::PhaseChangeEvent> events;
 };

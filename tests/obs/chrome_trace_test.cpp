@@ -28,7 +28,7 @@ TEST(ChromeTrace, RunStartEmitsProcessMetadata) {
   start.bench = "LU";
   start.input = "C";
   start.nranks = 32;
-  writer.on_run_start(start);
+  writer.on_event(start);
   const auto text = render(writer);
   EXPECT_TRUE(testjson::is_valid_json(text)) << text;
   EXPECT_NE(text.find("process_name"), std::string::npos);
@@ -46,7 +46,7 @@ TEST(ChromeTrace, RankSpansBecomeCompleteEvents) {
   span.rank = 3;
   span.kind = RankSpanEvent::Kind::kBlockingMpi;
   span.func = "MPI_Allreduce";
-  writer.on_rank_span(span);
+  writer.on_event(span);
   const auto text = render(writer);
   EXPECT_TRUE(testjson::is_valid_json(text)) << text;
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
@@ -61,10 +61,10 @@ TEST(ChromeTrace, RanksBeyondTheCapAreSkipped) {
   RankSpanEvent span;
   span.rank = 4;  // first rank past the cap
   span.end = 100;
-  writer.on_rank_span(span);
+  writer.on_event(span);
   EXPECT_EQ(writer.event_count(), 0u);
   span.rank = 0;
-  writer.on_rank_span(span);
+  writer.on_event(span);
   EXPECT_EQ(writer.event_count(), 1u);
 }
 
@@ -82,7 +82,7 @@ TEST(ChromeTrace, SamplesBecomeInstantsAndCounters) {
   sample.scrout = 0.5;
   sample.suspicious = true;
   sample.streak = 2;
-  writer.on_sample(sample);
+  writer.on_event(sample);
   const auto text = render(writer);
   EXPECT_TRUE(testjson::is_valid_json(text)) << text;
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
@@ -96,14 +96,14 @@ TEST(ChromeTrace, VerificationWindowRendersAsSpan) {
   FilterEvent enter;
   enter.time = 1000000;  // 1 ms
   enter.stage = FilterEvent::Stage::kEnter;
-  writer.on_filter(enter);
+  writer.on_event(enter);
   FilterEvent confirm;
   confirm.time = 5000000;  // 5 ms
   confirm.stage = FilterEvent::Stage::kHangConfirmed;
-  writer.on_filter(confirm);
+  writer.on_event(confirm);
   HangEvent hang;
   hang.time = 5000000;
-  writer.on_hang(hang);
+  writer.on_event(hang);
   const auto text = render(writer);
   EXPECT_TRUE(testjson::is_valid_json(text)) << text;
   EXPECT_NE(text.find("verify: hang"), std::string::npos);
@@ -116,7 +116,7 @@ TEST(ChromeTrace, EscapesQuotesInNames) {
   RankSpanEvent span;
   span.end = 10;
   span.func = "weird\"name";
-  writer.on_rank_span(span);
+  writer.on_event(span);
   const auto text = render(writer);
   EXPECT_TRUE(testjson::is_valid_json(text)) << text;
 }

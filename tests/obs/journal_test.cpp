@@ -23,32 +23,32 @@ TEST(JsonlJournal, EveryEventTypeYieldsOneValidJsonLine) {
   options.record_rank_spans = true;
   JsonlJournal journal(out, options);
 
-  journal.on_run_start(RunStartEvent{});
-  journal.on_monitor_sample(MonitorSampleEvent{});
-  journal.on_sample(SampleEvent{});
-  journal.on_runs_test(RunsTestEvent{});
-  journal.on_interval(IntervalEvent{});
+  journal.on_event(RunStartEvent{});
+  journal.on_event(MonitorSampleEvent{});
+  journal.on_event(SampleEvent{});
+  journal.on_event(RunsTestEvent{});
+  journal.on_event(IntervalEvent{});
   StreakEvent streak;
   streak.reason = "suspicious-sample";
-  journal.on_streak(streak);
+  journal.on_event(streak);
   FilterEvent filter;
   filter.evidence = "rank 2: entered MPI_Bcast";
-  journal.on_filter(filter);
+  journal.on_event(filter);
   SweepEvent sweep;
   sweep.purpose = "faulty-id";
-  journal.on_sweep(sweep);
+  journal.on_event(sweep);
   HangEvent hang;
   hang.faulty_ranks = {1, 2, 3};
-  journal.on_hang(hang);
-  journal.on_slowdown(SlowdownEvent{});
-  journal.on_phase_change(PhaseChangeEvent{});
+  journal.on_event(hang);
+  journal.on_event(SlowdownEvent{});
+  journal.on_event(PhaseChangeEvent{});
   FaultEvent fault;
   fault.type = "compute-hang";
-  journal.on_fault(fault);
+  journal.on_event(fault);
   RankSpanEvent span;
   span.func = "jacld";
-  journal.on_rank_span(span);
-  journal.on_run_end(RunEndEvent{});
+  journal.on_event(span);
+  journal.on_event(RunEndEvent{});
 
   const auto lines = lines_of(out.str());
   EXPECT_EQ(lines.size(), 14u);
@@ -69,7 +69,7 @@ TEST(JsonlJournal, SampleLineCarriesTheDetectorDecision) {
   e.streak = 4;
   e.required_streak = 5;
   e.threshold = 0.0625;
-  journal.on_sample(e);
+  journal.on_event(e);
   const auto line = out.str();
   EXPECT_NE(line.find("\"ev\":\"sample\""), std::string::npos);
   EXPECT_NE(line.find("\"t_ns\":1500000000"), std::string::npos);
@@ -85,7 +85,7 @@ TEST(JsonlJournal, HangLineRendersFaultyRanksAsArray) {
   HangEvent e;
   e.computation_error = true;
   e.faulty_ranks = {7, 90};
-  journal.on_hang(e);
+  journal.on_event(e);
   const auto line = out.str();
   EXPECT_NE(line.find("\"faulty_ranks\":[7,90]"), std::string::npos) << line;
   EXPECT_NE(line.find("\"kind\":\"computation\""), std::string::npos);
@@ -95,7 +95,7 @@ TEST(JsonlJournal, RankSpansAreDroppedUnlessOptedIn) {
   std::ostringstream out;
   JsonlJournal journal(out);  // default: no spans
   EXPECT_FALSE(journal.wants_rank_spans());
-  journal.on_rank_span(RankSpanEvent{});
+  journal.on_event(RankSpanEvent{});
   EXPECT_EQ(out.str(), "");
   EXPECT_EQ(journal.lines_written(), 0u);
 }
@@ -113,7 +113,7 @@ TEST(MultiSink, FansOutToAllChildren) {
   EXPECT_FALSE(multi.wants_rank_spans());
   multi.add(&j2);
   EXPECT_TRUE(multi.wants_rank_spans());  // ORs its children
-  multi.on_sample(SampleEvent{});
+  multi.on_event(SampleEvent{});
   EXPECT_EQ(j1.lines_written(), 1u);
   EXPECT_EQ(j2.lines_written(), 1u);
 }

@@ -78,11 +78,11 @@ TEST(MetricsSink, FoldsSampleEventsIntoDetectorCounters) {
   SampleEvent sample;
   sample.scrout = 0.6;
   sample.suspicious = false;
-  sink.on_sample(sample);
+  sink.on_event(sample);
   sample.scrout = 0.0;
   sample.suspicious = true;
   sample.streak = 1;
-  sink.on_sample(sample);
+  sink.on_event(sample);
   EXPECT_EQ(registry.counter_value("detector.samples"), 2u);
   EXPECT_EQ(registry.counter_value("detector.suspicious_samples"), 1u);
   const auto text = export_json(registry);
@@ -92,17 +92,17 @@ TEST(MetricsSink, FoldsSampleEventsIntoDetectorCounters) {
 TEST(MetricsSink, CountsLifecycleEvents) {
   MetricsRegistry registry;
   MetricsSink sink(registry);
-  sink.on_run_start(RunStartEvent{});
-  sink.on_fault(FaultEvent{});
+  sink.on_event(RunStartEvent{});
+  sink.on_event(FaultEvent{});
   HangEvent hang;
   hang.faulty_ranks = {4, 9};
-  sink.on_hang(hang);
+  sink.on_event(hang);
   SlowdownEvent slowdown;
   slowdown.rounds = 2;
-  sink.on_slowdown(slowdown);
+  sink.on_event(slowdown);
   RunEndEvent end;
   end.killed = true;
-  sink.on_run_end(end);
+  sink.on_event(end);
   EXPECT_EQ(registry.counter_value("harness.runs"), 1u);
   EXPECT_EQ(registry.counter_value("harness.runs_killed"), 1u);
   EXPECT_EQ(registry.counter_value("faults.activated"), 1u);

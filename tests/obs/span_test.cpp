@@ -29,7 +29,7 @@ DetectionSpanEvent span_event() {
 TEST(DetectionSpan, JournalLineIsGolden) {
   std::ostringstream out;
   JsonlJournal journal(out);
-  journal.on_detection_span(span_event());
+  journal.on_event(span_event());
   EXPECT_EQ(out.str(),
             "{\"ev\":\"det_span\",\"det\":\"parastack\",\"t_ns\":5000,"
             "\"span\":\"fault-to-kill\",\"begin_ns\":1000,\"end_ns\":4500,"
@@ -38,7 +38,7 @@ TEST(DetectionSpan, JournalLineIsGolden) {
 
 TEST(DetectionSpan, ChromeTraceEmitsCompleteEvent) {
   ChromeTraceWriter trace;
-  trace.on_detection_span(span_event());
+  trace.on_event(span_event());
   std::ostringstream out;
   trace.write(out);
   const std::string doc = out.str();
@@ -53,7 +53,7 @@ TEST(DetectionSpan, MetricsSinkFoldsSpansIntoDigests) {
   DetectionSpanEvent e = span_event();
   e.begin = 0;
   e.end = 2 * sim::kSecond;  // 2000 ms
-  sink.on_detection_span(e);
+  sink.on_event(e);
   const Digest& digest = registry.digest("span.fault-to-kill_ms");
   ASSERT_EQ(digest.count(), 1u);
   EXPECT_DOUBLE_EQ(digest.values().front(), 2000.0);
