@@ -91,6 +91,12 @@ expect_reject negative-trace-ranks "bad --trace-ranks value '-1'" \
   run --bench LU --ranks 32 --trace-ranks -1
 expect_reject overflowing-walltime "bad --walltime-min value '999999999999999'" \
   submit --bench LU --ranks 32 --walltime-min 999999999999999
+# Each telemetry artifact is a JSON document: two of them on stdout would
+# interleave into text no parser reads, so psim refuses and names both flags.
+expect_reject journal-and-trace-on-stdout "--journal and --chrome-trace" \
+  run --bench LU --ranks 32 --seed 3 --journal - --chrome-trace -
+expect_reject metrics-and-trace-on-stdout "--metrics-out and --chrome-trace" \
+  run --bench LU --ranks 32 --seed 3 --metrics-out - --chrome-trace -
 
 # The largest seed is a valid seed and runs as itself.
 out=$("$PSIM" run --bench LU --input C --ranks 32 \

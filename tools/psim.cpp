@@ -90,7 +90,8 @@ int usage() {
                "(alias --metrics) --chrome-trace FILE\n"
                "            --trace-ranks N --journal-spans "
                "--log-level debug|info|warn|error|off\n"
-               "            (FILE may be '-' for stdout)\n");
+               "            (FILE may be '-' for stdout, for one of them at "
+               "most)\n");
   return 2;
 }
 
@@ -129,11 +130,39 @@ struct Telemetry {
       }
       util::set_log_level(*parsed);
     }
-    if (journal_path = args.get("journal", ""); !journal_path.empty()) {
+    journal_path = args.get("journal", "");
+    // --metrics-out is the canonical spelling shared with the bench
+    // binaries; --metrics is kept as the historical alias.
+    metrics_path = args.get("metrics-out", "");
+    const char* metrics_flag = "--metrics-out";
+    if (metrics_path.empty()) {
+      metrics_path = args.get("metrics", "");
+      metrics_flag = "--metrics";
+    }
+    trace_path = args.get("chrome-trace", "");
+    // Each artifact is a JSON document (the journal one per line), so two
+    // of them on stdout would interleave into text no parser reads.
+    std::vector<const char*> on_stdout;
+    if (journal_path == "-") on_stdout.push_back("--journal");
+    if (metrics_path == "-") on_stdout.push_back(metrics_flag);
+    if (trace_path == "-") on_stdout.push_back("--chrome-trace");
+    if (on_stdout.size() > 1) {
+      std::string flags = on_stdout.front();
+      for (std::size_t i = 1; i < on_stdout.size(); ++i) {
+        flags += i + 1 == on_stdout.size() ? " and " : ", ";
+        flags += on_stdout[i];
+      }
+      std::fprintf(stderr,
+                   "at most one telemetry artifact may go to stdout ('-'), "
+                   "but %s do\n",
+                   flags.c_str());
+      return false;
+    }
+    stdout_taken = !on_stdout.empty();
+    if (!journal_path.empty()) {
       obs::JsonlJournal::Options options;
       options.record_rank_spans = args.has("journal-spans");
       if (journal_path == "-") {
-        stdout_taken = true;
         journal = std::make_unique<obs::JsonlJournal>(std::cout, options);
       } else {
         journal_file.open(journal_path);
@@ -146,17 +175,11 @@ struct Telemetry {
       }
       multi.add(journal.get());
     }
-    // --metrics-out is the canonical spelling shared with the bench
-    // binaries; --metrics is kept as the historical alias.
-    metrics_path = args.get("metrics-out", "");
-    if (metrics_path.empty()) metrics_path = args.get("metrics", "");
     if (!metrics_path.empty()) {
-      if (metrics_path == "-") stdout_taken = true;
       metrics = std::make_unique<obs::MetricsSink>(registry);
       multi.add(metrics.get());
     }
-    if (trace_path = args.get("chrome-trace", ""); !trace_path.empty()) {
-      if (trace_path == "-") stdout_taken = true;
+    if (!trace_path.empty()) {
       obs::ChromeTraceWriter::Options options;
       options.max_ranks = trace_ranks;
       trace = std::make_unique<obs::ChromeTraceWriter>(options);
