@@ -25,10 +25,11 @@ namespace parastack::sim {
 
 /// Deterministic discrete-event engine.
 ///
-/// Events fire in (time, insertion-sequence) order, so two events scheduled
-/// for the same instant run in the order they were scheduled — this makes
-/// whole campaigns bit-reproducible under a fixed seed. Single-threaded by
-/// design: determinism is a correctness requirement for the experiment
+/// Events fire in key order (`Key`: time, then insertion sequence), so two
+/// events scheduled for the same instant run in the order they were
+/// scheduled — this makes whole campaigns bit-reproducible under a fixed
+/// seed. A key may be reserved before its event is scheduled. Single-threaded
+/// by design: determinism is a correctness requirement for the experiment
 /// harness, and one core simulates thousands of ranks comfortably.
 ///
 /// Hot-loop layout (the raw-speed overhaul): pending events live in a 4-ary
@@ -59,15 +60,24 @@ class Engine {
   /// cancel().
   template <typename F>
   EventId schedule_at(Time t, F&& cb) {
+    return push(reserve(t), std::forward<F>(cb));
+  }
+
+  /// The key an event scheduled now for `t` (>= now) would get. Taking it
+  /// uses up its sequence number, so every later key sorts after it.
+  Key reserve(Time t) {
     PS_CHECK(t >= now_, "cannot schedule events in the past");
-    if constexpr (std::is_constructible_v<bool, const std::decay_t<F>&>) {
-      PS_CHECK(static_cast<bool>(cb), "null event callback");
-    }
-    const CallbackPool::Ref ref = pool_.acquire(std::forward<F>(cb));
-    queue_.push(QueuedEvent{t, next_seq_++, ref.slot, ref.gen});
-    ++scheduled_;
-    if (queue_.size() > queue_depth_hw_) queue_depth_hw_ = queue_.size();
-    return make_id(ref);
+    return Key{t, next_seq_++};
+  }
+
+  /// Schedule `cb` at a key from reserve(): it fires exactly where an event
+  /// scheduled at reservation would have, provided nothing after the key
+  /// has fired yet: the key must be after firing() and not before now().
+  template <typename F>
+  EventId schedule_at(Key key, F&& cb) {
+    PS_CHECK(key.time >= now_ && firing_ < key && key.seq < next_seq_,
+             "scheduled key is not a reserved key after the firing event");
+    return push(key, std::forward<F>(cb));
   }
 
   /// Schedule `cb` `dt` nanoseconds from now (dt >= 0). A delay so large
@@ -129,7 +139,11 @@ class Engine {
   /// Monotonically nondecreasing by construction; the pscheck invariant
   /// layer cross-checks it against now() after every run, and holds the
   /// scheduling ledger to `scheduled == fired + cancelled + pending`.
-  Time last_event_time() const noexcept { return last_event_time_; }
+  Time last_event_time() const noexcept { return firing_.time; }
+  /// Key of the event being fired (of the last one fired, between events;
+  /// time -1 before the first). Keys fire strictly increasing, so a key
+  /// below firing() belongs to an event that has already fired.
+  Key firing() const noexcept { return firing_; }
   /// Heap entries including tombstones of cancelled events; bounded to
   /// O(events_pending()) by lazy compaction.
   std::size_t queue_depth() const noexcept { return queue_.size(); }
@@ -160,6 +174,18 @@ class Engine {
   static EventId make_id(CallbackPool::Ref ref) noexcept {
     return (static_cast<EventId>(ref.gen) << 32) |
            static_cast<EventId>(ref.slot);
+  }
+
+  template <typename F>
+  EventId push(Key key, F&& cb) {
+    if constexpr (std::is_constructible_v<bool, const std::decay_t<F>&>) {
+      PS_CHECK(static_cast<bool>(cb), "null event callback");
+    }
+    const CallbackPool::Ref ref = pool_.acquire(std::forward<F>(cb));
+    queue_.push(QueuedEvent{key.time, key.seq, ref.slot, ref.gen});
+    ++scheduled_;
+    if (queue_.size() > queue_depth_hw_) queue_depth_hw_ = queue_.size();
+    return make_id(ref);
   }
 
   /// The single shared pop path (step() and run_until() both land here):
@@ -195,10 +221,11 @@ class Engine {
     // schedules new events, and the slot rejoins the free list only after
     // the invocation returns, so it cannot be recycled out from under us.
     CallbackPool::Entry& entry = pool_.begin_fire(ev.slot);
+    const Key key{ev.time, ev.seq};
     PS_CHECK(ev.time >= now_, "event queue time went backwards");
-    PS_CHECK(ev.time >= last_event_time_, "event fire order went backwards");
+    PS_CHECK(firing_ < key, "event fire order went backwards");
     now_ = ev.time;
-    last_event_time_ = ev.time;
+    firing_ = key;
     ++fired_;
     entry.cb();
     pool_.end_fire(ev.slot);
@@ -208,7 +235,7 @@ class Engine {
   void compact_if_worthwhile();
 
   Time now_ = 0;
-  Time last_event_time_ = -1;
+  Key firing_{-1, 0};
   obs::TelemetrySink* telemetry_ = nullptr;
   obs::perf::ProfileRegistry* perf_ = nullptr;
   // Cached instrument handles (null when perf_ is null).

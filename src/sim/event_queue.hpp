@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -8,11 +9,17 @@
 
 namespace parastack::sim {
 
-/// One pending entry: fire time, a monotonically increasing insertion
-/// sequence (the determinism tiebreak — equal-time events fire in the order
-/// they were scheduled), and the callback's pool address. Everything the
-/// pop path needs lives inline in 24 bytes; firing an event never touches a
-/// hash map.
+/// An event's place in the firing order: its time, then a sequence number
+/// from one monotone counter (the equal-time tiebreak). Keys are unique.
+struct Key {
+  Time time = 0;
+  std::uint64_t seq = 0;
+  friend constexpr auto operator<=>(const Key&, const Key&) = default;
+};
+
+/// One pending entry: its key's time and sequence, and the callback's pool
+/// address. Everything the pop path needs lives inline in 24 bytes; firing
+/// an event never touches a hash map.
 struct QueuedEvent {
   Time time;
   std::uint64_t seq;

@@ -32,16 +32,13 @@ CommEngine::CommEngine(sim::Engine& engine, const sim::Platform& platform,
   PS_CHECK(nranks >= 1, "world needs at least one rank");
 }
 
-void CommEngine::complete_at(const RequestHandle& req, sim::Time t) {
-  PS_CHECK(t >= engine_.now(), "completion scheduled in the past");
-  engine_.schedule_at(t, [req] {
-    if (req->complete) return;
-    req->complete = true;
-    if (req->on_complete) {
-      sim::PooledCallback cb = std::move(req->on_complete);
-      cb();
-    }
-  });
+void CommEngine::complete_at(Request& req, sim::Time t) {
+  // Reserve where a completion event used to be scheduled, so every other
+  // event keeps its sequence number.
+  req.key = engine_.reserve(t);
+  if (req.waiter != nullptr) {
+    std::exchange(req.waiter, nullptr)->on_completion_key(req.key);
+  }
 }
 
 RequestHandle CommEngine::post_send(Rank src, Rank dst, int tag,
@@ -59,7 +56,7 @@ RequestHandle CommEngine::post_send(Rank src, Rank dst, int tag,
   if (eager) {
     op.arrival_time = engine_.now() + platform_.transfer_time(bytes);
     // Eager sends complete locally, receiver or not.
-    complete_at(req, engine_.now() + eager_send_cost(platform_, bytes));
+    complete_at(*req, engine_.now() + eager_send_cost(platform_, bytes));
   }
   auto& channel = channels_.find_or_insert(ChannelKey{src, dst, tag});
   channel.sends.push_back(std::move(op));
@@ -92,12 +89,12 @@ void CommEngine::match(Channel& channel) {
     if (send.eager) {
       // Payload is in flight (or buffered at dst); the receiver finishes
       // once it has both posted and the payload has landed.
-      complete_at(recv.req, std::max(now, send.arrival_time));
+      complete_at(*recv.req, std::max(now, send.arrival_time));
     } else {
       // Rendezvous: transfer begins at the match instant.
       const sim::Time done = now + platform_.transfer_time(send.bytes);
-      complete_at(send.req, done);
-      complete_at(recv.req, done);
+      complete_at(*send.req, done);
+      complete_at(*recv.req, done);
     }
   }
 }

@@ -30,7 +30,8 @@ class CommEngine {
 
   /// Post a send src -> dst. The returned request completes when the sender
   /// may proceed (eager: after the local injection cost, regardless of the
-  /// receiver; rendezvous: after the matched transfer finishes).
+  /// receiver, so its key is fixed on return; rendezvous: after the matched
+  /// transfer finishes).
   RequestHandle post_send(Rank src, Rank dst, int tag, std::size_t bytes);
 
   /// Post a receive of a message src -> dst. Completes when the matched
@@ -171,7 +172,8 @@ class CommEngine {
     std::vector<Waiter> waiters;
   };
 
-  void complete_at(const RequestHandle& req, sim::Time t);
+  /// Fix `req`'s completion key for instant `t` and tell its waiter.
+  void complete_at(Request& req, sim::Time t);
   void match(Channel& channel);
   sim::Time tree_latency(std::size_t bytes, int ranks_involved) const;
   sim::Time alltoall_latency(std::size_t bytes) const;

@@ -1,5 +1,6 @@
 #include "simmpi/rank_process.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -127,13 +128,16 @@ sim::Time RankProcess::sample_compute(sim::Time mean, double cv) {
     combined_cv_ =
         std::sqrt(cv * cv + platform_.noise_cv * platform_.noise_cv);
   }
+  // Replay prefix (resume-from-checkpoint): already-checkpointed work costs
+  // only the floor, so the rank fast-forwards to its snapshot point. The
+  // stream advances as the draw would, so the variate stream keeps its shape.
+  if (actions_ < replay_target_) {
+    rng_.skip_lognormal(combined_cv_);
+    return 100;
+  }
   const double scaled = static_cast<double>(mean) * platform_.compute_scale *
                         compute_factor_;
   const double sampled = rng_.lognormal_mean_cv(scaled, combined_cv_);
-  // Replay prefix (resume-from-checkpoint): the draw above still happened —
-  // the variate stream keeps its shape — but already-checkpointed work
-  // costs only the floor, so the rank fast-forwards to its snapshot point.
-  if (actions_ < replay_target_) return 100;
   return std::max<sim::Time>(static_cast<sim::Time>(sampled), 100);
 }
 
@@ -199,10 +203,47 @@ void RankProcess::end_blocking_mpi() {
 }
 
 bool RankProcess::outstanding_complete() const {
+  // A completion key below the firing event's is one whose instant has
+  // passed: the request completed before this poll.
+  const sim::Key firing = engine_.firing();
   for (const auto& req : outstanding_) {
-    if (!req->complete) return false;
+    if (!(req->key < firing)) return false;
   }
   return true;
+}
+
+void RankProcess::await(Request& req) {
+  if (req.key == kUnmatchedKey) {
+    req.waiter = this;
+    ++awaiting_;
+  } else {
+    wake_key_ = std::max(wake_key_, req.key);
+  }
+}
+
+void RankProcess::block() {
+  if (awaiting_ == 0) wake();
+}
+
+void RankProcess::on_completion_key(sim::Key key) {
+  wake_key_ = std::max(wake_key_, key);
+  if (--awaiting_ == 0) wake();
+}
+
+void RankProcess::wake() {
+  const sim::Key key = std::exchange(wake_key_, sim::Key{});
+  auto resume = guarded([this] {
+    end_blocking_mpi();
+    advance();
+  });
+  // Every request completed before the call (a late Waitall): it returns
+  // after the call overhead. Otherwise the key was reserved during this
+  // event or by the match firing now, so it is still ahead.
+  if (key < engine_.firing()) {
+    engine_.schedule_after(kCallOverhead, std::move(resume));
+  } else {
+    engine_.schedule_at(key, std::move(resume));
+  }
 }
 
 void RankProcess::begin_test_loop(const Action& action) {
@@ -266,58 +307,34 @@ void RankProcess::dispatch(const Action& action) {
       begin_compute(action);
       return;
 
-    case Kind::kSend: {
+    // Send, Recv, Sendrecv and Waitall share one wait path: await() every
+    // request the call blocks on, then block(). The rank wakes with one
+    // event, at the latest of the requests' completion keys.
+    case Kind::kSend:
       begin_blocking_mpi(MpiFunc::kSend);
-      auto req = comm_.post_send(rank_, action.peer, action.tag, action.bytes);
-      auto resume = guarded([this] {
-        end_blocking_mpi();
-        advance();
-      });
-      if (req->complete) {
-        engine_.schedule_after(kCallOverhead, std::move(resume));
-      } else {
-        req->on_complete = std::move(resume);
-      }
+      await(*comm_.post_send(rank_, action.peer, action.tag, action.bytes));
+      block();
       return;
-    }
 
-    case Kind::kRecv: {
+    case Kind::kRecv:
       begin_blocking_mpi(MpiFunc::kRecv);
-      auto req = comm_.post_recv(rank_, action.peer, action.tag, action.bytes);
-      auto resume = guarded([this] {
-        end_blocking_mpi();
-        advance();
-      });
-      if (req->complete) {
-        engine_.schedule_after(kCallOverhead, std::move(resume));
-      } else {
-        req->on_complete = std::move(resume);
-      }
+      await(*comm_.post_recv(rank_, action.peer, action.tag, action.bytes));
+      block();
       return;
-    }
 
     case Kind::kSendrecv: {
       begin_blocking_mpi(MpiFunc::kSendrecv);
-      blocking_parts_pending_ = 2;
-      auto part_done = [this] {
-        if (--blocking_parts_pending_ > 0) return;
-        end_blocking_mpi();
-        advance();
-      };
       const Rank recv_peer =
           action.recv_peer >= 0 ? action.recv_peer : action.peer;
-      auto send_req =
+      // Post both halves before awaiting either: a Sendrecv with itself
+      // matches its own send, whose waiter must not be told first.
+      const RequestHandle send =
           comm_.post_send(rank_, action.peer, action.tag, action.bytes);
-      auto recv_req =
+      const RequestHandle recv =
           comm_.post_recv(rank_, recv_peer, action.tag, action.bytes);
-      for (auto& req : {send_req, recv_req}) {
-        auto resume = guarded(part_done);
-        if (req->complete) {
-          engine_.schedule_after(kCallOverhead, std::move(resume));
-        } else {
-          req->on_complete = std::move(resume);
-        }
-      }
+      await(*send);
+      await(*recv);
+      block();
       return;
     }
 
@@ -340,29 +357,14 @@ void RankProcess::dispatch(const Action& action) {
       return;
     }
 
-    case Kind::kWaitAll: {
+    case Kind::kWaitAll:
       begin_blocking_mpi(MpiFunc::kWaitall);
-      blocking_parts_pending_ = 0;
-      for (const auto& req : outstanding_) {
-        if (!req->complete) ++blocking_parts_pending_;
-      }
-      auto resume = [this] {
-        end_blocking_mpi();
-        outstanding_.clear();
-        advance();
-      };
-      if (blocking_parts_pending_ == 0) {
-        engine_.schedule_after(kCallOverhead, guarded(resume));
-        return;
-      }
-      for (const auto& req : outstanding_) {
-        if (req->complete) continue;
-        req->on_complete = guarded([this, resume] {
-          if (--blocking_parts_pending_ == 0) resume();
-        });
-      }
+      for (const auto& req : outstanding_) await(*req);
+      // An unmatched request stays alive in its channel until its key is
+      // fixed, so the handles can go now.
+      outstanding_.clear();
+      block();
       return;
-    }
 
     case Kind::kTestLoop:
       begin_test_loop(action);

@@ -31,7 +31,7 @@ enum class RankStatus : std::uint8_t {
 /// One simulated MPI process: executes its Program action by action,
 /// maintaining a call stack the inspector can snapshot, and cooperating
 /// with the CommEngine for every communication op.
-class RankProcess {
+class RankProcess : private CompletionWaiter {
  public:
   struct Hooks {
     /// Called once when the rank executes kFinish.
@@ -81,11 +81,12 @@ class RankProcess {
   std::uint64_t actions_executed() const noexcept { return actions_; }
 
   /// Resume-from-checkpoint support: fast-forward the first `actions - 1`
-  /// actions by clamping their compute durations to the floor (the RNG draw
-  /// still happens, keeping the variate stream's shape; communication runs
-  /// normally, so the replay prefix costs its comm time — the restore
-  /// duration). The action in flight when the snapshot was taken re-executes
-  /// at full cost: a rollback loses that partial work. Call before start().
+  /// actions by clamping their compute durations to the floor (the RNG
+  /// stream advances as the draw would, keeping the variate stream's shape;
+  /// communication runs normally, so the replay prefix costs its comm time
+  /// — the restore duration). The action in flight when the snapshot was
+  /// taken re-executes at full cost: a rollback loses that partial work.
+  /// Call before start().
   void set_replay_target(std::uint64_t actions) noexcept {
     replay_target_ = actions;
   }
@@ -151,6 +152,13 @@ class RankProcess {
   void test_loop_body();
   void test_loop_poll();
   bool outstanding_complete() const;
+  /// The wait path of the blocking point-to-point calls: await() each
+  /// request the call blocks on, then block(). wake() schedules the one
+  /// resume event once every awaited key is known.
+  void await(Request& req);
+  void block();
+  void on_completion_key(sim::Key key) override;
+  void wake();
 
   sim::Engine& engine_;
   CommEngine& comm_;
@@ -186,9 +194,10 @@ class RankProcess {
   sim::Time finished_at_ = -1;
   std::uint64_t actions_ = 0;
   std::uint64_t replay_target_ = 0;
-  /// Incomplete parts of the blocking call in progress: Sendrecv's two
-  /// halves, or Waitall's outstanding requests.
-  int blocking_parts_pending_ = 0;
+  /// Requests of the blocking call in progress whose keys are not fixed
+  /// yet, and the latest key among those that are.
+  int awaiting_ = 0;
+  sim::Key wake_key_;
 };
 
 }  // namespace parastack::simmpi

@@ -1,23 +1,40 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "sim/callback_pool.hpp"
+#include "sim/event_queue.hpp"
 
 namespace parastack::simmpi {
 
+/// A rank blocked on requests: told each one's completion key once the
+/// CommEngine has fixed it.
+struct CompletionWaiter {
+  virtual ~CompletionWaiter() = default;
+  virtual void on_completion_key(sim::Key key) = 0;
+};
+
+/// Stands for a completion key not fixed yet: it sorts after every real
+/// key, so an unmatched request is never done before the firing event and
+/// is always the latest of several.
+inline constexpr sim::Key kUnmatchedKey{
+    std::numeric_limits<sim::Time>::max(),
+    std::numeric_limits<std::uint64_t>::max()};
+
 /// A nonblocking-operation handle (the moral equivalent of MPI_Request).
-/// The CommEngine marks it complete at the modelled completion instant; an
-/// optional waiter callback (set by MPI_Waitall emulation) fires then.
-/// The waiter is a sim::PooledCallback, not a std::function: resume lambdas
-/// are posted on the per-message hot path and must not heap-allocate.
+/// When the CommEngine knows the modelled completion instant it reserves
+/// the engine key an event for that instant would get; no event fires for
+/// the completion itself. The request has completed once its key is below
+/// Engine::firing(). A rank that blocks on the request registers as its
+/// one waiter and is told the key when it is fixed, so it can schedule its
+/// own wake-up there.
 struct Request {
-  bool complete = false;
-  sim::PooledCallback on_complete;  ///< at most one waiter per request
-  std::uint32_t refs = 0;           ///< intrusive count (RequestHandle only)
+  sim::Key key = kUnmatchedKey;
+  CompletionWaiter* waiter = nullptr;  ///< at most one, told the key once
+  std::uint32_t refs = 0;              ///< intrusive count (RequestHandle only)
 };
 
 namespace detail {
@@ -41,8 +58,8 @@ class RequestArena {
   }
 
   void release(Request* req) noexcept {
-    req->complete = false;
-    req->on_complete.reset();
+    req->key = kUnmatchedKey;
+    req->waiter = nullptr;
     free_.push_back(req);
   }
 

@@ -44,6 +44,13 @@ class Rng {
   /// Lognormal such that the *mean* of the distribution is `mean` and the
   /// coefficient of variation is `cv`. Returns `mean` exactly when cv == 0.
   double lognormal_mean_cv(double mean, double cv) noexcept;
+  /// Advance the stream exactly as lognormal_mean_cv(mean, cv) would, for
+  /// any mean, without computing the variate.
+  void skip_lognormal(double cv) noexcept {
+    if (cv <= 0.0) return;
+    next();  // the two uniforms of normal()
+    next();
+  }
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept;
   /// Exponential with the given mean. Requires mean > 0.

@@ -91,6 +91,40 @@ expect_reject negative-trace-ranks "bad --trace-ranks value '-1'" \
   run --bench LU --ranks 32 --trace-ranks -1
 expect_reject overflowing-walltime "bad --walltime-min value '999999999999999'" \
   submit --bench LU --ranks 32 --walltime-min 999999999999999
+# --input is an NPB class (C, D or E) or, for HPL and HPCG, a positive whole
+# size: anything else once aborted the profile build or ran a nonsense size.
+expect_reject npb-input-class "bad --input value 'Z' (expected C, D or E)" \
+  run --bench LU --input Z
+expect_reject hpl-input-text "bad --input value 'abc' (expected an integer from 1 to" \
+  run --bench HPL --input abc
+expect_reject hpl-input-negative "bad --input value '-5'" \
+  run --bench HPL --input -5
+expect_reject hpcg-input-fraction "bad --input value '1.5'" \
+  run --bench HPCG --input 1.5
+# Every --tool-faults number must lie in its range: a probability outside
+# [0, 1] or a negative duration, instant, count or node is an error.
+expect_reject tool-fault-loss-above-one "loss takes 0 to 1, not 1.5" \
+  run --bench LU --ranks 64 --tool-faults loss=1.5
+expect_reject tool-fault-loss-negative "loss takes 0 to 1, not -0.5" \
+  run --bench LU --ranks 64 --tool-faults loss=-0.5
+expect_reject tool-fault-quorum-above-one "quorum takes 0 to 1, not 2" \
+  run --bench LU --ranks 64 --tool-faults quorum=2
+expect_reject tool-fault-crash-negative-instant "crash takes 0 to 1e9 s, not -3" \
+  run --bench LU --ranks 64 --tool-faults crash=rand@-3
+expect_reject tool-fault-crash-negative-node "crash takes 0 or more, not -2" \
+  run --bench LU --ranks 64 --tool-faults crash=-2@5
+expect_reject tool-fault-lead-crash-negative "lead-crash takes 0 to 1e9 s, not -1" \
+  run --bench LU --ranks 64 --tool-faults lead-crash=-1
+expect_reject tool-fault-retries-negative "retries takes 0 or more, not -1" \
+  run --bench LU --ranks 64 --tool-faults retries=-1
+expect_reject tool-fault-delay-negative "delay-ms takes 0 to 1e12 ms, not -1" \
+  run --bench LU --ranks 64 --tool-faults delay-ms=-1
+expect_reject tool-fault-timeout-negative "timeout-ms takes 0 to 1e12 ms, not -1" \
+  run --bench LU --ranks 64 --tool-faults timeout-ms=-1
+expect_reject tool-fault-backoff-negative "backoff-ms takes 0 to 1e12 ms, not -1" \
+  run --bench LU --ranks 64 --tool-faults backoff-ms=-1
+expect_reject tool-fault-rereg-negative "rereg-ms takes 0 to 1e12 ms, not -1" \
+  run --bench LU --ranks 64 --tool-faults rereg-ms=-1
 # Each telemetry artifact is a JSON document: two of them on stdout would
 # interleave into text no parser reads, so psim refuses and names both flags.
 expect_reject journal-and-trace-on-stdout "--journal and --chrome-trace" \

@@ -6,7 +6,10 @@
 // change to the engine's firing order, the comm engine's release order or
 // the robust model's support must reproduce them bit for bit. The metrics,
 // Chrome-trace, perf-counter and fleet digests were recorded before the
-// JSON writer was reworked, so every byte each sink renders is pinned.
+// JSON writer was reworked, so every byte each sink renders is pinned. The
+// CG perf dump counts engine events, so it was re-recorded when request
+// completions stopped firing events of their own: only `sim.events_fired`,
+// `sim.events_scheduled` and the `sim.queue_depth` high-water moved.
 //   - CG-64 (class C) on Stampede, no fault, a fixed 10 ms interval with
 //     tuning off: every `sample` line, and with it every S_crout value and
 //     every judgement.
@@ -107,7 +110,7 @@ constexpr Golden kGolden[] = {
     {"cg64-stampede-10ms", 0x7958bfb9d8fa3a8dULL, 3270948, 18230},
     {"cg64-stampede-10ms.metrics", 0x0f99cd67e539c6c3ULL, 1098, 0},
     {"cg64-stampede-10ms.trace", 0x511cda706a1950c7ULL, 9380871, 103798},
-    {"cg64-stampede-10ms.perf", 0xb3cb20d6da877cc9ULL, 462, 0},
+    {"cg64-stampede-10ms.perf", 0x49bcba509d2bbc88ULL, 462, 0},
     {"lu64-tardis-hang", 0xa82c5a0b88f3e1a5ULL, 210532, 1214},
     {"lu64-tardis-hang.metrics", 0x60701988cb82f086ULL, 1987, 0},
     {"lu64-tardis-hang.trace", 0xa7e9d4990ca6943fULL, 1149752, 12212},

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace parastack::sim {
@@ -305,6 +310,177 @@ TEST(Engine, InsertionOrderFifoAtEqualTimestampsSurvivesRecycling) {
   EXPECT_EQ(engine.events_scheduled(),
             engine.events_fired() + engine.events_cancelled() +
                 engine.events_pending());
+}
+
+/// One side of the reserved-key differential test. Every side follows one
+/// script: the number of each fired event seeds the pushes, reservations
+/// and cancels it performs, so two sides diverge only if their firing
+/// orders do. A side that holds keys schedules each reserved event later
+/// than its reservation — in random order, at any event before it is due —
+/// instead of at once.
+class ReservationScript {
+ public:
+  static constexpr int kEvents = 20000;
+
+  explicit ReservationScript(bool hold_keys) : hold_keys_(hold_keys) {}
+
+  void run() {
+    script(0);
+    flush();
+    engine_.run_until_idle();
+  }
+
+  const std::vector<std::pair<int, Key>>& fired() const { return fired_; }
+  int held() const { return static_cast<int>(held_.size()); }
+  int scheduled_late() const { return scheduled_late_; }
+  int cancels() const { return cancels_; }
+
+ private:
+  struct Held {
+    Key key;
+    int event;
+    int reserved_in;  // flush cycle of the reservation
+  };
+
+  void fire(int event) {
+    fired_.emplace_back(event, engine_.firing());
+    untrack(event);
+    script(static_cast<std::uint64_t>(event) + 1);
+    flush();
+  }
+
+  auto callback(int event) {
+    return [this, event] { fire(event); };
+  }
+
+  void script(std::uint64_t seed) {
+    static constexpr Time kDelays[] = {0, 0, 1, 5, 100, 1000};
+    std::mt19937_64 rng(seed);
+    const int ops = seed == 0 ? 32 : 1 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < ops && next_ < kEvents; ++i) {
+      const Time t = engine_.now() + kDelays[rng() % 6];
+      switch (rng() % 5) {
+        case 0:
+        case 1:  // a plain push
+          track(next_, t, engine_.schedule_at(t, callback(next_)));
+          ++next_;
+          break;
+        case 2:
+        case 3: {  // a reserved key
+          const Key key = engine_.reserve(t);
+          if (hold_keys_) {
+            held_.push_back({key, next_, cycle_});
+          } else {
+            track(next_, t, engine_.schedule_at(key, callback(next_)));
+          }
+          ++next_;
+          break;
+        }
+        default:  // cancel an earlier event, whether or not it fired
+          if (next_ > 0) {
+            cancel(static_cast<int>(rng() % static_cast<std::uint64_t>(next_)));
+          }
+          break;
+      }
+    }
+  }
+
+  void cancel(int event) {
+    const auto held =
+        std::find_if(held_.begin(), held_.end(),
+                     [event](const Held& h) { return h.event == event; });
+    if (held != held_.end()) {  // never scheduled, so it never fires
+      held_.erase(held);
+      ++cancels_;
+      return;
+    }
+    const auto it = queued_.find(event);
+    if (it == queued_.end()) return;
+    engine_.cancel(it->second.second);
+    untrack(event);
+    ++cancels_;
+  }
+
+  /// Schedule held keys: each with probability 1/3, and every one that may
+  /// be due. A key whose time is above a queued event's cannot fire next,
+  /// and scheduling more events only lowers the queue's earliest time.
+  void flush() {
+    std::shuffle(held_.begin(), held_.end(), choose_);
+    std::vector<Held> keep;
+    for (const Held& h : held_) {
+      const bool due = times_.empty() || h.key.time <= *times_.begin();
+      if (!due && choose_() % 3 != 0) {
+        keep.push_back(h);
+        continue;
+      }
+      track(h.event, h.key.time,
+            engine_.schedule_at(h.key, callback(h.event)));
+      if (h.reserved_in != cycle_) ++scheduled_late_;
+    }
+    held_ = std::move(keep);
+    ++cycle_;
+  }
+
+  void track(int event, Time t, Engine::EventId id) {
+    queued_[event] = {t, id};
+    times_.insert(t);
+  }
+
+  void untrack(int event) {
+    const auto it = queued_.find(event);
+    times_.erase(times_.find(it->second.first));
+    queued_.erase(it);
+  }
+
+  Engine engine_;
+  bool hold_keys_;
+  std::mt19937_64 choose_{99};
+  int next_ = 0;
+  int cycle_ = 0;
+  int scheduled_late_ = 0;
+  int cancels_ = 0;
+  std::vector<Held> held_;
+  std::map<int, std::pair<Time, Engine::EventId>> queued_;  // by event number
+  std::multiset<Time> times_;                               // of queued_
+  std::vector<std::pair<int, Key>> fired_;
+};
+
+TEST(EngineTest, ReservedKeysFireWhereReserved) {
+  ReservationScript eager(false);
+  ReservationScript late(true);
+  eager.run();
+  late.run();
+  EXPECT_EQ(late.held(), 0);
+  ASSERT_EQ(eager.fired().size(), late.fired().size());
+  EXPECT_TRUE(eager.fired() == late.fired());
+  // The script exercised what it is about: many events, keys scheduled at
+  // a later event than their reservation, cancels, and equal-time ties.
+  EXPECT_GT(eager.fired().size(), 10000u);
+  EXPECT_GT(late.scheduled_late(), 1000);
+  EXPECT_GT(late.cancels(), 1000);
+  int ties = 0;
+  for (std::size_t i = 1; i < late.fired().size(); ++i) {
+    if (late.fired()[i].second.time == late.fired()[i - 1].second.time) ++ties;
+  }
+  EXPECT_GT(ties, 1000);
+}
+
+TEST(EngineDeath, ScheduleAtAKeyNotAfterTheFiringEventFails) {
+  Engine engine;
+  const Key passed = engine.reserve(10);
+  const Key fired = engine.reserve(10);
+  engine.schedule_at(fired, [] {});
+  engine.run_until_idle();
+  EXPECT_EQ(engine.firing(), fired);
+  constexpr const char* kMessage = "not a reserved key after the firing event";
+  EXPECT_DEATH(engine.schedule_at(passed, [] {}), kMessage);
+  EXPECT_DEATH(engine.schedule_at(fired, [] {}), kMessage);
+  // A key never handed out.
+  EXPECT_DEATH(engine.schedule_at(Key{20, 1000}, [] {}), kMessage);
+  const Key overtaken = engine.reserve(15);
+  engine.run_until(20);  // the clock passes the key's time
+  EXPECT_DEATH(engine.schedule_at(overtaken, [] {}), kMessage);
+  EXPECT_DEATH((void)engine.reserve(19), "past");
 }
 
 }  // namespace

@@ -17,16 +17,29 @@ class CommEngineTest : public ::testing::Test {
     platform_.eager_threshold_bytes = 64 * 1024;
   }
 
+  /// An eager send's local injection cost: 0.5 us plus the buffer copy at
+  /// link bandwidth.
+  sim::Time eager_cost(std::size_t bytes) const {
+    return sim::from_micros(0.5) +
+           static_cast<sim::Time>(static_cast<double>(bytes) /
+                                  (platform_.network_bandwidth_gbps * 0.125));
+  }
+
   sim::Engine engine_;
   sim::Platform platform_;
 };
 
+// A completion fires no event, so running the engine no longer moves the
+// clock to it: where these tests once checked a completed flag after
+// running, they check the completion key and its instant.
+
 TEST_F(CommEngineTest, EagerSendCompletesWithoutReceiver) {
   CommEngine comm(engine_, platform_, 4);
   auto send = comm.post_send(0, 1, 5, 1024);  // below the eager threshold
-  EXPECT_FALSE(send->complete);
+  EXPECT_GT(send->key, engine_.firing());     // not complete yet
   engine_.run_until_idle();
-  EXPECT_TRUE(send->complete);
+  EXPECT_EQ(send->key.time, eager_cost(1024));
+  EXPECT_EQ(engine_.events_fired(), 0u);
   EXPECT_EQ(comm.matches(), 0u);
 }
 
@@ -34,11 +47,14 @@ TEST_F(CommEngineTest, RendezvousSendWaitsForReceiver) {
   CommEngine comm(engine_, platform_, 4);
   auto send = comm.post_send(0, 1, 5, 1024 * 1024);  // rendezvous
   engine_.run_until(sim::kSecond);
-  EXPECT_FALSE(send->complete);
+  EXPECT_EQ(send->key, kUnmatchedKey);
   auto recv = comm.post_recv(1, 0, 5, 1024 * 1024);
   engine_.run_until_idle();
-  EXPECT_TRUE(send->complete);
-  EXPECT_TRUE(recv->complete);
+  // Both complete when the transfer that starts at the match finishes.
+  const sim::Time done = sim::kSecond + platform_.transfer_time(1024 * 1024);
+  EXPECT_EQ(send->key.time, done);
+  EXPECT_EQ(recv->key.time, done);
+  EXPECT_LT(send->key, recv->key);
   EXPECT_EQ(comm.matches(), 1u);
 }
 
@@ -46,10 +62,10 @@ TEST_F(CommEngineTest, RecvCompletesAfterEagerArrival) {
   CommEngine comm(engine_, platform_, 2);
   auto recv = comm.post_recv(1, 0, 3, 512);
   engine_.run_until(sim::kSecond);
-  EXPECT_FALSE(recv->complete);
+  EXPECT_EQ(recv->key, kUnmatchedKey);
   comm.post_send(0, 1, 3, 512);
   engine_.run_until_idle();
-  EXPECT_TRUE(recv->complete);
+  EXPECT_EQ(recv->key.time, sim::kSecond + platform_.transfer_time(512));
 }
 
 TEST_F(CommEngineTest, TagsKeepChannelsSeparate) {
@@ -57,10 +73,10 @@ TEST_F(CommEngineTest, TagsKeepChannelsSeparate) {
   auto recv_tag7 = comm.post_recv(1, 0, 7, 512);
   comm.post_send(0, 1, 9, 512);  // different tag: must not match
   engine_.run_until_idle();
-  EXPECT_FALSE(recv_tag7->complete);
+  EXPECT_EQ(recv_tag7->key, kUnmatchedKey);
   comm.post_send(0, 1, 7, 512);
   engine_.run_until_idle();
-  EXPECT_TRUE(recv_tag7->complete);
+  EXPECT_EQ(recv_tag7->key.time, platform_.transfer_time(512));
 }
 
 TEST_F(CommEngineTest, DirectionMatters) {
@@ -68,7 +84,7 @@ TEST_F(CommEngineTest, DirectionMatters) {
   auto recv = comm.post_recv(0, 1, 4, 256);  // 0 receives from 1
   comm.post_send(0, 1, 4, 256);              // 0 sends to 1: no match
   engine_.run_until_idle();
-  EXPECT_FALSE(recv->complete);
+  EXPECT_EQ(recv->key, kUnmatchedKey);
 }
 
 TEST_F(CommEngineTest, FifoMatchingPerChannel) {
@@ -77,15 +93,16 @@ TEST_F(CommEngineTest, FifoMatchingPerChannel) {
   auto recv2 = comm.post_recv(1, 0, 1, 128);
   comm.post_send(0, 1, 1, 128);
   engine_.run_until_idle();
-  EXPECT_TRUE(recv1->complete);   // first posted matches first
-  EXPECT_FALSE(recv2->complete);
+  // The first posted matches first.
+  EXPECT_EQ(recv1->key.time, platform_.transfer_time(128));
+  EXPECT_EQ(recv2->key, kUnmatchedKey);
 }
 
 TEST_F(CommEngineTest, UnmatchedRecvNeverCompletes) {
   CommEngine comm(engine_, platform_, 2);
   auto recv = comm.post_recv(1, 0, 1, 128);
   engine_.run_until(10 * sim::kSecond);
-  EXPECT_FALSE(recv->complete);  // the hang primitive
+  EXPECT_EQ(recv->key, kUnmatchedKey);  // the hang primitive
 }
 
 TEST_F(CommEngineTest, SynchronizingCollectiveWaitsForAll) {
@@ -240,13 +257,24 @@ TEST_F(CommEngineTest, AlltoallCostGrowsWithPayload) {
 }
 
 TEST_F(CommEngineTest, WaiterCallbackFiresOnCompletion) {
+  // The one waiter learns the key at the match, once, with the payload's
+  // arrival instant.
+  struct KeyWaiter : CompletionWaiter {
+    void on_completion_key(sim::Key key) override { keys.push_back(key); }
+    std::vector<sim::Key> keys;
+  };
   CommEngine comm(engine_, platform_, 2);
   auto recv = comm.post_recv(1, 0, 2, 64);
-  bool notified = false;
-  recv->on_complete = [&] { notified = true; };
+  KeyWaiter waiter;
+  recv->waiter = &waiter;
   comm.post_send(0, 1, 2, 64);
+  ASSERT_EQ(waiter.keys.size(), 1u);
+  EXPECT_EQ(waiter.keys[0], recv->key);
+  EXPECT_EQ(recv->key.time, platform_.transfer_time(64));
+  EXPECT_EQ(recv->waiter, nullptr);
   engine_.run_until_idle();
-  EXPECT_TRUE(notified);
+  EXPECT_EQ(waiter.keys.size(), 1u);
+  EXPECT_EQ(engine_.events_fired(), 0u);
 }
 
 TEST_F(CommEngineTest, DeathOnBadRanks) {

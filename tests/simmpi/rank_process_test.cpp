@@ -118,6 +118,64 @@ TEST_F(RankProcessTest, WaitallBlocksUntilPeerPosts) {
   EXPECT_TRUE(a->finished());
 }
 
+// A blocking call wakes its rank with one engine event, at the latest
+// completion of the requests it blocks on, however many there are. The
+// peers' halves are posted straight into the CommEngine by one event each;
+// nobody waits on their requests. Messages are above the eager threshold,
+// so every request completes only at its match, while rank 0 is blocked.
+// One event per request completion would add one event for each of rank
+// 0's requests and one for each of the peers'.
+TEST_F(RankProcessTest, WaitallOverFourHaloRequestsCostsOneEvent) {
+  constexpr std::size_t kBytes = 1024 * 1024;
+  auto a = make_rank(
+      0, {Action::irecv(1, 4, kBytes), Action::irecv(2, 4, kBytes),
+          Action::isend(1, 4, kBytes), Action::isend(2, 4, kBytes),
+          Action::wait_all()});
+  a->start();
+  engine_.run_until(sim::from_millis(1));
+  EXPECT_EQ(a->stack().innermost_mpi_frame(), "pmpi_progress_wait");
+  const std::uint64_t before = engine_.events_fired();
+  engine_.schedule_at(1 * sim::kSecond, [this] {
+    (void)comm_->post_send(1, 0, 4, kBytes);
+  });
+  engine_.schedule_at(2 * sim::kSecond, [this] {
+    (void)comm_->post_recv(1, 0, 4, kBytes);
+  });
+  engine_.schedule_at(3 * sim::kSecond, [this] {
+    (void)comm_->post_send(2, 0, 4, kBytes);
+  });
+  engine_.schedule_at(4 * sim::kSecond, [this] {
+    (void)comm_->post_recv(2, 0, 4, kBytes);
+  });
+  engine_.run_until_idle();
+  EXPECT_TRUE(a->finished());
+  // Four posts and one wake-up, at the last completion's instant.
+  EXPECT_EQ(engine_.events_fired() - before, 4u + 1u);
+  EXPECT_EQ(a->finished_at(),
+            4 * sim::kSecond + platform_.transfer_time(kBytes));
+}
+
+TEST_F(RankProcessTest, SendrecvCostsOneEvent) {
+  constexpr std::size_t kBytes = 1024 * 1024;
+  auto a = make_rank(0, {Action::sendrecv(1, 3, kBytes)});
+  a->start();
+  engine_.run_until(sim::from_millis(1));
+  EXPECT_EQ(a->stack().innermost_mpi_frame(), "pmpi_progress_wait");
+  const std::uint64_t before = engine_.events_fired();
+  engine_.schedule_at(1 * sim::kSecond, [this] {
+    (void)comm_->post_send(1, 0, 3, kBytes);
+  });
+  engine_.schedule_at(2 * sim::kSecond, [this] {
+    (void)comm_->post_recv(1, 0, 3, kBytes);
+  });
+  engine_.run_until_idle();
+  EXPECT_TRUE(a->finished());
+  // Two posts and one wake-up, at the later completion's instant.
+  EXPECT_EQ(engine_.events_fired() - before, 2u + 1u);
+  EXPECT_EQ(a->finished_at(),
+            2 * sim::kSecond + platform_.transfer_time(kBytes));
+}
+
 TEST_F(RankProcessTest, TestLoopFlipsBetweenStates) {
   std::deque<Action> script = {Action::irecv(1, 4, 128),
                                Action::test_loop("hpl_spread_loop")};

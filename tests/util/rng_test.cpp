@@ -105,6 +105,20 @@ TEST(Rng, LognormalZeroCvIsExact) {
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(3.5, 0.0), 3.5);
 }
 
+TEST(Rng, SkipLognormalAdvancesLikeADraw) {
+  // The replay prefix skips draws it would discard: the stream must be
+  // left exactly where the draw leaves it, for every kind of cv the draw
+  // tells apart (above 0 draws, 0 and below do not, NaN does).
+  for (const double cv : {0.3, 0.0, -0.5, std::nan("")}) {
+    SCOPED_TRACE(cv);
+    Rng drawn(5);
+    Rng skipped(5);
+    (void)drawn.lognormal_mean_cv(1e6, cv);
+    skipped.skip_lognormal(cv);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(drawn.next(), skipped.next());
+  }
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(23);
   int hits = 0;

@@ -295,8 +295,9 @@ faults::FaultType parse_fault(const std::string& name, bool& ok) {
 /// Parse the --tool-faults spec: comma-separated key=value entries, e.g.
 ///   --tool-faults=loss=0.05,crash=rand@120,lead-crash=200,fallback
 /// Keys map onto faults::ToolFaultPlan (plus the detector quorum knobs and
-/// the harness fallback switch). Unknown keys and malformed values are
-/// rejected loudly — a typo must not silently run a faults-off campaign.
+/// the harness fallback switch). Unknown keys and malformed or out-of-range
+/// values are rejected loudly — a typo must not silently run a faults-off
+/// campaign.
 bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
   constexpr const char* kKeys =
       "loss|delay-ms|crash|lead-crash|timeout-ms|retries|backoff-ms|"
@@ -311,10 +312,32 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
     const std::string key = entry.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : entry.substr(eq + 1);
+    // Every number must lie in its range; the caps keep each duration and
+    // instant inside sim::Time.
+    const auto number = [&key](const std::string& text, double hi,
+                               const char* range) {
+      const double x = Args::parse_whole<double>(text);
+      if (x >= 0.0 && x <= hi) return x;
+      throw std::invalid_argument(key + " takes " + range + ", not " + text);
+    };
+    const auto fraction = [&](const std::string& text) {
+      return number(text, 1.0, "0 to 1");
+    };
+    const auto millis = [&](const std::string& text) {
+      return sim::from_millis(number(text, 1e12, "0 to 1e12 ms"));
+    };
+    const auto seconds = [&](const std::string& text) {
+      return sim::from_seconds(number(text, 1e9, "0 to 1e9 s"));
+    };
+    const auto count = [&](const std::string& text) {
+      const int n = Args::parse_whole<int>(text);
+      if (n >= 0) return n;
+      throw std::invalid_argument(key + " takes 0 or more, not " + text);
+    };
     if (key == "loss") {
-      plan.loss_probability = Args::parse_whole<double>(value);
+      plan.loss_probability = fraction(value);
     } else if (key == "delay-ms") {
-      plan.delay_mean = sim::from_millis(Args::parse_whole<double>(value));
+      plan.delay_mean = millis(value);
     } else if (key == "crash") {
       // NODE@SEC, or rand@SEC for a seed-chosen non-lead monitor.
       const std::size_t at = value.find('@');
@@ -327,26 +350,23 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
       }
       faults::MonitorCrash crash;
       const std::string node = value.substr(0, at);
-      crash.monitor = node == "rand" ? -1 : Args::parse_whole<int>(node);
-      crash.at =
-          sim::from_seconds(Args::parse_whole<double>(value.substr(at + 1)));
+      crash.monitor = node == "rand" ? -1 : count(node);
+      crash.at = seconds(value.substr(at + 1));
       plan.monitor_crashes.push_back(crash);
     } else if (key == "lead-crash") {
-      plan.lead_crash_at = sim::from_seconds(Args::parse_whole<double>(value));
+      plan.lead_crash_at = seconds(value);
     } else if (key == "timeout-ms") {
-      plan.sample_timeout = sim::from_millis(Args::parse_whole<double>(value));
+      plan.sample_timeout = millis(value);
     } else if (key == "retries") {
-      plan.max_retries = Args::parse_whole<int>(value);
+      plan.max_retries = count(value);
     } else if (key == "backoff-ms") {
-      plan.retry_backoff = sim::from_millis(Args::parse_whole<double>(value));
+      plan.retry_backoff = millis(value);
     } else if (key == "rereg-ms") {
-      plan.reregistration_latency =
-          sim::from_millis(Args::parse_whole<double>(value));
+      plan.reregistration_latency = millis(value);
     } else if (key == "seed") {
       plan.seed = Args::parse_whole<std::uint64_t>(value);
     } else if (key == "quorum") {
-      config.parastack_config().coverage_quorum =
-          Args::parse_whole<double>(value);
+      config.parastack_config().coverage_quorum = fraction(value);
     } else if (key == "degraded-after") {
       config.parastack_config().degraded_mode_after =
           Args::parse_whole<std::size_t>(value);
@@ -375,7 +395,17 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
     return config;
   }
   config.nranks = args.get_whole<int>("ranks", 256, 1, kMaxRanks);
+  // --input is an NPB class, or a positive whole size for HPL and HPCG:
+  // anything else aborted the profile build or ran a nonsense size.
   config.input = args.get("input", "");
+  if (config.bench == workloads::Bench::kHPL ||
+      config.bench == workloads::Bench::kHPCG) {
+    (void)args.get_whole<std::uint64_t>("input", 1, 1);
+  } else if (!config.input.empty() && config.input != "C" &&
+             config.input != "D" && config.input != "E") {
+    throw std::invalid_argument("bad --input value '" + config.input +
+                                "' (expected C, D or E)");
+  }
   const std::string platform = args.get("platform", "Tianhe-2");
   if (platform == "Tardis") {
     config.platform = sim::Platform::tardis();
@@ -489,8 +519,9 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
         ok = false;
         return config;
       }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad --tool-faults value in '%s'\n", spec.c_str());
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "bad --tool-faults value in '%s': %s\n",
+                   spec.c_str(), error.what());
       ok = false;
       return config;
     }
