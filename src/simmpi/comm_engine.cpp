@@ -33,8 +33,8 @@ CommEngine::CommEngine(sim::Engine& engine, const sim::Platform& platform,
 }
 
 void CommEngine::complete_at(Request& req, sim::Time t) {
-  // Reserve where a completion event used to be scheduled, so every other
-  // event keeps its sequence number.
+  // The key is reserved at the match, so its place in the firing order is
+  // where an event scheduled for the completion now would fire.
   req.key = engine_.reserve(t);
   if (req.waiter != nullptr) {
     std::exchange(req.waiter, nullptr)->on_completion_key(req.key);

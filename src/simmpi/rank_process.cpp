@@ -203,8 +203,7 @@ void RankProcess::end_blocking_mpi() {
 }
 
 bool RankProcess::outstanding_complete() const {
-  // A completion key below the firing event's is one whose instant has
-  // passed: the request completed before this poll.
+  // A key below the firing event's is a completion that has passed.
   const sim::Key firing = engine_.firing();
   for (const auto& req : outstanding_) {
     if (!(req->key < firing)) return false;
@@ -326,8 +325,9 @@ void RankProcess::dispatch(const Action& action) {
       begin_blocking_mpi(MpiFunc::kSendrecv);
       const Rank recv_peer =
           action.recv_peer >= 0 ? action.recv_peer : action.peer;
-      // Post both halves before awaiting either: a Sendrecv with itself
-      // matches its own send, whose waiter must not be told first.
+      // Post both halves before awaiting either: in a Sendrecv with itself
+      // the receive matches the send, which must not wake the rank before
+      // the receive is counted.
       const RequestHandle send =
           comm_.post_send(rank_, action.peer, action.tag, action.bytes);
       const RequestHandle recv =

@@ -396,7 +396,7 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
   }
   config.nranks = args.get_whole<int>("ranks", 256, 1, kMaxRanks);
   // --input is an NPB class, or a positive whole size for HPL and HPCG:
-  // anything else aborted the profile build or ran a nonsense size.
+  // anything else would abort the profile build or run a nonsense size.
   config.input = args.get("input", "");
   if (config.bench == workloads::Bench::kHPL ||
       config.bench == workloads::Bench::kHPCG) {
