@@ -47,11 +47,11 @@ void BM_P2pMatch(benchmark::State& state) {
   sim::Engine engine;
   const auto platform = sim::Platform::tianhe2();
   simmpi::CommEngine comm(engine, platform, 2);
-  int tag = 0;
+  // One tag for every pair: each iteration matches on the same channel, so
+  // the channel table stays one entry and the loop times matching alone.
   for (auto _ : state) {
-    comm.post_recv(1, 0, tag, 1024);
-    comm.post_send(0, 1, tag, 1024);
-    ++tag;
+    comm.post_recv(1, 0, 0, 1024);
+    comm.post_send(0, 1, 0, 1024);
     engine.run_until_idle();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

@@ -23,27 +23,27 @@ namespace parastack::core {
 /// The distributed tool topology of paper §3.3/§5: ParaStack launches one
 /// monitor per node. At any moment only the monitors hosting currently
 /// monitored ranks are ACTIVE — they ptrace their local targets and send
-/// one partial count toward the lead monitor, which aggregates S_crout.
+/// one partial count toward the root monitor, which aggregates S_crout.
 /// All other monitors idle in a sleep + nonblocking-probe loop. This is
 /// what makes the tool's cost O(C), independent of the job size:
 ///   - at most C processes are traced per sample,
 ///   - at most C monitor messages cross the network per sample,
 ///   - idle monitors consume (simulated) nothing.
 ///
-/// Two aggregation shapes exist. The compatibility default is the paper's
-/// flat star: every active monitor reports straight to the lead. Arming a
-/// k-ary MonitorTopology (set_topology) routes partial counts level by
-/// level up an aggregation tree instead, bounding every monitor's fan-in
-/// by O(fanout) so the root never becomes the hot spot at extreme scale.
+/// Partial counts climb a MonitorTopology, level by level. The default is
+/// the paper's flat star — the one-level tree with monitor 0 at the root
+/// and every other monitor its child. set_topology can arm a k-ary tree
+/// instead, bounding every monitor's fan-in by O(fanout) so the root never
+/// becomes the hot spot at extreme scale. Both shapes run the same path.
 ///
-/// The network can additionally carry a faults::ToolFaultPlan
-/// (set_tool_faults): partial-count messages may then be lost or delayed
-/// per hop, monitors may crash on a schedule, a dead root triggers
-/// deterministic failover to its lowest surviving child (star: the lowest
-/// surviving monitor id), and a dead interior monitor promotes its lowest
-/// surviving child and re-parents the subtree. With no plan (or an
-/// inactive one) the original zero-fault path runs unchanged — no extra
-/// RNG draws, identical accounting, identical telemetry.
+/// The network also carries a faults::ToolFaultPlan (set_tool_faults):
+/// partial-count messages may be lost or delayed per hop and monitors may
+/// crash on a schedule. A dead monitor leaves the topology: its lowest
+/// surviving child takes its place and adopts the siblings, so a dead root
+/// fails over to its lowest surviving child (in the star, the lowest
+/// surviving monitor id). Without set_tool_faults the plan is the empty
+/// one: it injects nothing, and its per-hop draws come from the tool's
+/// private stream, which nothing else reads.
 class MonitorNetwork {
  public:
   explicit MonitorNetwork(simmpi::World& world,
@@ -53,16 +53,15 @@ class MonitorNetwork {
   explicit MonitorNetwork(MonitorSubstrate& substrate);
 
   struct Measurement {
-    double scrout = 0.0;      ///< over the partials that reached the lead
+    double scrout = 0.0;      ///< over the partials that reached the root
     int ranks_traced = 0;     ///< ranks actually ptraced this sample
     int active_monitors = 0;  ///< distinct nodes hosting the set
-    /// Tool-internal latency to gather the partial counts at the root.
-    /// Star: one binomial-tree gather over the active monitors. Tree: the
-    /// sum of the per-level gathers along the aggregation tree. Both plus
-    /// timeout/retry/failover penalties under an active tool-fault plan.
+    /// Tool-internal latency to gather the partial counts at the root: the
+    /// sum of the per-level binomial gathers along the topology, plus
+    /// timeout/retry/failover penalties under a tool-fault plan.
     sim::Time aggregation_latency = 0;
-    /// Aggregation rounds behind `aggregation_latency`: the binomial
-    /// gather depth for the star, the deepest carrier level for a tree.
+    /// Gather levels behind `aggregation_latency`: the deepest carrier's
+    /// level (the star: 1, or 0 when only the root's node is sampled).
     int levels = 0;
     /// Partial counts received directly by the root this sample (the
     /// root's fan-in — O(active monitors) for the star, O(fanout) for a
@@ -81,29 +80,22 @@ class MonitorNetwork {
   /// inspector.
   Measurement measure(const std::vector<simmpi::Rank>& set);
 
-  /// Arm the k-ary aggregation tree. Call before the first sample and
-  /// before set_tool_faults (crash victim selection must know the root).
-  /// A non-tree config (fanout <= 0, the "infinite fanout" star) is
-  /// ignored and keeps the flat-star path byte-identical.
+  /// Rebuild the aggregation topology from `config`: a k-ary tree, or the
+  /// star for fanout <= 0 (its level deadline applies either way). Call
+  /// before the first sample and before set_tool_faults (crash victim
+  /// selection must know the root).
   void set_topology(const TopologyConfig& config);
-  bool tree_mode() const noexcept { return topology_.built(); }
-  /// The armed tree (star mode: nullptr).
-  const MonitorTopology* topology() const noexcept {
-    return topology_.built() ? &topology_ : nullptr;
-  }
+  const MonitorTopology& topology() const noexcept { return topology_; }
 
-  /// Arm the tool-side fault model. Call before the first sample; an
-  /// inactive plan is ignored (the healthy path stays byte-identical).
+  /// Arm the tool-side fault model. Call before the first sample.
   void set_tool_faults(const faults::ToolFaultPlan& plan);
-  bool tool_faults_active() const noexcept { return plan_.has_value(); }
+  bool tool_faults_active() const noexcept { return plan_.active(); }
 
   int monitor_count() const noexcept { return sub_.nnodes(); }
   /// Monitors that would be active for `set` (distinct hosting nodes).
   int active_monitors_for(const std::vector<simmpi::Rank>& set) const;
-  /// Current aggregation root (star: lowest surviving monitor id; tree:
-  /// the topology root; -1 = none left). Without a fault plan the lead is
-  /// immortal.
-  int lead_monitor() const noexcept { return lead_; }
+  /// Current aggregation root (-1 once every monitor is dead).
+  int lead_monitor() const noexcept { return topology_.root(); }
   bool monitor_alive(int node) const;
 
   /// Cumulative tool-internal traffic (for the scalability accounting).
@@ -113,25 +105,26 @@ class MonitorNetwork {
   /// Ranks traced through the network (sampling only; detection-time full
   /// sweeps go directly through the inspector and are one-off O(P)).
   std::uint64_t ranks_traced_total() const noexcept { return traced_; }
-  /// Messages received directly by the root (== messages_sent for the
-  /// star; O(fanout) per sample for a tree).
+  /// Partial counts received directly by the root (O(active monitors) per
+  /// sample for the star; O(fanout) for a tree).
   std::uint64_t root_messages() const noexcept { return root_messages_; }
-  /// Parent-hops traversed by aggregated partials (tree mode; the star
-  /// counts every message as one hop to the lead).
+  /// Parent-hops traversed by partials, retransmissions included (every
+  /// tool message is one hop).
   std::uint64_t tree_hops() const noexcept { return tree_hops_; }
   /// Largest per-monitor fan-in seen in any single sample.
   int max_fan_in() const noexcept { return max_fan_in_; }
-  /// Tree levels whose gather hit the per-level deadline and forwarded
-  /// early (always zero in star mode or without a configured deadline).
+  /// Gather levels that hit the per-level deadline and forwarded early
+  /// (always zero without a configured deadline).
   std::uint64_t level_deadline_hits() const noexcept {
     return deadline_hits_;
   }
 
-  /// Tool-fault outcome counters (all zero without an active plan).
+  /// Tool-fault outcome counters (all zero under the empty plan).
   std::uint64_t monitor_crashes() const noexcept { return crashes_; }
   std::uint64_t lead_failovers() const noexcept { return failovers_; }
   /// Interior-monitor deaths that promoted a child and re-parented its
-  /// subtree (tree mode only; root deaths count as lead failovers).
+  /// subtree (root deaths count as lead failovers; the star has no
+  /// interior monitors).
   std::uint64_t subtree_failovers() const noexcept {
     return subtree_failovers_;
   }
@@ -139,30 +132,19 @@ class MonitorNetwork {
   std::uint64_t retransmissions() const noexcept { return retries_total_; }
 
  private:
-  Measurement measure_healthy(const std::vector<simmpi::Rank>& set);
-  Measurement measure_under_faults(const std::vector<simmpi::Rank>& set);
-  Measurement measure_tree_healthy(const std::vector<simmpi::Rank>& set);
-  Measurement measure_tree_under_faults(const std::vector<simmpi::Rank>& set);
+  /// Build the star, size the per-node state and resolve the perf
+  /// counters (both constructors).
+  void init();
   /// Apply every scheduled crash whose instant has passed; maintains the
   /// root and emits crash/failover telemetry.
   void advance_tool_state(sim::Time now);
   void crash_monitor(int node, sim::Time at);
   void emit_sample_event(const Measurement& measurement, std::uint64_t messages,
                          std::uint64_t bytes);
-  void init_perf();
-  void init_tree_perf();
-  /// Distinct nodes hosting `set`, via the pooled node mark (no sort, no
-  /// allocation once the scratch is warm).
-  int count_active_nodes(const std::vector<simmpi::Rank>& set);
-  /// Group `set` by hosting node into the pooled CSR scratch:
-  /// active_nodes_ ascending, grouped_ holding the ranks node by node
-  /// (set order within a node), group_offset_[i] the start of node i's
-  /// slice. Replaces the per-sample vector-of-vectors.
-  void group_set_by_node(const std::vector<simmpi::Rank>& set);
-  /// Collect the carriers (active nodes plus their ancestors) for the
-  /// current grouping into carriers_, deepest level first, ascending node
-  /// id within a level; fills fan_in_ for every carrier.
-  void collect_carriers(bool alive_only);
+  /// Collect the carriers (alive active nodes plus their ancestors) into
+  /// carriers_, deepest level first, ascending node id within a level;
+  /// fills fan_in_ for every carrier.
+  void collect_carriers();
   /// Sum of per-level binomial gathers over the carrier fan-ins; also
   /// updates the fan-in high-water marks and emits MonitorLevelEvents.
   sim::Time tree_gather_latency(int levels, sim::Time now);
@@ -177,19 +159,18 @@ class MonitorNetwork {
   std::uint64_t tree_hops_ = 0;
   int max_fan_in_ = 0;
 
-  // Aggregation topology (flat star unless set_topology armed a tree).
+  // Aggregation topology (the star unless set_topology armed a tree).
   MonitorTopology topology_;
   sim::Time level_deadline_ = 0;  ///< per-level gather cap (0 = none)
   std::uint64_t deadline_hits_ = 0;
 
-  // Tool-fault state (untouched unless set_tool_faults armed a plan).
-  std::optional<faults::ToolFaultPlan> plan_;
+  // Tool-fault state (the empty plan unless set_tool_faults armed one).
+  faults::ToolFaultPlan plan_;
   util::Rng tool_rng_;
   util::DynamicBitset dead_;
   std::vector<faults::MonitorCrash> crash_schedule_;  ///< victims resolved
   std::size_t next_crash_ = 0;
   bool lead_crash_applied_ = false;
-  int lead_ = 0;
   sim::Time pending_reregistration_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t failovers_ = 0;
@@ -197,15 +178,11 @@ class MonitorNetwork {
   std::uint64_t lost_ = 0;
   std::uint64_t retries_total_ = 0;
 
-  // Pooled per-sample scratch (SoA: flat arrays indexed by node, a bitset
-  // mark, and one CSR payload — no per-sample heap churn, bits per rank).
+  // Pooled per-sample scratch (SoA: flat arrays indexed by node and a
+  // bitset mark — no per-sample heap churn once warm).
   util::DynamicBitset node_mark_;
-  std::vector<int> node_count_;           ///< per-node rank count
-  std::vector<int> node_slot_;            ///< node -> index in active_nodes_
-  std::vector<int> active_nodes_;         ///< sorted distinct hosting nodes
-  std::vector<int> group_offset_;         ///< CSR offsets (active_nodes_+1)
-  std::vector<simmpi::Rank> grouped_;     ///< set ranks grouped by node
-  std::vector<int> carriers_;             ///< tree carriers, deepest first
+  std::vector<int> active_nodes_;         ///< distinct hosting nodes
+  std::vector<int> carriers_;             ///< carriers, deepest first
   std::vector<int> fan_in_;               ///< per-node fan-in this sample
   std::vector<int> agg_monitors_;         ///< partials aggregated per node
   std::vector<int> agg_covered_;          ///< covered ranks per node
@@ -213,7 +190,6 @@ class MonitorNetwork {
   std::vector<sim::Time> agg_penalty_;    ///< accumulated wait per node
   std::vector<int> level_max_fan_in_;     ///< per-level gather width
   std::vector<int> level_senders_;        ///< carriers forwarding per level
-  std::vector<int> group_cursor_;         ///< CSR scatter cursors
 
   // Perf mirrors of the counters above, resolved once from the engine's
   // ProfileRegistry (all null when perf accounting is off).

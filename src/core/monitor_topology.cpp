@@ -33,10 +33,11 @@ std::uint64_t capacity(std::uint64_t fanout, int levels) {
 
 void MonitorTopology::build(int nodes, const TopologyConfig& config) {
   PS_CHECK(nodes > 0, "topology needs at least one monitor");
-  PS_CHECK(config.tree(), "MonitorTopology::build requires fanout > 0");
 
-  // A depth cap widens the effective fanout until everyone fits.
-  std::uint64_t fanout = static_cast<std::uint64_t>(config.fanout);
+  // The star is the one-level tree: its fanout fits every monitor under
+  // the root. A depth cap widens a k-ary fanout until everyone fits.
+  std::uint64_t fanout = static_cast<std::uint64_t>(
+      config.tree() ? config.fanout : std::max(nodes - 1, 1));
   if (config.depth > 0) {
     while (capacity(fanout, config.depth) <
            static_cast<std::uint64_t>(nodes)) {
@@ -50,7 +51,7 @@ void MonitorTopology::build(int nodes, const TopologyConfig& config) {
   // monitor id sits at which position.
   std::vector<int> place(static_cast<std::size_t>(nodes));
   std::iota(place.begin(), place.end(), 0);
-  if (config.seed != 0) {
+  if (config.tree() && config.seed != 0) {
     util::Rng rng(config.seed);
     for (std::size_t i = place.size() - 1; i > 0; --i) {
       const auto j = static_cast<std::size_t>(

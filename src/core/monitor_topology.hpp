@@ -9,11 +9,11 @@ namespace parastack::core {
 
 /// Shape of the monitor aggregation topology (one monitor per node).
 ///
-/// The compatibility default (`fanout <= 0`) is the paper's flat star:
-/// every active monitor reports straight to the lead. A positive fanout
-/// arranges the monitors into a k-ary aggregation tree instead, so no
-/// single monitor ever receives more than O(fanout) partial counts per
-/// sample regardless of how many monitors are active.
+/// The default (`fanout <= 0`) is the paper's flat star: the one-level
+/// tree in which every other monitor reports straight to monitor 0. A
+/// positive fanout arranges the monitors into a k-ary aggregation tree
+/// instead, so no single monitor ever receives more than O(fanout)
+/// partial counts per sample regardless of how many monitors are active.
 struct TopologyConfig {
   /// Children per interior monitor. <= 0 selects the flat star.
   int fanout = 0;
@@ -25,22 +25,24 @@ struct TopologyConfig {
   /// placement (node 0 at the root, ids level by level); anything else
   /// shuffles placement deterministically, which is how a trial seed
   /// yields a trial-specific tree without extra draws from the trial RNG.
+  /// The star ignores it: monitor 0 is always its root.
   std::uint64_t seed = 0;
-  /// Per-level gather deadline: each tree level's gather step contributes
-  /// at most this much latency — a straggling wide level forwards whatever
+  /// Per-level gather deadline: each level's gather step contributes at
+  /// most this much latency — a straggling wide level forwards whatever
   /// partial counts arrived in time instead of stalling the whole sample.
-  /// 0 (the default) = no deadline, the latency model is unchanged. Only
-  /// meaningful in tree mode; the star ignores it.
+  /// 0 (the default) = no deadline, the latency model is unchanged. The
+  /// star's one gather is capped like any other level.
   sim::Time level_deadline = 0;
 
   bool tree() const noexcept { return fanout > 0; }
   bool operator==(const TopologyConfig&) const = default;
 };
 
-/// Deterministic k-ary aggregation tree over monitor ids, with the
-/// failover rule that generalizes the star's lead failover: removing a
-/// monitor promotes its lowest-id surviving child into the vacated
-/// position and re-parents the rest of the subtree under the promotee.
+/// Deterministic aggregation tree over monitor ids (k-ary, or the
+/// one-level star), with one failover rule: removing a monitor promotes
+/// its lowest-id surviving child into the vacated position and re-parents
+/// the rest of the subtree under the promotee. In the star that moves the
+/// root to the lowest surviving monitor id.
 ///
 /// The topology is purely structural — liveness bookkeeping (who is
 /// dead, coverage, degraded mode) stays in MonitorNetwork.
@@ -48,7 +50,8 @@ class MonitorTopology {
  public:
   MonitorTopology() = default;
 
-  /// Build the tree over `nodes` monitors. Requires config.tree().
+  /// Build the tree over `nodes` monitors; `fanout <= 0` builds the star
+  /// (monitor 0 at the root, every other monitor at level 1).
   void build(int nodes, const TopologyConfig& config);
 
   bool built() const noexcept { return !parent_.empty(); }

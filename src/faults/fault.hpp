@@ -59,9 +59,10 @@ struct ToolFaultPlan {
   /// Crash whoever is lead at this instant (exercises failover).
   std::optional<sim::Time> lead_crash_at;
 
-  /// Aggregation-protocol knobs, consulted only while the plan is active:
-  /// the lead waits `sample_timeout` for each partial, then re-requests it
-  /// up to `max_retries` times with exponentially growing backoff.
+  /// Aggregation-protocol knobs, consulted only once a partial is lost or
+  /// a monitor dies: the receiving monitor waits `sample_timeout` for each
+  /// partial, then re-requests it up to `max_retries` times with
+  /// exponentially growing backoff.
   sim::Time sample_timeout = sim::from_millis(5);
   int max_retries = 3;
   sim::Time retry_backoff = sim::from_millis(10);
@@ -72,8 +73,8 @@ struct ToolFaultPlan {
   /// RNG seed for loss/delay/victim draws. 0 = derive from the run seed.
   std::uint64_t seed = 0;
 
-  /// True when the plan injects anything at all. Inactive plans are
-  /// guaranteed zero-cost: the monitor network takes its unmodified path.
+  /// True when the plan injects anything at all. An inactive plan is the
+  /// monitor network's default: every hop is delivered at once.
   bool active() const noexcept {
     return loss_probability > 0.0 || delay_mean > 0 ||
            !monitor_crashes.empty() || lead_crash_at.has_value();

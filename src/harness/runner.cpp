@@ -212,9 +212,9 @@ sim::Time estimate_clean_runtime(const workloads::BenchmarkProfile& profile,
 
 namespace {
 
-/// Cross-attempt plumbing for the recovery driver. Null = the legacy
-/// single-attempt path, which stays byte-for-byte identical: no extra RNG
-/// draws, no extra events, no telemetry changes.
+/// One attempt of a job: what the driver hands in and what the attempt
+/// hands back. A run without recovery is a single attempt under the job
+/// seed, from t = 0, with the fault injected and no checkpoints.
 struct AttemptContext {
   // Driver -> attempt:
   int attempt = 0;
@@ -236,8 +236,8 @@ struct AttemptContext {
   sim::Time end_now = 0;  ///< engine clock when the attempt wound down
 };
 
-RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
-  util::Rng rng(ctx == nullptr ? config.seed : ctx->seed);
+RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
+  util::Rng rng(ctx.seed);
 
   const std::string input =
       config.input.empty()
@@ -255,7 +255,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
   // Fault plan.
   faults::FaultPlan plan;
   plan.type = config.fault;
-  if (ctx != nullptr && !ctx->inject_fault) plan.type = faults::FaultType::kNone;
+  if (!ctx.inject_fault) plan.type = faults::FaultType::kNone;
   if (plan.type != faults::FaultType::kNone) {
     plan.victim =
         static_cast<simmpi::Rank>(rng.uniform_int(
@@ -277,7 +277,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
     plan.trigger_time = static_cast<sim::Time>(rng.uniform(lo, hi));
     // A refault strikes at the same relative position on the restarted
     // attempt's own stretch of the job timeline.
-    if (ctx != nullptr) plan.trigger_time += ctx->start_time;
+    plan.trigger_time += ctx.start_time;
   }
   faults::FaultInjector injector(plan);
 
@@ -286,11 +286,9 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
   world_config.platform = config.platform;
   world_config.seed = rng.next();
   world_config.background_slowdowns = config.background_slowdowns;
-  if (ctx != nullptr) {
-    world_config.start_time = ctx->start_time;
-    if (ctx->resume != nullptr && !ctx->resume->empty()) {
-      world_config.replay_actions = ctx->resume->rank_actions;
-    }
+  world_config.start_time = ctx.start_time;
+  if (ctx.resume != nullptr && !ctx.resume->empty()) {
+    world_config.replay_actions = ctx.resume->rank_actions;
   }
   simmpi::World world(world_config,
                       injector.wrap(workloads::make_factory(profile)));
@@ -359,22 +357,22 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
     };
   }
 
-  // k-ary aggregation tree: armed only on request, so star-mode runs keep
-  // their exact RNG stream and journal bytes. Seed 0 derives the placement
-  // seed from the run seed by hashing (NOT by drawing rng.next()): arming
-  // the tree must not shift the streams of anything constructed later —
-  // that is what lets a tree run be byte-compared against its star twin.
-  if (monitors && config.monitor_tree.tree()) {
-    core::TopologyConfig tree = config.monitor_tree;
-    if (tree.seed == 0) {
+  // Aggregation topology: the star, or a k-ary tree. A tree with seed 0
+  // derives its placement seed from the run seed by hashing (NOT by drawing
+  // rng.next()): arming the tree must not shift the streams of anything
+  // constructed later — that is what lets a tree run be compared against
+  // its star twin.
+  if (monitors) {
+    core::TopologyConfig topology = config.monitor_tree;
+    if (topology.tree() && topology.seed == 0) {
       std::uint64_t state = config.seed ^ 0x7472656553656564ull;  // "treeSeed"
-      tree.seed = util::splitmix64(state);
+      topology.seed = util::splitmix64(state);
     }
-    monitors->set_topology(tree);
+    monitors->set_topology(topology);
   }
 
-  // Tool-fault plan: the plan seed is drawn only when a plan is active so
-  // faults-off runs keep their exact RNG stream (byte-identical journals).
+  // Tool-fault plan: the plan seed is drawn from the run RNG only for an
+  // active plan, so no other component's draws move.
   if (monitors && config.tool_faults.active()) {
     faults::ToolFaultPlan tool_plan = config.tool_faults;
     if (tool_plan.seed == 0) tool_plan.seed = rng.next();
@@ -411,7 +409,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
     };
   }
 
-  if (config.telemetry != nullptr && (ctx == nullptr || ctx->emit_run_start)) {
+  if (config.telemetry != nullptr && ctx.emit_run_start) {
     obs::RunStartEvent event;
     event.bench = workloads::bench_name(config.bench);
     event.input = input;
@@ -436,20 +434,20 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
   // checkpoint cost through the same suspension mechanism ptrace stops use
   // (blocked ranks were waiting anyway, DESIGN.md decision #5).
   std::function<void()> take_checkpoint;
-  if (ctx != nullptr && ctx->checkpoint_interval > 0) {
+  if (ctx.checkpoint_interval > 0) {
     take_checkpoint = [&] {
       if (world.all_finished() || killed) return;
-      ctx->checkpoints.push_back(world.snapshot_progress());
-      if (ctx->checkpoint_cost > 0) {
+      ctx.checkpoints.push_back(world.snapshot_progress());
+      if (ctx.checkpoint_cost > 0) {
         for (int r = 0; r < config.nranks; ++r) {
           world.rank(static_cast<simmpi::Rank>(r))
-              .add_suspension(ctx->checkpoint_cost);
+              .add_suspension(ctx.checkpoint_cost);
         }
       }
-      engine.schedule_after(ctx->checkpoint_interval,
+      engine.schedule_after(ctx.checkpoint_interval,
                             [&] { take_checkpoint(); });
     };
-    engine.schedule_after(ctx->checkpoint_interval,
+    engine.schedule_after(ctx.checkpoint_interval,
                           [&] { take_checkpoint(); });
   }
 
@@ -460,23 +458,20 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
   bank.stop_all();
   if (fallback) fallback->stop();
 
-  if (ctx != nullptr) {
-    ctx->killed = killed;
-    if (killed) {
-      ctx->kill_time = kill_time;
-      ctx->at_kill = world.snapshot_progress();
-      ctx->kill_kind = config.detectors.empty()
-                           ? core::DetectorKind::kParastack
-                           : config.detectors.front().kind;
-      if (kill_from_fallback) ctx->kill_kind = core::DetectorKind::kTimeout;
-      ctx->degraded_kill =
-          kill_from_fallback ||
-          (primary_parastack != nullptr && primary_parastack->degraded());
-      if (primary_parastack != nullptr &&
-          !primary_parastack->hang_reports().empty()) {
-        ctx->faulty_ranks =
-            primary_parastack->hang_reports().back().faulty_ranks;
-      }
+  ctx.killed = killed;
+  if (killed) {
+    ctx.kill_time = kill_time;
+    ctx.at_kill = world.snapshot_progress();
+    ctx.kill_kind = config.detectors.empty()
+                        ? core::DetectorKind::kParastack
+                        : config.detectors.front().kind;
+    if (kill_from_fallback) ctx.kill_kind = core::DetectorKind::kTimeout;
+    ctx.degraded_kill =
+        kill_from_fallback ||
+        (primary_parastack != nullptr && primary_parastack->degraded());
+    if (primary_parastack != nullptr &&
+        !primary_parastack->hang_reports().empty()) {
+      ctx.faulty_ranks = primary_parastack->hang_reports().back().faulty_ranks;
     }
   }
 
@@ -571,25 +566,8 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
     }
   }
 
-  if (ctx != nullptr) ctx->end_now = engine.now();
-  // Multi-attempt runs get ONE run_end, emitted by the driver after the
-  // final attempt with counts summed across attempts.
-  if (config.telemetry != nullptr && ctx == nullptr) {
-    obs::RunEndEvent event;
-    event.time = engine.now();
-    event.run_index = config.run_index;
-    event.completed = result.completed;
-    event.killed = killed;
-    event.finish_time = result.finish_time.value_or(-1);
-    event.end_time = result.end_time;
-    event.traces = result.traces;
-    event.trace_cost = result.trace_cost;
-    event.hangs = static_cast<int>(result.hangs().size());
-    event.slowdowns = static_cast<int>(result.slowdowns().size());
-    event.model_samples = result.model_samples;
-    event.final_interval = result.final_interval;
-    config.telemetry->on_event(event);
-  }
+  // A job gets ONE run_end, emitted by run_one after its final attempt.
+  ctx.end_now = engine.now();
   // Invariant probe (pscheck): audit run internals while the world is
   // still alive — the engine and comm ledgers die with this frame.
   if (config.post_run_probe) config.post_run_probe(world, result);
@@ -600,10 +578,40 @@ RunResult run_attempt(const RunConfig& config, AttemptContext* ctx) {
   return result;
 }
 
+/// The job's run_end, after its final attempt: `result` holds the counts
+/// summed over every attempt.
+void emit_run_end(const RunConfig& config, const RunResult& result,
+                  sim::Time now, bool killed) {
+  if (config.telemetry == nullptr) return;
+  obs::RunEndEvent event;
+  event.time = now;
+  event.run_index = config.run_index;
+  event.completed = result.completed;
+  event.killed = killed && !result.completed;
+  event.finish_time = result.finish_time.value_or(-1);
+  event.end_time = result.end_time;
+  event.traces = result.traces;
+  event.trace_cost = result.trace_cost;
+  event.hangs = static_cast<int>(result.hangs().size());
+  event.slowdowns = static_cast<int>(result.slowdowns().size());
+  event.model_samples = result.model_samples;
+  event.final_interval = result.final_interval;
+  config.telemetry->on_event(event);
+}
+
 }  // namespace
 
 RunResult run_one(const RunConfig& config) {
-  if (!config.recovery.active()) return run_attempt(config, nullptr);
+  if (!config.recovery.active()) {
+    // One attempt under the job seed; `attempts` stays empty and the
+    // recovery summary disabled.
+    AttemptContext ctx;
+    ctx.seed = config.seed;
+    ctx.emit_run_start = true;
+    RunResult result = run_attempt(config, ctx);
+    emit_run_end(config, result, ctx.end_now, ctx.killed);
+    return result;
+  }
 
   const recover::RecoverySpec& spec = config.recovery;
   const std::unique_ptr<core::RecoveryAction> policy =
@@ -637,8 +645,6 @@ RunResult run_one(const RunConfig& config) {
   std::uint64_t tree_hops = 0;
   int max_fan_in = 0;
   std::size_t degraded_entries = 0;
-  int hangs_total = 0;
-  int slowdowns_total = 0;
   faults::FaultRecord fault_record;
   bool fault_recorded = false;
 
@@ -677,7 +683,7 @@ RunResult run_one(const RunConfig& config) {
     if (attempt == 0) lifecycle.launch(0);
     PS_PERF_ADD(perf_attempts, 1);
 
-    RunResult r = run_attempt(config, &ctx);
+    RunResult r = run_attempt(config, ctx);
 
     AttemptRecord record;
     record.attempt = attempt;
@@ -714,8 +720,6 @@ RunResult run_one(const RunConfig& config) {
                                       entry.slowdown_reports.end());
       }
     }
-    hangs_total += static_cast<int>(r.hangs().size());
-    slowdowns_total += static_cast<int>(r.slowdowns().size());
     traces += r.traces;
     trace_cost += r.trace_cost;
     monitor_crashes += r.monitor_crashes;
@@ -864,22 +868,8 @@ RunResult run_one(const RunConfig& config) {
         emit_span("fault-to-done", fault_record.activated_at, result.end_time);
       }
     }
-
-    obs::RunEndEvent event;
-    event.time = final_now;
-    event.run_index = config.run_index;
-    event.completed = result.completed;
-    event.killed = final_killed && !result.completed;
-    event.finish_time = result.finish_time.value_or(-1);
-    event.end_time = result.end_time;
-    event.traces = traces;
-    event.trace_cost = trace_cost;
-    event.hangs = hangs_total;
-    event.slowdowns = slowdowns_total;
-    event.model_samples = result.model_samples;
-    event.final_interval = result.final_interval;
-    config.telemetry->on_event(event);
   }
+  emit_run_end(config, result, final_now, final_killed);
   return result;
 }
 

@@ -99,11 +99,12 @@ struct RunConfig {
   /// tool's own traffic is accounted (observable values are identical).
   bool use_monitor_network = true;
 
-  /// Aggregation-tree shape for the monitor network. Default (fanout <= 0)
-  /// is the flat star — byte-identical journals to every prior release.
-  /// When armed with seed 0 the placement seed is derived from the run
-  /// seed without consuming the run's RNG stream, so a tree run and its
-  /// star twin differ only in monitor-side telemetry.
+  /// Aggregation topology of the monitor network. Default (fanout <= 0) is
+  /// the flat star, the one-level tree under monitor 0; its level deadline
+  /// caps the star's one gather. A k-ary tree with seed 0 derives its
+  /// placement seed from the run seed without consuming the run's RNG
+  /// stream, so a tree run and its star twin differ only in monitor-side
+  /// telemetry.
   core::TopologyConfig monitor_tree;
 
   /// Recovery policy closing the detection loop (src/recover): what happens
@@ -115,10 +116,10 @@ struct RunConfig {
   /// walltime slot expires.
   recover::RecoverySpec recovery;
 
-  /// Tool-side fault plan (monitor crashes, partial loss, delays). Applied
-  /// to the monitor network when active(); inert by default. The plan seed
-  /// is drawn from the run seed when left at 0 — and that draw only happens
-  /// for an active plan, so faults-off runs keep their exact RNG stream.
+  /// Tool-side fault plan (monitor crashes, partial loss, delays); empty by
+  /// default. The plan seed is drawn from the run seed when left at 0 —
+  /// and that draw only happens for an active plan, so faults-off runs
+  /// keep their exact RNG stream. A plan that never fires changes nothing.
   faults::ToolFaultPlan tool_faults;
   /// When the primary ParaStack detector enters degraded mode (coverage
   /// below quorum for too long), start a fallback TimeoutDetector so a hang
@@ -210,7 +211,7 @@ struct RunResult {
   std::uint64_t partials_lost = 0;
   std::uint64_t sample_retries = 0;
   std::size_t degraded_entries = 0;
-  /// Tree-mode accounting (zero in star mode).
+  /// Aggregation accounting (the star has no subtree failovers).
   std::uint64_t subtree_failovers = 0;
   std::uint64_t root_messages = 0;
   std::uint64_t tree_hops = 0;

@@ -127,14 +127,9 @@ void fields(JsonObject& line, const MonitorSampleEvent& e) {
       .field("monitors", e.monitor_count)
       .field("messages", e.messages)
       .field("bytes", e.bytes)
-      .field("agg_latency_ns", e.aggregation_latency);
-  // Tree fields appear only when a k-ary topology is armed: flat-star
-  // journals stay byte-identical to the pre-tree format.
-  if (e.tree) {
-    line.field("tree", true)
-        .field("levels", e.levels)
-        .field("root_fan_in", e.root_fan_in);
-  }
+      .field("agg_latency_ns", e.aggregation_latency)
+      .field("levels", e.levels)
+      .field("root_fan_in", e.root_fan_in);
   // Tool-fault fields appear only on impaired samples: healthy journals
   // stay byte-identical to the pre-fault-model format.
   if (e.partials_missing > 0 || e.retries > 0 || e.coverage < 1.0 ||

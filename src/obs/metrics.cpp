@@ -204,14 +204,9 @@ struct Fold {
     }
     if (e.coverage < 1.0) registry.summary("monitor.coverage").add(e.coverage);
     if (e.degraded) ++registry.counter("monitor.degraded_samples");
-    // Tree-mode keys appear only when a k-ary topology is armed: the metrics
-    // document of a flat-star run stays byte-identical to the pre-tree one.
-    if (e.tree) {
-      registry.summary("monitor.tree_levels")
-          .add(static_cast<double>(e.levels));
-      registry.summary("monitor.root_fan_in")
-          .add(static_cast<double>(e.root_fan_in));
-    }
+    registry.summary("monitor.tree_levels").add(static_cast<double>(e.levels));
+    registry.summary("monitor.root_fan_in")
+        .add(static_cast<double>(e.root_fan_in));
   }
 
   void operator()(const MonitorLevelEvent& e) const {

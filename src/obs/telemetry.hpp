@@ -141,11 +141,7 @@ struct MonitorSampleEvent {
   std::uint64_t messages = 0;      ///< tool messages this sample
   std::uint64_t bytes = 0;         ///< tool bytes this sample
   sim::Time aggregation_latency = 0;
-  // Aggregation-tree shape of this sample; `tree` false means the flat
-  // star, and the journal then omits the tree fields so star output stays
-  // byte-identical to the pre-tree schema.
-  bool tree = false;
-  int levels = 0;        ///< aggregation rounds (star: binomial depth)
+  int levels = 0;        ///< gather levels (the star: 1, or 0 when local)
   int root_fan_in = 0;   ///< partials received directly by the root
   // Tool-fault bookkeeping; all stay at their defaults on a healthy sample
   // (and the journal omits them, keeping faults-off output byte-identical).
@@ -155,9 +151,9 @@ struct MonitorSampleEvent {
   bool degraded = false;     ///< no partial arrived: sample carries no signal
 };
 
-/// One gather step of a tree-mode aggregation: the monitors at `level`
-/// forwarded their accumulated partials to their parents. Emitted only in
-/// tree mode (per sample, deepest level first).
+/// One gather step of an aggregation: the monitors at `level` forwarded
+/// their accumulated partials to their parents. Emitted per sample for
+/// every level, deepest first (the star has one level).
 struct MonitorLevelEvent {
   sim::Time time = 0;
   int level = 0;        ///< depth of the senders (root's children = 1)

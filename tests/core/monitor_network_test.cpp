@@ -143,14 +143,15 @@ TEST(MonitorNetwork, AccountingInvariantsAcrossMultiNodeSets) {
   MonitorNetwork network(world, inspector);
   ASSERT_EQ(network.monitor_count(), 4);
 
-  // Each sample sends (active monitors - 1) partial counts of 8 bytes and
-  // traces exactly the set, regardless of which node hosts the lead.
+  // Every active monitor but the lead sends one 8-byte partial count to the
+  // lead, and each sample traces exactly the set. A lead whose node hosts
+  // no sampled rank hears from every active monitor.
   network.measure({0});                  // 1 active (lead node): 0 messages
   network.measure({0, 24});              // 2 active: 1 message
   network.measure({0, 24, 48, 72});      // 4 active: 3 messages
-  network.measure({25, 49});             // 2 active, lead node absent: 1
-  EXPECT_EQ(network.messages_sent(), 0u + 1u + 3u + 1u);
-  EXPECT_EQ(network.bytes_sent(), 8u * 5u);
+  network.measure({25, 49});             // 2 active, lead node absent: 2
+  EXPECT_EQ(network.messages_sent(), 0u + 1u + 3u + 2u);
+  EXPECT_EQ(network.bytes_sent(), 8u * 6u);
   EXPECT_EQ(network.ranks_traced_total(), 1u + 2u + 4u + 2u);
   EXPECT_EQ(network.samples(), 4u);
   EXPECT_EQ(network.lead_monitor(), 0);

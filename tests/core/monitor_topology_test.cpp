@@ -172,6 +172,33 @@ TEST(MonitorTopology, CascadeRemovalKeepsSurvivorsConnected) {
   }
 }
 
+TEST(MonitorTopology, StarIsOneLevel) {
+  // The default config is the flat star: monitor 0 at the root, every
+  // other monitor one hop below it. The placement seed does not move it.
+  for (const std::uint64_t seed : {0u, 42u}) {
+    TopologyConfig star;
+    star.seed = seed;
+    MonitorTopology t;
+    t.build(6, star);
+    expect_valid_tree(t);
+    expect_within_fanout(t);
+    EXPECT_EQ(t.root(), 0);
+    EXPECT_EQ(t.effective_fanout(), 5);
+    EXPECT_EQ(t.children(0), (std::vector<int>{1, 2, 3, 4, 5}));
+    for (int n = 1; n < 6; ++n) EXPECT_EQ(t.level(n), 1);
+    EXPECT_EQ(t.max_level(), 1);
+
+    // A dead root promotes monitor 1, which adopts the rest.
+    const auto removal = t.remove(0);
+    EXPECT_TRUE(removal.root_changed);
+    EXPECT_EQ(removal.new_root, 1);
+    EXPECT_EQ(removal.adopted, 4);
+    EXPECT_EQ(t.children(1), (std::vector<int>{2, 3, 4, 5}));
+    for (int n = 2; n < 6; ++n) EXPECT_EQ(t.level(n), 1);
+    expect_valid_tree(t);
+  }
+}
+
 TEST(MonitorTopology, RemovingEverythingEmptiesTheTree) {
   MonitorTopology t;
   t.build(4, tree_config(2));
@@ -180,11 +207,6 @@ TEST(MonitorTopology, RemovingEverythingEmptiesTheTree) {
   }
   EXPECT_EQ(t.root(), -1);
   EXPECT_EQ(t.max_level(), -1);
-}
-
-TEST(MonitorTopologyDeath, StarConfigRejected) {
-  MonitorTopology t;
-  EXPECT_DEATH(t.build(4, TopologyConfig{}), "fanout > 0");
 }
 
 TEST(MonitorTopologyDeath, DoubleRemovalRejected) {

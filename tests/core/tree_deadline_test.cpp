@@ -1,7 +1,8 @@
-// Per-level gather deadline on the monitor tree: a level that would take
-// longer than the deadline forwards what it has and caps its latency
+// Per-level gather deadline on the monitor topology: a level that would
+// take longer than the deadline forwards what it has and caps its latency
 // contribution. The cap is latency-only (partial counts still aggregate in
-// full, so S_crout is untouched) and a no-op in star mode or when unset.
+// full, so S_crout is untouched), applies to the star's one gather as to
+// every tree level, and is a no-op when unset.
 
 #include <gtest/gtest.h>
 
@@ -43,35 +44,38 @@ std::vector<simmpi::Rank> all_ranks() {
   return set;
 }
 
-TopologyConfig deadline_tree(sim::Time deadline) {
+TopologyConfig deadline_tree(sim::Time deadline, int fanout = 2) {
   TopologyConfig config;
-  config.fanout = 2;  // 8 monitors -> 3 gather levels
+  config.fanout = fanout;  // 2: 8 monitors -> 3 gather levels; 0: the star
   config.level_deadline = deadline;
   return config;
 }
 
 TEST(TreeDeadline, TightDeadlineCapsLatencyButNotTheCount) {
-  simmpi::World uncapped_world(config192(),
-                              workloads::make_factory(small_profile()));
-  trace::StackInspector uncapped_inspector(uncapped_world);
-  MonitorNetwork uncapped(uncapped_world, uncapped_inspector);
-  uncapped.set_topology(deadline_tree(0));
+  for (const int fanout : {2, 0}) {
+    SCOPED_TRACE(fanout);
+    simmpi::World uncapped_world(config192(),
+                                workloads::make_factory(small_profile()));
+    trace::StackInspector uncapped_inspector(uncapped_world);
+    MonitorNetwork uncapped(uncapped_world, uncapped_inspector);
+    uncapped.set_topology(deadline_tree(0, fanout));
 
-  simmpi::World capped_world(config192(),
-                             workloads::make_factory(small_profile()));
-  trace::StackInspector capped_inspector(capped_world);
-  MonitorNetwork capped(capped_world, capped_inspector);
-  capped.set_topology(deadline_tree(sim::from_micros(1)));
+    simmpi::World capped_world(config192(),
+                               workloads::make_factory(small_profile()));
+    trace::StackInspector capped_inspector(capped_world);
+    MonitorNetwork capped(capped_world, capped_inspector);
+    capped.set_topology(deadline_tree(sim::from_micros(1), fanout));
 
-  const auto set = all_ranks();
-  const auto slow = uncapped.measure(set);
-  const auto fast = capped.measure(set);
-  // Identical worlds, identical observation — only the latency differs.
-  EXPECT_DOUBLE_EQ(slow.scrout, fast.scrout);
-  EXPECT_EQ(slow.ranks_traced, fast.ranks_traced);
-  EXPECT_LT(fast.aggregation_latency, slow.aggregation_latency);
-  EXPECT_EQ(uncapped.level_deadline_hits(), 0u);
-  EXPECT_GT(capped.level_deadline_hits(), 0u);
+    const auto set = all_ranks();
+    const auto slow = uncapped.measure(set);
+    const auto fast = capped.measure(set);
+    // Identical worlds, identical observation — only the latency differs.
+    EXPECT_DOUBLE_EQ(slow.scrout, fast.scrout);
+    EXPECT_EQ(slow.ranks_traced, fast.ranks_traced);
+    EXPECT_LT(fast.aggregation_latency, slow.aggregation_latency);
+    EXPECT_EQ(uncapped.level_deadline_hits(), 0u);
+    EXPECT_GT(capped.level_deadline_hits(), 0u);
+  }
 }
 
 TEST(TreeDeadline, GenerousDeadlineNeverFires) {
@@ -83,7 +87,7 @@ TEST(TreeDeadline, GenerousDeadlineNeverFires) {
   EXPECT_EQ(network.level_deadline_hits(), 0u);
 }
 
-// --- End-to-end byte-identity guards through run_one() ----------------------
+// --- End-to-end guards through run_one() -----------------------------------
 
 harness::RunConfig hang_config(std::uint64_t seed) {
   harness::RunConfig config;
@@ -105,15 +109,6 @@ std::string journal_of(harness::RunConfig config) {
   config.telemetry = &journal;
   (void)harness::run_one(config);
   return out.str();
-}
-
-TEST(TreeDeadline, StarModeIgnoresTheDeadlineByteForByte) {
-  // A deadline without a tree is inert configuration: the star run's
-  // journal must not move by a single byte.
-  harness::RunConfig star = hang_config(5);
-  harness::RunConfig star_with_deadline = hang_config(5);
-  star_with_deadline.monitor_tree.level_deadline = sim::from_micros(1);
-  EXPECT_EQ(journal_of(star), journal_of(star_with_deadline));
 }
 
 TEST(TreeDeadline, UnsetDeadlineMatchesGenerousDeadline) {

@@ -9,7 +9,12 @@
 // JSON writer was reworked, so every byte each sink renders is pinned. The
 // CG perf dump counts engine events, so it was re-recorded when request
 // completions stopped firing events of their own: only `sim.events_fired`,
-// `sim.events_scheduled` and the `sim.queue_depth` high-water moved.
+// `sim.events_scheduled` and the `sim.queue_depth` high-water moved. Every
+// row but `sink32-spans` was re-recorded when the star became a one-level
+// tree: each `monitor_sample` line gained `levels` and `root_fan_in`, each
+// gather a `monitor_level` line (and a `tree-gather` trace slice), the
+// metrics their `monitor.*` level and fan-in summaries, and the perf dumps
+// the four `monitor.*` tree counters; every other line stayed as it was.
 //   - CG-64 (class C) on Stampede, no fault, a fixed 10 ms interval with
 //     tuning off: every `sample` line, and with it every S_crout value and
 //     every judgement.
@@ -107,16 +112,16 @@ struct Golden {
 };
 
 constexpr Golden kGolden[] = {
-    {"cg64-stampede-10ms", 0x7958bfb9d8fa3a8dULL, 3270948, 18230},
-    {"cg64-stampede-10ms.metrics", 0x0f99cd67e539c6c3ULL, 1098, 0},
-    {"cg64-stampede-10ms.trace", 0x511cda706a1950c7ULL, 9380871, 103798},
-    {"cg64-stampede-10ms.perf", 0x49bcba509d2bbc88ULL, 462, 0},
-    {"lu64-tardis-hang", 0xa82c5a0b88f3e1a5ULL, 210532, 1214},
-    {"lu64-tardis-hang.metrics", 0x60701988cb82f086ULL, 1987, 0},
-    {"lu64-tardis-hang.trace", 0xa7e9d4990ca6943fULL, 1149752, 12212},
-    {"lu64-tardis-hang.perf", 0x0cdac48b558929fcULL, 454, 0},
+    {"cg64-stampede-10ms", 0x4dbf5c598478fd60ULL, 4399975, 27344},
+    {"cg64-stampede-10ms.metrics", 0xfce1e95fb593f2aeULL, 1463, 0},
+    {"cg64-stampede-10ms.trace", 0xa87e1647f2e84f12ULL, 10637494, 112912},
+    {"cg64-stampede-10ms.perf", 0x40c33e2ca1be562aULL, 567, 0},
+    {"lu64-tardis-hang", 0xa86845308a80e06aULL, 280127, 1772},
+    {"lu64-tardis-hang.metrics", 0x72beb9643064e3a1ULL, 2309, 0},
+    {"lu64-tardis-hang.trace", 0x3f8ff82b714b257eULL, 1227159, 12770},
+    {"lu64-tardis-hang.perf", 0xcd3b29e5fece5f3cULL, 555, 0},
     {"sink32-spans", 0x02b158d3f6ea459dULL, 2304909, 21286},
-    {"fleet6-poisson-pool8", 0xfb8983f24d1a67cbULL, 1092236, 6308},
+    {"fleet6-poisson-pool8", 0x1d497071bfd14d31ULL, 1450628, 9181},
 };
 
 void expect_golden(const std::string& name, const std::string& bytes) {

@@ -112,5 +112,55 @@ TEST(ToolResilience, FallbackStaysDormantWhileTheToolIsHealthy) {
   EXPECT_EQ(result.degraded_entries, 0u);
 }
 
+std::string journal_of(harness::RunConfig config) {
+  std::ostringstream out;
+  obs::JsonlJournal journal(out);
+  config.telemetry = &journal;
+  (void)harness::run_one(config);
+  return out.str();
+}
+
+/// The first line where two journals part ("" when they are equal), so a
+/// failure prints one line pair instead of two whole journals.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream left(a);
+  std::istringstream right(b);
+  for (int line = 1;; ++line) {
+    std::string l;
+    std::string r;
+    const bool more_l = static_cast<bool>(std::getline(left, l));
+    const bool more_r = static_cast<bool>(std::getline(right, r));
+    if (!more_l && !more_r) return "";
+    if (more_l != more_r || l != r) {
+      return "line " + std::to_string(line) + ":\n  " + l + "\n  " + r;
+    }
+  }
+}
+
+TEST(ToolResilience, PlanThatNeverFiresChangesNothing) {
+  // A crash scheduled long after the run ends is an armed plan that never
+  // fires: the star and the binary tree must write the plan-free run's
+  // journal byte for byte, monitor lines included.
+  for (const int fanout : {0, 2}) {
+    SCOPED_TRACE(fanout);
+    harness::RunConfig plain;
+    plain.bench = workloads::Bench::kLU;
+    plain.nranks = 64;
+    plain.platform = sim::Platform::tianhe2();
+    plain.seed = 7;
+    plain.fault = faults::FaultType::kComputeHang;
+    plain.monitor_tree.fanout = fanout;
+    harness::RunConfig armed = plain;
+    armed.tool_faults.monitor_crashes.push_back(
+        {.monitor = 1, .at = 1'000'000 * sim::kSecond});
+    armed.tool_faults.seed = 5;
+    ASSERT_TRUE(armed.tool_faults.active());
+
+    const std::string expected = journal_of(plain);
+    ASSERT_NE(expected.find("\"ev\":\"hang\""), std::string::npos);
+    EXPECT_EQ(first_difference(journal_of(armed), expected), "");
+  }
+}
+
 }  // namespace
 }  // namespace parastack

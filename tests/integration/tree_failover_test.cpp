@@ -2,10 +2,10 @@
 // deaths must promote a deterministic survivor and re-parent its subtree,
 // a dead root must fail over to its promoted child (the tree
 // generalization of lead failover), cascades must keep the survivors
-// aggregating, and the compatibility default — fan-out "infinity", the
-// flat star — must stay byte-identical to a run that never heard of
-// trees. Exercised both directly against MonitorNetwork and end-to-end
-// through run_one()'s journal.
+// aggregating, and the default — fan-out "infinity", the flat star — is
+// the one-level tree, aggregated and journaled the same way. Exercised
+// both directly against MonitorNetwork and end-to-end through run_one()'s
+// journal.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +62,7 @@ TEST(TreeAggregation, HealthyGatherClimbsTheTree) {
   trace::StackInspector inspector(world);
   core::MonitorNetwork network(world, inspector);
   network.set_topology(fanout2());
-  ASSERT_TRUE(network.tree_mode());
+  ASSERT_EQ(network.topology().effective_fanout(), 2);
   ASSERT_EQ(network.lead_monitor(), 0);
 
   const auto m = network.measure(kAllNodesSet);
@@ -121,14 +121,14 @@ TEST(TreeFailover, InteriorCrashPromotesLowestChildAndAdoptsSiblings) {
 
   // Node 3 (lowest surviving child) took node 1's place; node 4 re-parents
   // under it, node 7 stays where it was.
-  const core::MonitorTopology* tree = network.topology();
-  ASSERT_NE(tree, nullptr);
-  EXPECT_TRUE(tree->removed(1));
-  EXPECT_EQ(tree->parent(3), 0);
-  EXPECT_EQ(tree->parent(4), 3);
-  EXPECT_EQ(tree->parent(7), 3);
-  EXPECT_EQ(tree->level(3), 1);
-  EXPECT_EQ(tree->level(4), 2);
+  const core::MonitorTopology& tree = network.topology();
+  ASSERT_TRUE(tree.built());
+  EXPECT_TRUE(tree.removed(1));
+  EXPECT_EQ(tree.parent(3), 0);
+  EXPECT_EQ(tree.parent(4), 3);
+  EXPECT_EQ(tree.parent(7), 3);
+  EXPECT_EQ(tree.level(3), 1);
+  EXPECT_EQ(tree.level(4), 2);
 
   // Node 1's ranks are uncovered; everyone else still aggregates.
   EXPECT_EQ(m.partials_missing, 1);
@@ -159,10 +159,10 @@ TEST(TreeFailover, RootCrashFailsOverToPromotedChild) {
   EXPECT_EQ(network.lead_failovers(), 1u);
   EXPECT_EQ(network.subtree_failovers(), 0u);
   EXPECT_EQ(network.lead_monitor(), 1);
-  const core::MonitorTopology* tree = network.topology();
-  ASSERT_NE(tree, nullptr);
-  EXPECT_EQ(tree->root(), 1);
-  EXPECT_EQ(tree->parent(2), 1);
+  const core::MonitorTopology& tree = network.topology();
+  ASSERT_TRUE(tree.built());
+  EXPECT_EQ(tree.root(), 1);
+  EXPECT_EQ(tree.parent(2), 1);
   EXPECT_EQ(m.partials_missing, 1);  // the old root's ranks went dark
   EXPECT_NEAR(m.coverage, 7.0 / 8.0, 1e-12);
   EXPECT_GE(m.aggregation_latency, plan.reregistration_latency);
@@ -187,24 +187,38 @@ TEST(TreeFailover, CascadeInTheSameWindowKeepsSurvivorsAggregating) {
   EXPECT_EQ(network.subtree_failovers(), 2u);
   EXPECT_EQ(network.lead_failovers(), 0u);
   EXPECT_EQ(network.lead_monitor(), 0);
-  const core::MonitorTopology* tree = network.topology();
-  ASSERT_NE(tree, nullptr);
+  const core::MonitorTopology& tree = network.topology();
+  ASSERT_TRUE(tree.built());
   // Second promotion: node 4 replaces node 3 and inherits node 7.
-  EXPECT_EQ(tree->parent(4), 0);
-  EXPECT_EQ(tree->parent(7), 4);
+  EXPECT_EQ(tree.parent(4), 0);
+  EXPECT_EQ(tree.parent(7), 4);
   EXPECT_EQ(m.partials_missing, 2);
   EXPECT_NEAR(m.coverage, 6.0 / 8.0, 1e-12);
   EXPECT_FALSE(m.degraded);
 }
 
-TEST(TreeFailover, StarConfigIsIgnoredByTheNetwork) {
+/// The one-level star over 8 monitors: monitor 0 at the root, every other
+/// monitor its child.
+void expect_star(const core::MonitorTopology& topology) {
+  ASSERT_TRUE(topology.built());
+  EXPECT_EQ(topology.root(), 0);
+  EXPECT_EQ(topology.effective_fanout(), 7);
+  EXPECT_EQ(topology.children(0), (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+  for (int node = 1; node < 8; ++node) {
+    EXPECT_EQ(topology.parent(node), 0);
+    EXPECT_EQ(topology.level(node), 1);
+  }
+}
+
+TEST(TreeFailover, DefaultNetworkIsTheStar) {
   simmpi::World world(config192(), workloads::make_factory(small_profile()));
   trace::StackInspector inspector(world);
   core::MonitorNetwork network(world, inspector);
+  expect_star(network.topology());
   core::TopologyConfig star;  // fanout 0 = "infinite" = the flat star
   network.set_topology(star);
-  EXPECT_FALSE(network.tree_mode());
-  EXPECT_EQ(network.topology(), nullptr);
+  expect_star(network.topology());
+  EXPECT_EQ(network.lead_monitor(), 0);
 }
 
 TEST(TreeFailoverDeath, ArmingAfterSamplingRejected) {
@@ -262,18 +276,38 @@ TEST(TreeFailover, TreeRunDetectsLikeTheStarAndJournalsItsLevels) {
   ASSERT_FALSE(star.hangs().empty());
   ASSERT_FALSE(tree.hangs().empty());
   EXPECT_EQ(star.hangs().front().detected_at, tree.hangs().front().detected_at);
-  // Tree accounting flows to the RunResult; the star's stays zero.
-  EXPECT_EQ(star.tree_hops, 0u);
+  // Aggregation accounting flows to the RunResult for both shapes.
   EXPECT_GT(tree.tree_hops, 0u);
   EXPECT_LE(tree.max_monitor_fan_in, 2);
   EXPECT_LE(tree.root_messages, tree.tree_hops);
 
   const std::string star_log = journal_of(star_config);
   const std::string tree_log = journal_of(tree_config);
-  EXPECT_EQ(star_log.find("\"ev\":\"monitor_level\""), std::string::npos);
-  EXPECT_EQ(star_log.find("\"tree\":true"), std::string::npos);
+  // The star is the one-level tree: every message is one hop to the root,
+  // and every sample that hears from another monitor writes one level-1
+  // gather line.
+  std::uint64_t star_messages = 0;
+  int star_gathers = 0;
+  int star_levels = 0;
+  std::istringstream lines(star_log);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("{\"ev\":\"monitor_sample\"")) {
+      const auto at = line.find("\"messages\":");
+      ASSERT_NE(at, std::string::npos) << line;
+      star_messages += std::stoull(line.substr(at + 11));
+      if (line.find("\"root_fan_in\":0") == std::string::npos) ++star_gathers;
+    } else if (line.starts_with("{\"ev\":\"monitor_level\"")) {
+      EXPECT_NE(line.find("\"level\":1,"), std::string::npos) << line;
+      ++star_levels;
+    }
+  }
+  EXPECT_GT(star.tree_hops, 0u);
+  EXPECT_EQ(star.tree_hops, star_messages);
+  EXPECT_GT(star_gathers, 0);
+  EXPECT_EQ(star_levels, star_gathers);
   EXPECT_NE(tree_log.find("\"ev\":\"monitor_level\""), std::string::npos);
-  EXPECT_NE(tree_log.find("\"tree\":true"), std::string::npos);
+  EXPECT_EQ(star_log.find("\"tree\":"), std::string::npos);
+  EXPECT_EQ(tree_log.find("\"tree\":"), std::string::npos);
 }
 
 TEST(TreeFailover, InteriorCrashIsJournaledEndToEnd) {

@@ -127,7 +127,7 @@ auto every_kind(std::deque<std::string>& text) {
       MonitorSampleEvent{.time = 10 * kSec, .ranks_traced = 32,
                          .active_monitors = 3, .monitor_count = 4,
                          .messages = 6, .bytes = 48,
-                         .aggregation_latency = 1000, .tree = true,
+                         .aggregation_latency = 1000,
                          .levels = 2, .root_fan_in = 2,
                          .partials_missing = 1, .retries = 2,
                          .coverage = 0.75, .degraded = false},
