@@ -1,25 +1,20 @@
-// bench_fleet — the ISSUE 10 fleet-scale measurement: one detector service
-// watching a thousand-plus concurrent simulated jobs through src/fleet.
-// Four readings, matching the fleet layer's acceptance bar:
+// bench_fleet — the fleet-scale measurement: one detector service admitting
+// a thousand-plus concurrent simulated jobs through src/fleet. Three
+// readings:
 //
-//   1. sustained ingestion throughput: samples/sec over the busy span of
-//      the central ingestion layer (virtual fleet timeline) plus the
-//      wall-clock tenant and sample rates of the whole fleet run;
-//   2. detection-latency degradation under load: the p95 across tenants of
-//      the mean verdict ingest delay (verdict emission -> batch completion
-//      at the service), against the single-job baseline's delay;
+//   1. peak concurrency: the most admitted jobs running at once, from the
+//      admission ledger (the binary exits non-zero below 1000), and the
+//      wall-clock tenant rate of the whole fleet run;
+//   2. fleet machine-hours saved: Fig 10's SU-savings accounting rolled up
+//      across the whole fleet;
 //   3. cross-tenant isolation while one tenant's tool faults spike: every
 //      tenant's journal bytes must be invariant under fleet growth even
-//      with the noisy tenant flooding the ingestion layer with retries;
-//   4. fleet machine-hours saved: Fig 10's SU-savings accounting (PR 9)
-//      rolled up across the whole fleet.
+//      with the noisy tenant's monitors losing and delaying reports.
 //
 //   bench_fleet [--quick] [--out FILE] [--jobs N] [--metrics-out FILE]
 //
-// The load scenario admits >= 1000 tenants whose lifetimes overlap (peak
-// concurrency is measured from the admission ledger and printed). Ingestion
-// ledgers and the SU bill are pure functions of the seed; only the wall
-// rates vary with the host.
+// The admission ledger and the SU bill are pure functions of the seed;
+// only the wall rate varies with the host.
 
 #include <algorithm>
 #include <chrono>
@@ -33,7 +28,6 @@
 #include "bench_common.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/json.hpp"
-#include "util/summary.hpp"
 
 using namespace parastack;
 
@@ -77,17 +71,6 @@ int peak_concurrency(const fleet::FleetResult& result) {
     peak = std::max(peak, live);
   }
   return peak;
-}
-
-/// Mean verdict ingest delay per tenant (ms), for tenants that produced at
-/// least one detection verdict.
-std::vector<double> verdict_delays(const fleet::FleetResult& result) {
-  std::vector<double> delays;
-  for (std::size_t t = 0; t < result.tenant_ingest.size(); ++t) {
-    const fleet::TenantIngest& ingest = result.tenant_ingest[t];
-    if (ingest.verdicts > 0) delays.push_back(ingest.verdict_delay_ms.mean());
-  }
-  return delays;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -139,20 +122,6 @@ int main(int argc, char** argv) {
 
   std::vector<Record> records;
 
-  // --- Single-job baseline: the detection latency one tenant sees with
-  // the ingestion service to itself.
-  const fleet::FleetResult baseline = fleet::run_fleet(base_fleet(1, 42));
-  const std::vector<double> baseline_delays = verdict_delays(baseline);
-  if (baseline_delays.empty()) {
-    std::fprintf(stderr,
-                 "bench_fleet: baseline tenant produced no verdict\n");
-    return 1;
-  }
-  const double baseline_delay_ms = baseline_delays.front();
-  records.push_back({"baseline", "verdict_delay_ms", baseline_delay_ms});
-  std::printf("baseline: 1 tenant, verdict ingest delay %.2fms\n",
-              baseline_delay_ms);
-
   // --- Load: >= 1000 tenants arriving over tight Poisson gaps, so their
   // ~3-minute lifetimes all overlap.
   fleet::FleetConfig load = base_fleet(load_tenants, 42);
@@ -162,32 +131,13 @@ int main(int argc, char** argv) {
   const double elapsed = seconds_since(t0);
 
   const int peak = peak_concurrency(under_load);
-  const double virtual_rate = under_load.ingest.sustained_per_sec();
-  const double wall_samples =
-      static_cast<double>(under_load.ingest.pushed) / elapsed;
   const double wall_tenants = load_tenants / elapsed;
-  std::vector<double> delays = verdict_delays(under_load);
-  std::sort(delays.begin(), delays.end());
-  const double p95 = util::quantile(delays, 0.95);
-  const double degradation_pct =
-      baseline_delay_ms > 0.0
-          ? (p95 / baseline_delay_ms - 1.0) * 100.0
-          : 0.0;
   const double hours_saved = under_load.bill.machine_hours_saved(
       load.base.platform.cores_per_node);
 
   std::printf("load: %d tenants, peak %d concurrent jobs, wall %.1fs "
               "(%.1f tenants/s)\n",
               load_tenants, peak, elapsed, wall_tenants);
-  std::printf("  ingest: %llu samples, %.0f samples/s sustained (virtual), "
-              "%.0f samples/s (wall), %llu backpressure waits\n",
-              static_cast<unsigned long long>(under_load.ingest.pushed),
-              virtual_rate, wall_samples,
-              static_cast<unsigned long long>(
-                  under_load.ingest.backpressure_waits));
-  std::printf("  detection latency: p95 verdict ingest delay %.2fms across "
-              "%zu tenants (%+.1f%% vs single-job baseline %.2fms)\n",
-              p95, delays.size(), degradation_pct, baseline_delay_ms);
   std::printf("  bill: %.1f SUs charged, %.1f SUs saved, "
               "%.1f machine-hours saved\n",
               under_load.bill.su_billed, under_load.bill.su_saved,
@@ -201,12 +151,7 @@ int main(int argc, char** argv) {
 
   records.push_back({"load", "peak_concurrent_jobs",
                      static_cast<double>(peak)});
-  records.push_back({"load", "samples_per_sec_virtual", virtual_rate});
-  records.push_back({"load", "samples_per_sec_wall", wall_samples});
   records.push_back({"load", "tenants_per_sec_wall", wall_tenants});
-  records.push_back({"load", "verdict_delay_p95_ms", p95});
-  records.push_back({"load", "verdict_delay_degradation_pct",
-                     degradation_pct});
   records.push_back({"load", "machine_hours_saved", hours_saved});
 
   // --- Isolation: the base tenant's tool faults spike (sample loss plus

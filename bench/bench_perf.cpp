@@ -60,10 +60,9 @@ constexpr ScenarioSpec kScenarios[] = {
     // the multi-attempt driver, snapshot replay, and recover.* counters
     // are on the timed path.
     {"recovery", 64, 501, 6, 18, 0, "ckpt:30"},
-    // The multi-tenant fleet: `runs` tenants arrive over Poisson gaps,
-    // contend at admission, and stream through the central ingestion
-    // layer, so the fleet driver and fleet.* counters are on the timed
-    // path and their snapshots in the trajectory.
+    // The multi-tenant fleet: `runs` tenants arrive over Poisson gaps and
+    // contend at admission, so the fleet driver and fleet.* counters are
+    // on the timed path and their snapshots in the trajectory.
     {"fleet", 64, 601, 8, 24, 0, nullptr, true},
 };
 

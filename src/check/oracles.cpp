@@ -460,9 +460,9 @@ SeedReport check_scenario(const Scenario& scenario,
   }
 
   // --- Fleet-identity oracle ---
-  // A single-tenant fleet is the legacy single-job path wearing a different
-  // entry point: its combined journal must reproduce the base run's bytes
-  // exactly — no fleet_admit lines, no reordering, no RNG perturbation.
+  // A single-tenant fleet runs the base job unchanged: its combined journal
+  // is exactly one line longer than the base run's, and that line is tenant
+  // 0's admission at t = 0 into the unbounded pool.
   {
     fleet::FleetConfig single;
     single.base = to_run_config(scenario);
@@ -472,9 +472,23 @@ SeedReport check_scenario(const Scenario& scenario,
     single.telemetry = &fleet_journal;
     (void)fleet::run_fleet(single);
     ++report.runs_executed;
-    if (const auto diff = first_divergence(live_bytes.str(), fleet_bytes.str());
-        !diff.empty()) {
-      fail(report, "fleet-identity", diff);
+    const int cores = single.base.platform.cores_per_node;
+    obs::FleetAdmitEvent admit;
+    admit.admitted = true;
+    admit.monitors = (single.base.nranks + cores - 1) / cores;  // one a node
+    admit.pool_in_use = admit.monitors;
+    std::ostringstream admit_line;
+    obs::JsonlJournal(admit_line).on_event(admit);
+    const std::string journal = fleet_bytes.str();
+    const std::size_t body = journal.find('\n') + 1;  // 0 when there is none
+    if (journal.compare(0, body, admit_line.str()) != 0) {
+      fail(report, "fleet-identity",
+           "first line is not tenant 0's fleet_admit line: " +
+               journal.substr(0, journal.find('\n')));
+    } else if (const auto diff =
+                   first_divergence(live_bytes.str(), journal.substr(body));
+               !diff.empty()) {
+      fail(report, "fleet-identity", diff + " (after the fleet_admit line)");
     }
   }
 

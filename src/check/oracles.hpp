@@ -74,8 +74,8 @@ struct SeedReport {
 ///   - rank-relabel: permuting rank labels permutes the identified faulty
 ///     set and leaves the transient-slowdown verdict unchanged
 ///     (metamorphic, on the pure pipeline functions);
-///   - fleet-identity: a single-tenant fleet (src/fleet) writes a journal
-///     byte-identical to the legacy single-job path;
+///   - fleet-identity: a single-tenant fleet (src/fleet) writes tenant 0's
+///     fleet_admit line and then exactly the base run's journal;
 ///   - fleet-isolation (fleet_jobs > 1 scenarios): per-tenant journal
 ///     streams are unchanged when an idle co-tenant joins the fleet.
 SeedReport check_scenario(const Scenario& scenario,

@@ -58,10 +58,10 @@ struct Scenario {
   /// Trials for the jobs-differential oracle (jobs=1 vs jobs=N campaigns).
   int campaign_runs = 2;
 
-  /// Fleet dimension: tenants sharing the detector service (1 = legacy
-  /// single-job path; the fleet-identity oracle holds that equivalence to
-  /// byte identity). `fleet_arrival`: 0 = Poisson arrivals of the base job,
-  /// 1 = trace-driven rotation through the workload catalog.
+  /// Fleet dimension: tenants sharing the detector service (1 = the base
+  /// job alone; the fleet-identity oracle checks every scenario's base job
+  /// as a one-tenant fleet). `fleet_arrival`: 0 = Poisson arrivals of the
+  /// base job, 1 = trace-driven rotation through the workload catalog.
   int fleet_jobs = 1;
   int fleet_arrival = 0;
 

@@ -37,7 +37,7 @@ std::vector<Scenario> candidates(const Scenario& s) {
   });
   push([](Scenario& c) { c.recovery_refault = 0; });
   push([](Scenario& c) {
-    // Back to the legacy single-job path: drops the whole fleet layer.
+    // Back to a single job: skips the fleet-isolation oracle.
     c.fleet_jobs = 1;
     c.fleet_arrival = 0;
   });

@@ -35,7 +35,7 @@ struct Arrival {
 };
 
 /// Deterministic arrival schedule. Tenant 0 is always `base` itself at
-/// t = 0 — a single-tenant fleet reduces to the legacy single-job path by
+/// t = 0 — a single-tenant fleet runs exactly the plain job by
 /// construction. Every later tenant draws its gap, seed, and (trace mode)
 /// workload from tenant-indexed hashes of base.seed, never from a shared
 /// rolling stream, so the first K arrivals are invariant under the fleet

@@ -1,38 +1,18 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <sstream>
 #include <utility>
 
 #include "obs/journal.hpp"
+#include "obs/perf.hpp"
 #include "util/check.hpp"
 
 namespace parastack::fleet {
 
 namespace {
-
-/// Pulls the ingestion-relevant slice out of a tenant's recorded stream:
-/// every detector sample (with its coverage) and every verdict, shifted
-/// onto the fleet timeline by the tenant's admission offset.
-class SampleCollector final : public obs::TelemetrySink {
- public:
-  SampleCollector(int tenant, sim::Time offset, std::vector<SampleRecord>& out)
-      : tenant_(tenant), offset_(offset), out_(out) {}
-
-  void on_event(const obs::Event& event) override {
-    if (const auto* e = std::get_if<obs::SampleEvent>(&event)) {
-      out_.push_back({tenant_, offset_ + e->time, e->coverage, false});
-    } else if (const auto* d = std::get_if<obs::DetectionEvent>(&event)) {
-      out_.push_back({tenant_, offset_ + d->time, 1.0, true});
-    }
-  }
-
- private:
-  int tenant_;
-  sim::Time offset_;
-  std::vector<SampleRecord>& out_;
-};
 
 int monitors_for(const harness::RunConfig& config) {
   const int cores = config.platform.cores_per_node;
@@ -45,24 +25,28 @@ using ReleaseQueue =
     std::priority_queue<Release, std::vector<Release>, std::greater<Release>>;
 
 /// The planning walk: simulate exactly the tenants the admission walk will
-/// admit (always recorded: the recordings feed the journal replay and the
-/// ingestion layer), and leave every other entry empty. Going in arrival
-/// order, it keeps a batch of admitted tenants whose end instants are not
-/// known yet. A tenant that fits while every batched tenant still holds its
-/// monitors is admitted at once. One that would fit only once some batched
-/// tenant has ended makes the batch run first (across `config.jobs`
-/// workers), so it is decided on exact end instants. One that does not fit
-/// even then is refused and never simulated. Which tenants run, and in
-/// which batch, depends only on end instants, never on the worker count.
-std::vector<harness::RecordedRun> simulate_admitted(
+/// admit, and leave every other entry empty. A run is recorded only when
+/// something replays it: the fleet's telemetry or the captured tenant
+/// journals. Going in arrival order, it keeps a batch of admitted tenants
+/// whose end instants are not known yet. A tenant that fits while every
+/// batched tenant still holds its monitors is admitted at once. One that
+/// would fit only once some batched tenant has ended makes the batch run
+/// first (across `config.jobs` workers), so it is decided on exact end
+/// instants. One that does not fit even then is refused and never
+/// simulated. Which tenants run, and in which batch, depends only on end
+/// instants, never on the worker count.
+std::vector<std::optional<harness::RecordedRun>> simulate_admitted(
     const FleetConfig& config, const std::vector<Arrival>& arrivals) {
-  const bool spans =
-      config.telemetry != nullptr && config.telemetry->wants_rank_spans();
+  std::optional<bool> record_spans;  // nullopt: nothing is recorded
+  if (config.telemetry != nullptr || config.capture_tenant_journals) {
+    record_spans =
+        config.telemetry != nullptr && config.telemetry->wants_rank_spans();
+  }
   const auto fits = [&](int in_use, int monitors) {
     return config.monitor_pool <= 0 ||
            in_use + monitors <= config.monitor_pool;
   };
-  std::vector<harness::RecordedRun> recorded(arrivals.size());
+  std::vector<std::optional<harness::RecordedRun>> simulated(arrivals.size());
   std::vector<std::size_t> batch;  // admitted, not simulated yet
   int batch_monitors = 0;
   int held = 0;  // monitors of simulated tenants that have not ended
@@ -75,7 +59,7 @@ std::vector<harness::RecordedRun> simulate_admitted(
   };
   const auto simulate_batch = [&] {
     std::vector<harness::RecordedRun> runs = harness::run_recorded(
-        static_cast<int>(batch.size()), config.jobs, spans, [&](int k) {
+        static_cast<int>(batch.size()), config.jobs, record_spans, [&](int k) {
           harness::RunConfig c =
               arrivals[batch[static_cast<std::size_t>(k)]].config;
           c.perf = config.perf;
@@ -85,7 +69,7 @@ std::vector<harness::RecordedRun> simulate_admitted(
       const Arrival& arrival = arrivals[batch[k]];
       releases.push({arrival.at + runs[k].result.end_time,
                      monitors_for(arrival.config)});
-      recorded[batch[k]] = std::move(runs[k]);
+      simulated[batch[k]] = std::move(runs[k]);
     }
     held += batch_monitors;
     batch.clear();
@@ -104,7 +88,7 @@ std::vector<harness::RecordedRun> simulate_admitted(
     batch_monitors += monitors;
   }
   if (!batch.empty()) simulate_batch();
-  return recorded;
+  return simulated;
 }
 
 /// Replay the audited lifecycle of an admitted tenant from its attempt
@@ -142,22 +126,20 @@ FleetResult run_fleet(const FleetConfig& config) {
   const std::vector<Arrival> arrivals =
       generate_arrivals(config.arrivals, config.base);
   const int n = static_cast<int>(arrivals.size());
-  const bool multi = n > 1;
 
   // Phase 1: simulate the tenants admission will admit.
-  std::vector<harness::RecordedRun> recorded =
+  std::vector<std::optional<harness::RecordedRun>> simulated =
       simulate_admitted(config, arrivals);
 
   // Phase 2: the admission walk, in arrival order. Monitors release at the
   // instant the owning job ends.
   FleetResult out;
-  out.pool_capacity = config.monitor_pool;
   sched::MonitorPool pool(config.monitor_pool);
   ReleaseQueue releases;
   obs::perf::Counter* perf_admitted = nullptr;
   obs::perf::Counter* perf_refused = nullptr;
   obs::perf::HighWater* perf_pool = nullptr;
-  if (multi && config.perf != nullptr) {
+  if (config.perf != nullptr) {
     perf_admitted = config.perf->counter("fleet.admitted");
     perf_refused = config.perf->counter("fleet.refused");
     perf_pool = config.perf->high_water("fleet.pool.monitors");
@@ -187,14 +169,16 @@ FleetResult run_fleet(const FleetConfig& config) {
       out.tenants.push_back(std::move(tenant));
       continue;
     }
-    PS_CHECK(recorded[static_cast<std::size_t>(i)].recording != nullptr,
+    std::optional<harness::RecordedRun>& run =
+        simulated[static_cast<std::size_t>(i)];
+    PS_CHECK(run.has_value(),
              "fleet admitted a tenant the planning walk did not simulate");
     tenant.pool_in_use = pool.in_use();
     PS_PERF_ADD(perf_admitted, 1);
     PS_PERF_OBSERVE(perf_pool,
                     static_cast<std::uint64_t>(pool.in_use()));
     tenant.admitted = true;
-    tenant.run = std::move(recorded[static_cast<std::size_t>(i)].result);
+    tenant.run = std::move(run->result);
     tenant.ticket.walltime = tenant.run.walltime;
     tenant.end_at = arrival.at + tenant.run.end_time;
     tenant.lifecycle = audit_lifecycle(arrival.at, tenant.run);
@@ -210,50 +194,22 @@ FleetResult run_fleet(const FleetConfig& config) {
     out.tenants.push_back(std::move(tenant));
   }
   out.pool_high_water = pool.high_water();
-  out.pool_refusals = pool.refusals();
 
-  // Phase 3: stream every admitted tenant's samples through the central
-  // ingestion layer, merged into fleet-timeline order. Ingestion observes
-  // the detector streams — it never feeds back into them, which is what
-  // makes tenant isolation hold by construction.
-  std::vector<SampleRecord> records;
-  for (int i = 0; i < n; ++i) {
-    const TenantResult& tenant = out.tenants[static_cast<std::size_t>(i)];
-    if (!tenant.admitted) continue;
-    SampleCollector collector(tenant.tenant, tenant.arrival, records);
-    recorded[static_cast<std::size_t>(i)].recording->replay(collector);
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const SampleRecord& a, const SampleRecord& b) {
-                     return a.at < b.at;
-                   });
-  Ingestor ingestor(config.ingest, n,
-                    multi ? config.perf : nullptr);
-  for (const SampleRecord& record : records) ingestor.push(record);
-  ingestor.finish();
-  out.ingest = ingestor.stats();
-  out.tenant_ingest.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) out.tenant_ingest.push_back(ingestor.tenant(t));
-
-  // Phase 4: telemetry replay in tenant order. Multi-tenant fleets bracket
-  // each admitted tenant's section with its admission decision; a
-  // single-tenant fleet replays the bare stream — byte-identical to the
-  // legacy single-job path.
+  // Phase 3: telemetry replay in tenant order. Each tenant's section opens
+  // with its admission decision; an admitted tenant's own stream follows.
   if (config.telemetry != nullptr) {
     for (int i = 0; i < n; ++i) {
       const TenantResult& tenant = out.tenants[static_cast<std::size_t>(i)];
-      if (multi) {
-        obs::FleetAdmitEvent event;
-        event.time = tenant.arrival;
-        event.tenant = tenant.tenant;
-        event.admitted = tenant.admitted;
-        event.monitors = tenant.monitors;
-        event.pool_in_use = tenant.pool_in_use;
-        event.pool_capacity = config.monitor_pool > 0 ? config.monitor_pool : 0;
-        config.telemetry->on_event(event);
-      }
+      obs::FleetAdmitEvent event;
+      event.time = tenant.arrival;
+      event.tenant = tenant.tenant;
+      event.admitted = tenant.admitted;
+      event.monitors = tenant.monitors;
+      event.pool_in_use = tenant.pool_in_use;
+      event.pool_capacity = config.monitor_pool > 0 ? config.monitor_pool : 0;
+      config.telemetry->on_event(event);
       if (tenant.admitted) {
-        recorded[static_cast<std::size_t>(i)].recording->replay(
+        simulated[static_cast<std::size_t>(i)]->recording->replay(
             *config.telemetry);
       }
     }
@@ -264,7 +220,7 @@ FleetResult run_fleet(const FleetConfig& config) {
       if (!out.tenants[static_cast<std::size_t>(i)].admitted) continue;
       std::ostringstream stream;
       obs::JsonlJournal journal(stream);
-      recorded[static_cast<std::size_t>(i)].recording->replay(journal);
+      simulated[static_cast<std::size_t>(i)]->recording->replay(journal);
       out.tenant_journals[static_cast<std::size_t>(i)] = stream.str();
     }
   }

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fleet/arrival.hpp"
-#include "fleet/ingest.hpp"
 #include "harness/campaign.hpp"
 #include "sched/scheduler.hpp"
 
@@ -13,8 +11,7 @@ namespace parastack::fleet {
 
 /// A multi-tenant detector-service fleet: tenants arrive from the seeded
 /// workload mix, contend for a bounded monitor pool at admission, run as
-/// independent simulated jobs, and stream their samples through the shared
-/// ingestion layer.
+/// independent simulated jobs, and are billed on one fleet ledger.
 struct FleetConfig {
   /// Tenant 0's job and the template every other tenant derives from.
   harness::RunConfig base;
@@ -23,16 +20,15 @@ struct FleetConfig {
   /// node); <= 0 = unbounded. A tenant whose nodes do not fit is refused
   /// outright — never queued, never billed.
   int monitor_pool = 0;
-  IngestConfig ingest;
   int jobs = 1;  ///< worker threads for the tenant simulations (0 = auto)
-  /// Combined fleet stream: tenant sections replayed in tenant order, each
-  /// bracketed by a fleet_admit event when the fleet has more than one
-  /// tenant. A single-tenant fleet replays tenant 0's stream bare, so the
-  /// journal is byte-identical to the legacy single-job path. Not owned.
+  /// Combined fleet stream: one section per tenant in tenant order, each a
+  /// fleet_admit event followed by the tenant's own stream (admitted
+  /// tenants only). A one-tenant fleet writes its admit line, then exactly
+  /// the plain run's stream. Not owned.
   obs::TelemetrySink* telemetry = nullptr;
   /// Shared counter registry: admitted tenants' runs feed it like campaign
-  /// trials do; fleet.* instruments register only for multi-tenant fleets.
-  /// Not owned.
+  /// trials do, and the fleet adds fleet.admitted, fleet.refused and the
+  /// fleet.pool.monitors high-water. Not owned.
   obs::perf::ProfileRegistry* perf = nullptr;
   /// Capture each tenant's journal bytes separately (tenant-isolation
   /// oracle and per-tenant artifact export).
@@ -58,12 +54,8 @@ struct TenantResult {
 
 struct FleetResult {
   std::vector<TenantResult> tenants;
-  IngestStats ingest;
-  std::vector<TenantIngest> tenant_ingest;  ///< indexed by tenant
   sched::FleetBill bill;
-  int pool_capacity = 0;
   int pool_high_water = 0;
-  std::uint64_t pool_refusals = 0;
   sim::Time makespan = 0;  ///< last admitted tenant's end instant
   /// Per-tenant journal bytes (empty unless capture_tenant_journals).
   std::vector<std::string> tenant_journals;
@@ -75,7 +67,7 @@ struct FleetResult {
 /// admitted tenants are simulated: admission depends on earlier tenants'
 /// end instants, so admitted tenants run in batches, and a batch runs as
 /// soon as a later tenant's decision needs its end instants. A refused
-/// tenant is never simulated, billed, replayed, or ingested.
+/// tenant is never simulated, billed or replayed.
 FleetResult run_fleet(const FleetConfig& config);
 
 }  // namespace parastack::fleet

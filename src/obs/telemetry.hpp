@@ -276,9 +276,8 @@ struct RecoveryEvent {
 
 /// Fleet admission decision for one tenant: the arrival hit the bounded
 /// monitor pool and was either granted its per-node monitors or turned away
-/// (refusal-without-burn). Emitted only by multi-tenant fleet drivers —
-/// single-tenant fleets stay byte-identical to the legacy single-job path —
-/// and on the fleet timeline, bracketing the tenant's replayed job stream.
+/// (refusal-without-burn). Emitted by the fleet driver for every tenant, on
+/// the fleet timeline, ahead of the tenant's replayed job stream.
 struct FleetAdmitEvent {
   sim::Time time = 0;       ///< arrival instant on the fleet timeline
   int tenant = 0;           ///< tenant index (doubles as the run_index tag)

@@ -203,27 +203,40 @@ else
   echo "ok clean-run"
 fi
 
-# --fleet=1 must write byte-identical journal/metrics/trace artifacts to
-# the legacy single-job path — the fleet layer's core compatibility bar.
+# --fleet=1 writes the plain run's artifacts with exactly three additions:
+# tenant 0's fleet_admit line ahead of the journal, and the fleet's three
+# perf counters in the metrics. The Chrome trace does not change at all.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 "$PSIM" run --bench LU --input C --ranks 32 --seed 11 --fault compute-hang \
-  --journal "$tmp/legacy.jsonl" --metrics-out "$tmp/legacy.json" \
-  --chrome-trace "$tmp/legacy.trace" >/dev/null 2>&1
+  --journal "$tmp/plain.jsonl" --metrics-out "$tmp/plain.json" \
+  --chrome-trace "$tmp/plain.trace" >/dev/null 2>&1
 "$PSIM" run --bench LU --input C --ranks 32 --seed 11 --fault compute-hang \
   --fleet=1 --journal "$tmp/fleet.jsonl" --metrics-out "$tmp/fleet.json" \
   --chrome-trace "$tmp/fleet.trace" >/dev/null 2>&1
-for artifact in jsonl json trace; do
-  if ! cmp -s "$tmp/legacy.$artifact" "$tmp/fleet.$artifact"; then
-    echo "FAIL fleet-identity: .$artifact diverged under --fleet=1" >&2
+# identity_result RC ARTIFACT: report the comparison that just exited RC.
+identity_result() {
+  if [[ $1 -ne 0 ]]; then
+    echo "FAIL fleet-identity-$2: differs from the plain run beyond the" \
+      "fleet's additions" >&2
     failures=$((failures + 1))
   else
-    echo "ok fleet-identity-$artifact"
+    echo "ok fleet-identity-$2"
   fi
-done
+}
+admit='{"ev":"fleet_admit","t_ns":0,"tenant":0,"admitted":true,"monitors":2,"pool_in_use":2}'
+[[ $(head -n 1 "$tmp/fleet.jsonl") == "$admit" ]] &&
+  tail -n +2 "$tmp/fleet.jsonl" | cmp -s - "$tmp/plain.jsonl"
+identity_result $? jsonl
+fleet_keys='"perf.fleet.admitted":1,"perf.fleet.pool.monitors.hw":2,"perf.fleet.refused":0,'
+grep -qF "$fleet_keys" "$tmp/fleet.json" &&
+  sed "s/${fleet_keys//./\\.}//" "$tmp/fleet.json" | cmp -s - "$tmp/plain.json"
+identity_result $? json
+cmp -s "$tmp/fleet.trace" "$tmp/plain.trace"
+identity_result $? trace
 
-# A multi-tenant fleet run exits 0 and reports the admission/ingest/bill
-# summary lines.
+# A multi-tenant fleet run exits 0 and reports the admission, outcome and
+# bill summary lines.
 out=$("$PSIM" run --bench LU --input C --ranks 32 --seed 11 \
   --fault compute-hang --fleet=3,trace,4 2>&1)
 rc=$?
@@ -231,9 +244,9 @@ if [[ $rc -ne 0 ]]; then
   echo "FAIL fleet-run: exit code $rc, expected 0" >&2
   echo "$out" >&2
   failures=$((failures + 1))
-elif [[ $out != *"admission:"* || $out != *"ingest:"* || $out != *"bill:"* ]]
-then
-  echo "FAIL fleet-run: missing admission/ingest/bill summary" >&2
+elif [[ $out != *"admission:"* || $out != *"outcomes:"* ||
+        $out != *"bill:"* || $out == *"ingest:"* ]]; then
+  echo "FAIL fleet-run: want admission/outcomes/bill and no ingest summary" >&2
   echo "$out" >&2
   failures=$((failures + 1))
 else

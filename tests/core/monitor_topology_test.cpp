@@ -43,7 +43,9 @@ void expect_valid_tree(const MonitorTopology& t) {
     EXPECT_TRUE(std::is_sorted(kids.begin(), kids.end()));
     for (const int c : kids) EXPECT_EQ(t.parent(c), n);
   }
-  if (survivors > 0) EXPECT_EQ(roots, 1);
+  if (survivors > 0) {
+    EXPECT_EQ(roots, 1);
+  }
 }
 
 /// Freshly built trees (no removals yet) additionally respect the fanout

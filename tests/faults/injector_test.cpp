@@ -58,7 +58,9 @@ TEST(FaultInjector, ComputeHangActivatesAfterTrigger) {
   EXPECT_FALSE(world.rank(5).in_mpi());
   EXPECT_EQ(world.rank(5).status(), simmpi::RankStatus::kHungCompute);
   for (simmpi::Rank r = 0; r < 8; ++r) {
-    if (r != 5) EXPECT_TRUE(world.rank(r).in_mpi()) << "rank " << r;
+    if (r != 5) {
+      EXPECT_TRUE(world.rank(r).in_mpi()) << "rank " << r;
+    }
   }
 }
 

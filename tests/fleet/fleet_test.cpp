@@ -1,7 +1,8 @@
-// Fleet mode end to end: the single-tenant fleet must be byte-identical to
-// the legacy single-job path, arrival schedules and per-tenant journals
-// must be invariant under co-tenants (the isolation oracle), and admission
-// against the bounded monitor pool must refuse without burning anything.
+// Fleet mode end to end: a single-tenant fleet must write its fleet_admit
+// line and then the plain run's journal byte for byte, arrival schedules
+// and per-tenant journals must be invariant under co-tenants (the isolation
+// oracle), and admission against the bounded monitor pool must refuse
+// without burning anything.
 
 #include <gtest/gtest.h>
 
@@ -32,13 +33,13 @@ int monitors_for(const harness::RunConfig& config) {
   return (config.nranks + cores - 1) / cores;
 }
 
-TEST(Fleet, SingleTenantJournalIsByteIdenticalToTheLegacyPath) {
-  // The correctness anchor: --fleet=1 must not perturb a single byte of the
-  // legacy single-job journal — no fleet_admit lines, no reordering, no
-  // altered RNG stream.
-  std::ostringstream legacy_out;
+TEST(Fleet, SingleTenantJournalIsTheAdmitLineThenThePlainRun) {
+  // The correctness anchor: --fleet=1 adds exactly one line, tenant 0's
+  // admission, and does not perturb a single byte of the plain run's
+  // journal after it — no reordering, no altered RNG stream.
+  std::ostringstream plain_out;
   {
-    obs::JsonlJournal journal(legacy_out);
+    obs::JsonlJournal journal(plain_out);
     harness::RunConfig config = small_lu();
     config.telemetry = &journal;
     harness::run_one(config);
@@ -55,38 +56,40 @@ TEST(Fleet, SingleTenantJournalIsByteIdenticalToTheLegacyPath) {
     result = run_fleet(config);
   }
 
-  ASSERT_FALSE(legacy_out.str().empty());
-  EXPECT_EQ(legacy_out.str(), fleet_out.str());
-  EXPECT_EQ(fleet_out.str().find("fleet_admit"), std::string::npos);
+  obs::FleetAdmitEvent admit;
+  admit.admitted = true;
+  admit.monitors = monitors_for(small_lu());
+  admit.pool_in_use = admit.monitors;
+  std::ostringstream admit_line;
+  obs::JsonlJournal(admit_line).on_event(admit);
+
+  ASSERT_FALSE(plain_out.str().empty());
+  const std::string journal = fleet_out.str();
+  const std::size_t body = journal.find('\n') + 1;
+  ASSERT_GT(body, 0u);
+  EXPECT_EQ(journal.substr(0, body), admit_line.str());
+  EXPECT_EQ(journal.substr(body), plain_out.str());
   ASSERT_EQ(result.tenants.size(), 1u);
   EXPECT_TRUE(result.tenants[0].admitted);
   EXPECT_EQ(result.bill.jobs, 1);
 }
 
-TEST(Fleet, SingleTenantRegistersNoFleetCounters) {
-  obs::perf::ProfileRegistry registry;
-  FleetConfig config;
-  config.base = small_lu();
-  config.arrivals.jobs = 1;
-  config.perf = &registry;
-  run_fleet(config);
-  for (const auto& [name, value] : registry.counter_snapshot()) {
-    EXPECT_EQ(name.rfind("fleet.", 0), std::string::npos)
-        << name << " leaked into a single-tenant fleet";
-  }
-}
-
 TEST(Fleet, MultiTenantRegistersFleetCounters) {
-  obs::perf::ProfileRegistry registry;
-  FleetConfig config;
-  config.base = small_lu();
-  config.arrivals.jobs = 2;
-  config.perf = &registry;
-  const FleetResult result = run_fleet(config);
-  const auto snapshot = registry.counter_snapshot();
-  EXPECT_EQ(snapshot.at("fleet.admitted"), 2u);
-  EXPECT_GT(snapshot.at("fleet.ingest.samples"), 0u);
-  EXPECT_EQ(snapshot.at("fleet.ingest.samples"), result.ingest.pushed);
+  // Every fleet counts its admissions, a one-tenant fleet included.
+  for (const int tenants : {1, 2}) {
+    obs::perf::ProfileRegistry registry;
+    FleetConfig config;
+    config.base = small_lu();
+    config.arrivals.jobs = tenants;
+    config.perf = &registry;
+    const FleetResult result = run_fleet(config);
+    const auto snapshot = registry.counter_snapshot();
+    EXPECT_EQ(snapshot.at("fleet.admitted"),
+              static_cast<std::uint64_t>(tenants));
+    EXPECT_EQ(snapshot.at("fleet.refused"), 0u);
+    EXPECT_EQ(snapshot.at("fleet.pool.monitors.hw"),
+              static_cast<std::uint64_t>(result.pool_high_water));
+  }
 }
 
 TEST(Fleet, ArrivalPrefixIsInvariantUnderFleetSize) {
@@ -155,16 +158,14 @@ TEST(Fleet, AdmissionRefusesWithoutBurnWhenThePoolIsExhausted) {
   EXPECT_TRUE(result.tenants[0].admitted);
   EXPECT_FALSE(result.tenants[1].admitted);
   // Refusal-without-burn: the refused tenant is terminal at its arrival
-  // instant, billed nothing, and contributes no journal or ingest traffic.
+  // instant, billed nothing, and contributes no journal traffic.
   EXPECT_EQ(result.bill.jobs, 1);
   EXPECT_EQ(result.bill.refused, 1);
-  EXPECT_EQ(result.pool_refusals, 1u);
   ASSERT_EQ(result.tenants[1].lifecycle.size(), 1u);
   EXPECT_EQ(result.tenants[1].lifecycle[0].from, sched::JobState::kPending);
   EXPECT_EQ(result.tenants[1].lifecycle[0].to, sched::JobState::kRefused);
   EXPECT_EQ(result.tenants[1].lifecycle[0].at, result.tenants[1].arrival);
   EXPECT_TRUE(result.tenant_journals[1].empty());
-  EXPECT_EQ(result.tenant_ingest[1].samples, 0u);
   // The combined stream still narrates the refusal.
   EXPECT_NE(out.str().find("fleet_admit"), std::string::npos);
   EXPECT_NE(out.str().find("\"admitted\":false"), std::string::npos);
@@ -215,7 +216,7 @@ TEST(Fleet, PoolSlotsReleaseWhenTheOwningJobEnds) {
   EXPECT_TRUE(result.tenants[0].admitted);
   EXPECT_TRUE(result.tenants[1].admitted);
   EXPECT_EQ(result.bill.jobs, 2);
-  EXPECT_EQ(result.pool_refusals, 0u);
+  EXPECT_EQ(result.bill.refused, 0);
   EXPECT_EQ(result.pool_high_water, monitors_for(config.base));
   EXPECT_GE(result.makespan, result.tenants[1].arrival);
 }
@@ -247,12 +248,6 @@ TEST(Fleet, BillRollsUpEveryAdmittedTenant) {
         << sched::job_state_name(last);
     EXPECT_GE(tenant.lifecycle.front().at, tenant.arrival);
   }
-  // The fleet ingest ledger saw every admitted tenant's stream.
-  EXPECT_GT(result.ingest.pushed, 0u);
-  EXPECT_EQ(result.ingest.pushed, result.ingest.processed);
-  for (int t = 0; t < 4; ++t) {
-    EXPECT_GT(result.tenant_ingest[static_cast<std::size_t>(t)].samples, 0u);
-  }
 }
 
 TEST(Fleet, ResultIsDeterministicAcrossWorkerCounts) {
@@ -260,7 +255,8 @@ TEST(Fleet, ResultIsDeterministicAcrossWorkerCounts) {
   // and a pool for two tenants where the third arrives while both still
   // run, and the fourth after the first has ended. The walk must simulate
   // the first two before it can decide the third, refuse it, and admit the
-  // fourth into the monitors the first released.
+  // fourth into the monitors the first released. A fleet with nothing to
+  // replay records no tenant stream, and must decide the same.
   FleetConfig probe;
   probe.base = small_lu();
   const sim::Time span = run_fleet(probe).makespan;
@@ -278,31 +274,37 @@ TEST(Fleet, ResultIsDeterministicAcrossWorkerCounts) {
   for (const FleetConfig& input : {unbounded, bounded}) {
     obs::perf::ProfileRegistry serial_perf;
     obs::perf::ProfileRegistry parallel_perf;
-    const auto run_with = [&input](int workers,
+    obs::perf::ProfileRegistry bare_perf;
+    const auto run_with = [&input](int workers, bool capture,
                                    obs::perf::ProfileRegistry& registry) {
       FleetConfig config = input;
       config.jobs = workers;
-      config.capture_tenant_journals = true;
+      config.capture_tenant_journals = capture;
       config.perf = &registry;
       return run_fleet(config);
     };
-    const FleetResult serial = run_with(1, serial_perf);
-    const FleetResult parallel = run_with(3, parallel_perf);
-    ASSERT_EQ(serial.tenants.size(), parallel.tenants.size());
-    EXPECT_EQ(serial.makespan, parallel.makespan);
-    EXPECT_EQ(serial.bill.jobs, parallel.bill.jobs);
-    EXPECT_EQ(serial.bill.refused, parallel.bill.refused);
-    EXPECT_DOUBLE_EQ(serial.bill.su_billed, parallel.bill.su_billed);
-    EXPECT_DOUBLE_EQ(serial.bill.su_saved, parallel.bill.su_saved);
-    EXPECT_EQ(serial.ingest.pushed, parallel.ingest.pushed);
-    EXPECT_EQ(serial.ingest.last_done, parallel.ingest.last_done);
+    const FleetResult serial = run_with(1, true, serial_perf);
+    const FleetResult parallel = run_with(3, true, parallel_perf);
+    const FleetResult bare = run_with(3, false, bare_perf);
+    EXPECT_TRUE(bare.tenant_journals.empty());
+    for (const auto* other : {&parallel, &bare}) {
+      ASSERT_EQ(serial.tenants.size(), other->tenants.size());
+      EXPECT_EQ(serial.makespan, other->makespan);
+      EXPECT_EQ(serial.bill.jobs, other->bill.jobs);
+      EXPECT_EQ(serial.bill.refused, other->bill.refused);
+      EXPECT_DOUBLE_EQ(serial.bill.su_billed, other->bill.su_billed);
+      EXPECT_DOUBLE_EQ(serial.bill.su_saved, other->bill.su_saved);
+      for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
+        EXPECT_EQ(serial.tenants[i].admitted, other->tenants[i].admitted);
+        EXPECT_EQ(serial.tenants[i].pool_in_use,
+                  other->tenants[i].pool_in_use);
+        EXPECT_EQ(serial.tenants[i].end_at, other->tenants[i].end_at);
+      }
+    }
     EXPECT_EQ(serial_perf.counter_snapshot(), parallel_perf.counter_snapshot());
+    EXPECT_EQ(serial_perf.counter_snapshot(), bare_perf.counter_snapshot());
     for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
-      EXPECT_EQ(serial.tenants[i].admitted, parallel.tenants[i].admitted);
-      EXPECT_EQ(serial.tenants[i].pool_in_use,
-                parallel.tenants[i].pool_in_use);
       EXPECT_EQ(serial.tenant_journals[i], parallel.tenant_journals[i]);
-      EXPECT_EQ(serial.tenants[i].end_at, parallel.tenants[i].end_at);
     }
   }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -19,6 +20,12 @@ struct Scenario {
   // strike later (the paper likewise discards too-early faults, §7).
   int min_fault_s = 5;
 };
+
+// gtest prints a parameter without PrintTo as its raw bytes, pointer and
+// padding included, which differ from build to build.
+void PrintTo(const Scenario& scenario, std::ostream* os) {
+  *os << workloads::bench_name(scenario.bench) << '(' << scenario.input << ')';
+}
 
 std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
   return std::string(workloads::bench_name(info.param.bench)) + "_" +

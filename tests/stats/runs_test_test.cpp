@@ -10,11 +10,11 @@ namespace parastack::stats {
 namespace {
 
 TEST(RunsPmf, SumsToOneOverSupport) {
-  for (const auto [n1, n0] : {std::pair<std::size_t, std::size_t>{3, 5},
-                              {7, 9},
-                              {10, 10},
-                              {1, 6},
-                              {20, 20}}) {
+  for (const auto& [n1, n0] : {std::pair<std::size_t, std::size_t>{3, 5},
+                               {7, 9},
+                               {10, 10},
+                               {1, 6},
+                               {20, 20}}) {
     double total = 0.0;
     for (std::size_t r = 0; r <= n1 + n0; ++r) total += runs_pmf(r, n1, n0);
     EXPECT_NEAR(total, 1.0, 1e-9) << "n1=" << n1 << " n0=" << n0;
@@ -79,9 +79,9 @@ TEST(RunsCriticalRegion, SwedEisenhartPins) {
 }
 
 TEST(RunsCriticalRegion, TailsHoldAlphaHalf) {
-  for (const auto [n1, n0] : {std::pair<std::size_t, std::size_t>{8, 13},
-                              {15, 18},
-                              {20, 20}}) {
+  for (const auto& [n1, n0] : {std::pair<std::size_t, std::size_t>{8, 13},
+                               {15, 18},
+                               {20, 20}}) {
     const auto [lo, hi] = runs_critical_region(n1, n0);
     EXPECT_LE(runs_cdf(lo, n1, n0), 0.025 + 1e-9);
     EXPECT_GT(runs_cdf(lo + 1, n1, n0), 0.025);
@@ -191,7 +191,9 @@ TEST_P(RunsRegionSweep, RegionBracketsAreConsistent) {
   for (std::size_t i = 0; i < n0; ++i) coded.push_back(0);
   // Perfectly blocked -> 2 runs; must reject whenever 2 <= lo.
   const auto blocked = runs_test_coded(coded);
-  if (2 <= lo) EXPECT_FALSE(blocked.random);
+  if (2 <= lo) {
+    EXPECT_FALSE(blocked.random);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SmallTable, RunsRegionSweep,

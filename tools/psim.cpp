@@ -84,8 +84,10 @@ int usage() {
                "            service (ARRIVAL poisson|trace, default poisson; "
                "POOL bounds the monitor pool,\n"
                "            0 = unbounded; --jobs N parallelizes the tenant "
-               "simulations). --fleet=1 is\n"
-               "            byte-identical to the plain run\n"
+               "simulations). --fleet=1\n"
+               "            writes the plain run's artifacts plus one "
+               "fleet_admit journal line and\n"
+               "            three perf.fleet.* metrics\n"
                "  telemetry (run/campaign): --journal FILE --metrics-out FILE "
                "(alias --metrics) --chrome-trace FILE\n"
                "            --trace-ranks N --journal-spans "
@@ -614,15 +616,6 @@ int cmd_run_fleet(const util::Args& args, const std::string& spec) {
                "outcomes: %d completed, %d killed on detection, %d expired, "
                "%d gave up\n",
                bill.completed, bill.killed, bill.expired, bill.gave_up);
-  std::fprintf(telemetry.human(),
-               "ingest: %llu samples in %llu batches, %.0f samples/s "
-               "sustained, %llu backpressure waits, %llu deferred\n",
-               static_cast<unsigned long long>(result.ingest.pushed),
-               static_cast<unsigned long long>(result.ingest.batches),
-               result.ingest.sustained_per_sec(),
-               static_cast<unsigned long long>(
-                   result.ingest.backpressure_waits),
-               static_cast<unsigned long long>(result.ingest.deferred));
   std::fprintf(telemetry.human(),
                "bill: %.1f SUs charged, %.1f SUs saved "
                "(%.2f machine-hours at %d cores/node), makespan %.1fs\n",
