@@ -9,16 +9,10 @@
 // or PARASTACK_BENCH_JOBS=N; default: all hardware threads). Campaign
 // results are byte-identical for any jobs value, so parallelism never
 // changes a reproduced number.
-//
-// Every bench binary also takes `--metrics-out FILE`: at exit it writes one
-// JSON MetricsRegistry document with the process-wide perf counters folded
-// in (prefix "perf."), so any reproduction run can emit machine-readable
-// metrics alongside its table.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,8 +20,7 @@
 #include "harness/campaign.hpp"
 #include "harness/parallel.hpp"
 #include "harness/runner.hpp"
-#include "obs/metrics.hpp"
-#include "obs/perf.hpp"
+#include "util/summary.hpp"
 
 namespace parastack::bench {
 
@@ -45,70 +38,15 @@ inline int& jobs_override() {
   return value;
 }
 
-/// Process-wide perf-counter registry shared by every run a bench binary
-/// executes. Counters are atomic, so parallel trials may all feed it; the
-/// totals are order-independent and therefore identical for any --jobs.
-/// Dumped (folded into the metrics registry) by --metrics-out.
-inline obs::perf::ProfileRegistry& perf_registry() {
-  static obs::perf::ProfileRegistry registry;
-  return registry;
-}
-
-/// Process-wide metrics registry behind --metrics-out. Bench binaries may
-/// fold their own campaign-level aggregates into it (counters, gauges,
-/// summaries); the perf counters above are merged in at dump time.
-inline obs::MetricsRegistry& metrics_registry() {
-  static obs::MetricsRegistry registry;
-  return registry;
-}
-
-/// Destination of the --metrics-out dump (empty = flag absent, no dump).
-inline std::string& metrics_out_path() {
-  static std::string path;
-  return path;
-}
-
-/// atexit hook armed by parse_jobs when --metrics-out was given: merge the
-/// perf counters into the metrics registry (prefixed "perf.", high-waters
-/// keep their ".hw" suffix; wall-clock timers are excluded by design) and
-/// write one deterministic JSON document.
-inline void write_metrics_dump() {
-  if (metrics_out_path().empty()) return;
-  for (const auto& [name, value] : perf_registry().counter_snapshot()) {
-    metrics_registry().counter("perf." + name) += value;
-  }
-  std::ofstream out(metrics_out_path());
-  if (!out) {
-    std::fprintf(stderr, "cannot open metrics file '%s'\n",
-                 metrics_out_path().c_str());
-    return;
-  }
-  metrics_registry().write_json(out);
-}
-
-/// Scan argv for `--jobs N` / `--jobs=N` and `--metrics-out FILE` /
-/// `--metrics-out=FILE`. Every bench binary calls this first thing in
-/// main() so the whole suite takes both flags uniformly; the metrics dump
-/// happens automatically at process exit.
+/// Scan argv for `--jobs N` / `--jobs=N`. Every bench binary calls this
+/// first thing in main() so the whole suite takes the flag uniformly.
 inline void parse_jobs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       jobs_override() = std::atoi(argv[i + 1]);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
       jobs_override() = std::atoi(argv[i] + 7);
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_out_path() = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      metrics_out_path() = argv[i] + 14;
     }
-  }
-  if (!metrics_out_path().empty()) {
-    // Touch both registries before registering the hook so their static
-    // lifetimes outlast it (atexit handlers and static destructors run in
-    // reverse registration order).
-    (void)perf_registry();
-    (void)metrics_registry();
-    std::atexit([] { write_metrics_dump(); });
   }
 }
 
@@ -151,7 +89,6 @@ inline harness::RunConfig erroneous_config(workloads::Bench bench,
   config.nranks = nranks;
   config.platform = platform;
   config.fault = faults::FaultType::kComputeHang;
-  config.perf = &perf_registry();
   return config;
 }
 
@@ -184,7 +121,6 @@ inline OverheadSeries measure_performance(workloads::Bench bench, int nranks,
     config.bench = bench;
     config.nranks = nranks;
     config.platform = platform;
-    config.perf = &perf_registry();
     config.seed = harness::derive_trial_seed(seed0, i);
     if (fixed_interval_ms > 0.0) {
       config.parastack_config().initial_interval =

@@ -11,7 +11,7 @@
 //      tenant's journal bytes must be invariant under fleet growth even
 //      with the noisy tenant's monitors losing and delaying reports.
 //
-//   bench_fleet [--quick] [--out FILE] [--jobs N] [--metrics-out FILE]
+//   bench_fleet [--quick] [--out FILE] [--jobs N]
 //
 // The admission ledger and the SU bill are pure functions of the seed;
 // only the wall rate varies with the host.
@@ -47,10 +47,8 @@ fleet::FleetConfig base_fleet(int tenants, std::uint64_t seed) {
   config.base = bench::erroneous_config(workloads::Bench::kLU, "C", 32,
                                         sim::Platform::tardis());
   config.base.seed = seed;
-  config.base.perf = nullptr;  // run_fleet attaches the shared registry
   config.arrivals.jobs = tenants;
   config.jobs = bench::jobs();
-  config.perf = &bench::perf_registry();
   return config;
 }
 

@@ -65,14 +65,6 @@ DetectorSpec& RunConfig::spec(core::DetectorKind kind) {
   return detectors.back();
 }
 
-void RunConfig::remove(core::DetectorKind kind) {
-  detectors.erase(std::remove_if(detectors.begin(), detectors.end(),
-                                 [kind](const DetectorSpec& spec) {
-                                   return spec.kind == kind;
-                                 }),
-                  detectors.end());
-}
-
 core::DetectorConfig& RunConfig::parastack_config() {
   return spec(core::DetectorKind::kParastack).parastack;
 }

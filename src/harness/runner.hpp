@@ -64,8 +64,6 @@ struct RunConfig {
   DetectorSpec* find(core::DetectorKind kind);
   /// First spec of this kind, appending a default-configured one if absent.
   DetectorSpec& spec(core::DetectorKind kind);
-  /// Remove every spec of this kind.
-  void remove(core::DetectorKind kind);
   /// Find-or-add convenience for the common per-kind config tweaks.
   core::DetectorConfig& parastack_config();
   core::TimeoutDetector::Config& timeout_config();

@@ -131,10 +131,7 @@ JobCharge settle_recovered(const JobTicket& ticket,
 
 bool MonitorPool::try_acquire(int monitors) {
   PS_CHECK(monitors > 0, "acquire needs a positive monitor count");
-  if (capacity_ > 0 && in_use_ + monitors > capacity_) {
-    ++refusals_;
-    return false;
-  }
+  if (capacity_ > 0 && in_use_ + monitors > capacity_) return false;
   in_use_ += monitors;
   high_water_ = std::max(high_water_, in_use_);
   return true;

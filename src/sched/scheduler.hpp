@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -136,19 +135,17 @@ JobCharge settle_recovered(const JobTicket& ticket,
 /// unbounded pool: every acquire succeeds and nothing is tracked beyond the
 /// high-water mark. Refusals are terminal, not queued — a tenant that finds
 /// no capacity is turned away without burning anything (the fleet analogue
-/// of spare[:N] running out of spares).
+/// of spare[:N] running out of spares); the fleet counts them in
+/// `FleetBill::refused`.
 class MonitorPool {
  public:
   explicit MonitorPool(int capacity = 0) : capacity_(capacity) {}
 
-  int capacity() const noexcept { return capacity_; }
-  bool bounded() const noexcept { return capacity_ > 0; }
   int in_use() const noexcept { return in_use_; }
   int high_water() const noexcept { return high_water_; }
-  std::uint64_t refusals() const noexcept { return refusals_; }
 
-  /// Claim `monitors` slots; false (and a counted refusal) when the pool
-  /// cannot hold them. Requires monitors > 0.
+  /// Claim `monitors` slots; false when the pool cannot hold them.
+  /// Requires monitors > 0.
   bool try_acquire(int monitors);
   /// Return `monitors` previously acquired slots.
   void release(int monitors);
@@ -157,7 +154,6 @@ class MonitorPool {
   int capacity_ = 0;
   int in_use_ = 0;
   int high_water_ = 0;
-  std::uint64_t refusals_ = 0;
 };
 
 /// Fleet-level roll-up of per-tenant JobCharges: the machine-hours ledger

@@ -86,7 +86,7 @@ expect_reject nan-alpha "bad --alpha value 'nan'" \
 expect_reject zero-alpha "bad --alpha value '0' (expected 0 < A < 1)" \
   run --bench LU --ranks 32 --alpha 0
 expect_reject unused-bad-alpha "bad --alpha value '2'" \
-  run --bench LU --ranks 32 --no-parastack --alpha 2
+  run --bench LU --ranks 32 --detectors timeout --alpha 2
 expect_reject negative-trace-ranks "bad --trace-ranks value '-1'" \
   run --bench LU --ranks 32 --trace-ranks -1
 expect_reject overflowing-walltime "bad --walltime-min value '999999999999999'" \
@@ -151,6 +151,8 @@ expect_reject unknown-run-flag "psim run: unknown option --tre" \
   run --bench LU --ranks 32 --tre 2
 expect_reject run-jobs-without-fleet "psim run: unknown option --jobs" \
   run --bench LU --ranks 32 --jobs 2
+expect_reject metrics-alias "psim run: unknown option --metrics" \
+  run --bench LU --ranks 32 --metrics m.json
 expect_reject unknown-submit-flag "psim submit: unknown option --runs" \
   submit --bench LU --ranks 32 --runs 3
 expect_reject unknown-list-flag "psim list: unknown option --verbose" \

@@ -20,12 +20,23 @@
 //     every judgement.
 //   - LU-64 on Tardis with a compute hang and default tuning: interval
 //     doubling (the ECDF's thin_half), the streak, the sweeps and the kill.
+//   - LU-64 on Tianhe-2 with a compute hang, a binary monitor tree, report
+//     loss, a random monitor crash, a lead crash and `ckpt:30` recovery:
+//     tree gathers, retries, failovers, degraded mode, the checkpoint
+//     rollback and the second attempt, with their `monitor.*` and
+//     `recover.*` counters.
 //   - The every-pattern synthetic profile on 32 ranks without detectors,
 //     with rank spans journalled: the order in which every collective kind
 //     releases its ranks.
 //   - A fleet of LU-64 tenants arriving as a Poisson stream at a bounded
 //     monitor pool: the combined journal, with the `fleet_admit` line of
-//     every admitted and every refused tenant.
+//     every admitted and every refused tenant, and the perf dump of the
+//     whole fleet (admission counters and every tenant's engine counts).
+// The `lu64-tree-faults-ckpt` rows and `fleet6-poisson-pool8.perf` came
+// last, recorded on the code every other row pins. The perf dumps are pure
+// functions of the seed, so an accidental blow-up in engine events,
+// messages or attempts on any of these paths fails here exactly, on any
+// host.
 
 #include <gtest/gtest.h>
 
@@ -40,6 +51,7 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
+#include "recover/spec.hpp"
 #include "simmpi/world.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -120,8 +132,13 @@ constexpr Golden kGolden[] = {
     {"lu64-tardis-hang.metrics", 0x72beb9643064e3a1ULL, 2309, 0},
     {"lu64-tardis-hang.trace", 0x3f8ff82b714b257eULL, 1227159, 12770},
     {"lu64-tardis-hang.perf", 0xcd3b29e5fece5f3cULL, 555, 0},
+    {"lu64-tree-faults-ckpt", 0x1c49038ebf8f03c9ULL, 636006, 2915},
+    {"lu64-tree-faults-ckpt.metrics", 0x4ccf94d584b84629ULL, 3260, 0},
+    {"lu64-tree-faults-ckpt.trace", 0xe968e38adf58a08bULL, 3184774, 33950},
+    {"lu64-tree-faults-ckpt.perf", 0x580201f5de94bda5ULL, 648, 0},
     {"sink32-spans", 0x02b158d3f6ea459dULL, 2304909, 21286},
     {"fleet6-poisson-pool8", 0x1d497071bfd14d31ULL, 1450628, 9181},
+    {"fleet6-poisson-pool8.perf", 0x17bbe166942ee0c2ULL, 627, 0},
 };
 
 void expect_golden(const std::string& name, const std::string& bytes) {
@@ -178,6 +195,33 @@ TEST(JournalStreamGolden, LuHangMatchesRecordedDigest) {
   expect_goldens("lu64-tardis-hang", artifacts);
 }
 
+TEST(JournalStreamGolden, TreeToolFaultsAndRecoveryMatchRecordedDigest) {
+  harness::RunConfig config;
+  config.bench = workloads::Bench::kLU;
+  config.nranks = 64;
+  config.platform = sim::Platform::tianhe2();
+  config.seed = 7;
+  config.fault = faults::FaultType::kComputeHang;
+  config.monitor_tree.fanout = 2;
+  // psim's `--tool-faults loss=0.2,crash=rand@20,lead-crash=40`; monitor
+  // -1 is a seed-chosen non-lead monitor.
+  config.tool_faults.loss_probability = 0.2;
+  config.tool_faults.monitor_crashes.push_back({-1, 20 * sim::kSecond});
+  config.tool_faults.lead_crash_at = 40 * sim::kSecond;
+  config.recovery = *recover::parse_recovery("ckpt:30");
+  harness::RunResult result;
+  const Artifacts artifacts = artifacts_of_run(config, &result);
+  EXPECT_TRUE(result.completed);
+  EXPECT_TRUE(result.recovery.recovered);
+  EXPECT_EQ(result.recovery.attempts_used, 2);
+  EXPECT_EQ(result.recovery.checkpoints_taken, 17u);
+  EXPECT_EQ(result.tree_hops, 186u);
+  EXPECT_EQ(result.root_messages, 149u);
+  EXPECT_TRUE(contains(artifacts.journal, "lead_failover"));
+  EXPECT_TRUE(contains(artifacts.journal, "recovery"));
+  expect_goldens("lu64-tree-faults-ckpt", artifacts);
+}
+
 TEST(JournalStreamGolden, EveryCollectiveKindReleasesInRecordedOrder) {
   std::ostringstream out;
   obs::JsonlJournal journal(out, {/*record_rank_spans=*/true});
@@ -205,7 +249,9 @@ TEST(JournalStreamGolden, BoundedPoolFleetMatchesRecordedDigest) {
   config.monitor_pool = 8;  // 4 monitors per tenant: room for two at once
   std::ostringstream out;
   obs::JsonlJournal journal(out);
+  obs::perf::ProfileRegistry perf;
   config.telemetry = &journal;
+  config.perf = &perf;
   const fleet::FleetResult result = fleet::run_fleet(config);
   int refused = 0;
   for (const auto& tenant : result.tenants) refused += !tenant.admitted;
@@ -213,6 +259,9 @@ TEST(JournalStreamGolden, BoundedPoolFleetMatchesRecordedDigest) {
   EXPECT_LT(refused, 6);
   EXPECT_NE(out.str().find("\"pool_capacity\":8"), std::string::npos);
   expect_golden("fleet6-poisson-pool8", out.str());
+  std::ostringstream perf_out;
+  perf.write_json(perf_out, /*include_timers=*/false);
+  expect_golden("fleet6-poisson-pool8.perf", perf_out.str());
 }
 
 }  // namespace

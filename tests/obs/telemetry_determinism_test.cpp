@@ -2,8 +2,8 @@
 // simulated run emits a byte-identical journal, metrics document, and
 // chrome trace no matter how often it is repeated. This pins down both the
 // simulator's determinism and the sinks' stable formatting (%.9g doubles,
-// sorted metric keys) — the contract psim's --journal/--metrics users rely
-// on for diffing runs.
+// sorted metric keys) — the contract psim's --journal/--metrics-out users
+// rely on for diffing runs.
 
 #include <gtest/gtest.h>
 

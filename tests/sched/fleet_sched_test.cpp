@@ -78,26 +78,23 @@ TEST(FleetSched, RecoveryOfOneTenantMidSuspicionOfAnother) {
 
 TEST(FleetSched, MonitorPoolTracksOccupancyAndRefusals) {
   MonitorPool pool(4);
-  EXPECT_TRUE(pool.bounded());
   EXPECT_TRUE(pool.try_acquire(3));
   EXPECT_FALSE(pool.try_acquire(2));  // would exceed capacity
-  EXPECT_EQ(pool.refusals(), 1u);
+  EXPECT_EQ(pool.in_use(), 3);        // a refusal claims nothing
   EXPECT_TRUE(pool.try_acquire(1));
   EXPECT_EQ(pool.in_use(), 4);
   EXPECT_EQ(pool.high_water(), 4);
+  EXPECT_FALSE(pool.try_acquire(1));  // full
   pool.release(3);
   EXPECT_EQ(pool.in_use(), 1);
   EXPECT_TRUE(pool.try_acquire(2));
   EXPECT_EQ(pool.high_water(), 4);  // high water survives the drain
-  EXPECT_EQ(pool.refusals(), 1u);
 }
 
 TEST(FleetSched, UnboundedPoolAdmitsEverythingButStillMeters) {
   MonitorPool pool;
-  EXPECT_FALSE(pool.bounded());
   EXPECT_TRUE(pool.try_acquire(1000));
   EXPECT_TRUE(pool.try_acquire(1000));
-  EXPECT_EQ(pool.refusals(), 0u);
   EXPECT_EQ(pool.high_water(), 2000);
   pool.release(1500);
   EXPECT_EQ(pool.in_use(), 500);

@@ -3,7 +3,7 @@
 //   psim run      --bench LU --input D --ranks 256 --platform Tardis
 //                 [--fault compute-hang|comm-deadlock|slowdown|freeze]
 //                 [--seed N] [--detectors parastack,timeout,io-watchdog]
-//                 [--no-parastack] [--timeout-baseline] [--alpha A]
+//                 [--alpha A]
 //                 [--recovery none|ckpt[:INTERVAL,COST]|spare[:N]|team[:R]]
 //                 [--tool-faults loss=P,crash=NODE@SEC,lead-crash=SEC,...]
 //                 [--journal FILE] [--metrics-out FILE] [--chrome-trace FILE]
@@ -55,8 +55,7 @@ int usage() {
                "  run:      --fault TYPE --detectors LIST (comma-separated "
                "parastack|timeout|io-watchdog;\n"
                "            first entry is the primary that kills the job) "
-               "--no-parastack\n"
-               "            --timeout-baseline --alpha A\n"
+               "--alpha A\n"
                "  campaign: --runs N --fault TYPE --jobs N (0 = all "
                "hardware threads; results and\n"
                "            telemetry are byte-identical for any --jobs)\n"
@@ -89,7 +88,7 @@ int usage() {
                "fleet_admit journal line and\n"
                "            three perf.fleet.* metrics\n"
                "  telemetry (run/campaign): --journal FILE --metrics-out FILE "
-               "(alias --metrics) --chrome-trace FILE\n"
+               "--chrome-trace FILE\n"
                "            --trace-ranks N --journal-spans "
                "--log-level debug|info|warn|error|off\n"
                "            (FILE may be '-' for stdout, for one of them at "
@@ -133,20 +132,13 @@ struct Telemetry {
       util::set_log_level(*parsed);
     }
     journal_path = args.get("journal", "");
-    // --metrics-out is the canonical spelling shared with the bench
-    // binaries; --metrics is kept as the historical alias.
     metrics_path = args.get("metrics-out", "");
-    const char* metrics_flag = "--metrics-out";
-    if (metrics_path.empty()) {
-      metrics_path = args.get("metrics", "");
-      metrics_flag = "--metrics";
-    }
     trace_path = args.get("chrome-trace", "");
     // Each artifact is a JSON document (the journal one per line), so two
     // of them on stdout would interleave into text no parser reads.
     std::vector<const char*> on_stdout;
     if (journal_path == "-") on_stdout.push_back("--journal");
-    if (metrics_path == "-") on_stdout.push_back(metrics_flag);
+    if (metrics_path == "-") on_stdout.push_back("--metrics-out");
     if (trace_path == "-") on_stdout.push_back("--chrome-trace");
     if (on_stdout.size() > 1) {
       std::string flags = on_stdout.front();
@@ -253,12 +245,11 @@ constexpr int kMaxRanks = 1 << 20;
 /// Options every simulating subcommand reads through build_config().
 const std::vector<std::string> kConfigKeys = {
     "bench", "ranks", "input", "platform", "seed", "fault", "detectors",
-    "no-parastack", "timeout-baseline", "alpha", "tree", "recovery",
-    "tool-faults"};
+    "alpha", "tree", "recovery", "tool-faults"};
 /// Options Telemetry::init() reads.
 const std::vector<std::string> kTelemetryKeys = {
-    "log-level", "journal", "journal-spans", "metrics-out", "metrics",
-    "chrome-trace", "trace-ranks"};
+    "log-level", "journal", "journal-spans", "metrics-out", "chrome-trace",
+    "trace-ranks"};
 
 /// True when every option on the command line is one `command` reads;
 /// otherwise names each stray option on stderr.
@@ -455,8 +446,6 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
       pos = comma + 1;
     }
   }
-  if (args.has("no-parastack")) config.remove(core::DetectorKind::kParastack);
-  if (args.has("timeout-baseline")) config.spec(core::DetectorKind::kTimeout);
   // Read even when no ParaStack detector is attached, so a bad value is
   // never silently ignored.
   const double alpha = args.get_whole<double>("alpha", 0.001);
