@@ -6,7 +6,8 @@
 // minutes; set PARASTACK_BENCH_SCALE=full for paper-sized campaigns.
 //
 // Campaigns fan out across worker threads (`--jobs N` on any bench binary,
-// or PARASTACK_BENCH_JOBS=N; default: all hardware threads). Campaign
+// or PARASTACK_BENCH_JOBS=N; default: all hardware threads). Any other
+// option a bench does not read is an error (exit 2). Campaign
 // results are byte-identical for any jobs value, so parallelism never
 // changes a reproduced number.
 
@@ -14,12 +15,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/campaign.hpp"
 #include "harness/parallel.hpp"
 #include "harness/runner.hpp"
+#include "util/args.hpp"
 #include "util/summary.hpp"
 
 namespace parastack::bench {
@@ -32,32 +36,63 @@ inline bool full_scale() {
 /// Campaign size: `quick` by default, `full` under PARASTACK_BENCH_SCALE=full.
 inline int runs(int quick, int full) { return full_scale() ? full : quick; }
 
-/// Command-line override for the worker count (set by parse_jobs).
+/// The worker count parse_jobs read from --jobs or PARASTACK_BENCH_JOBS.
 inline int& jobs_override() {
-  static int value = -1;  // -1 = no --jobs flag seen
+  static int value = -1;  // -1 = neither was given
   return value;
 }
 
-/// Scan argv for `--jobs N` / `--jobs=N`. Every bench binary calls this
-/// first thing in main() so the whole suite takes the flag uniformly.
-inline void parse_jobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs_override() = std::atoi(argv[i + 1]);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs_override() = std::atoi(argv[i] + 7);
-    }
+/// Parse the options every bench binary shares: `--jobs N` (or
+/// `--jobs=N`), or else PARASTACK_BENCH_JOBS=N; 0 means one worker per
+/// hardware thread. `also_known` names the options a bench reads itself
+/// from the returned Args. An unknown option, a stray argument, or a
+/// malformed or negative worker count exits 2 before anything runs, as in
+/// psim and pscheck. Every bench binary calls this first thing in main().
+inline util::Args parse_jobs(int argc, char** argv,
+                             std::vector<std::string> also_known = {}) {
+  const std::string_view path = argv[0];
+  const std::string name(path.substr(path.rfind('/') + 1));
+  util::Args args(argc, argv);
+  also_known.push_back("jobs");
+  bool bad = false;
+  for (const auto& key : args.unknown_keys(also_known)) {
+    std::fprintf(stderr, "%s: unknown option --%s\n", name.c_str(),
+                 key.c_str());
+    bad = true;
   }
+  for (const auto& arg : args.positionals()) {
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", name.c_str(),
+                 arg.c_str());
+    bad = true;
+  }
+  try {
+    jobs_override() = args.get_whole<int>("jobs", -1, 0);
+    if (const char* env = std::getenv("PARASTACK_BENCH_JOBS");
+        env != nullptr && *env != '\0') {
+      int env_jobs = -1;
+      try {
+        env_jobs = util::Args::parse_whole<int>(env);
+      } catch (const std::invalid_argument&) {
+      }
+      if (env_jobs < 0) {
+        throw std::invalid_argument(
+            std::string("bad PARASTACK_BENCH_JOBS value '") + env +
+            "' (expected a whole number from 0)");
+      }
+      if (jobs_override() < 0) jobs_override() = env_jobs;
+    }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), error.what());
+    bad = true;
+  }
+  if (bad) std::exit(2);
+  return args;
 }
 
 /// Worker threads for campaign fan-out: --jobs beats PARASTACK_BENCH_JOBS
 /// beats auto (one per hardware thread).
 inline int jobs() {
   if (jobs_override() >= 0) return harness::resolve_jobs(jobs_override());
-  if (const char* env = std::getenv("PARASTACK_BENCH_JOBS");
-      env != nullptr && *env != '\0') {
-    return harness::resolve_jobs(std::atoi(env));
-  }
   return harness::default_jobs();
 }
 

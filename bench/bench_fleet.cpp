@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -97,18 +96,9 @@ void write_bench_json(std::ostream& out, const std::vector<Record>& records,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bool quick = !bench::full_scale();
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out_path = argv[i] + 6;
-    }
-  }
+  const util::Args args = bench::parse_jobs(argc, argv, {"quick", "out"});
+  const bool quick = !bench::full_scale() || args.has("quick");
+  const std::string out_path = args.get("out");
   // The acceptance bar is >= 1000 concurrent jobs, so even quick mode runs
   // the full thousand; full mode doubles it.
   const int load_tenants = quick ? 1000 : 2000;

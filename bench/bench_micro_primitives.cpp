@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/model.hpp"
 #include "sim/engine.hpp"
 #include "simmpi/comm_engine.hpp"
@@ -43,15 +45,23 @@ void BM_EngineChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineChurn)->Arg(1024)->Arg(16384);
 
+/// A rank that only takes what the CommEngine tells it.
+struct NullOwner final : simmpi::RequestOwner {
+  void on_completion_key(std::uint32_t, sim::Key) override {}
+  void on_collective_done() override {}
+};
+
 void BM_P2pMatch(benchmark::State& state) {
   sim::Engine engine;
   const auto platform = sim::Platform::tianhe2();
   simmpi::CommEngine comm(engine, platform, 2);
+  NullOwner sender;
+  NullOwner receiver;
   // One tag for every pair: each iteration matches on the same channel, so
-  // the channel table stays one entry and the loop times matching alone.
+  // rank 1's channel list stays one entry and the loop times matching alone.
   for (auto _ : state) {
-    comm.post_recv(1, 0, 0, 1024);
-    comm.post_send(0, 1, 0, 1024);
+    comm.post_recv(1, 0, 0, receiver, 0);
+    comm.post_send(0, 1, 0, 1024, sender, 0);
     engine.run_until_idle();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -63,9 +73,11 @@ void BM_CollectiveFanIn(benchmark::State& state) {
   sim::Engine engine;
   const auto platform = sim::Platform::tianhe2();
   simmpi::CommEngine comm(engine, platform, nranks);
+  std::vector<NullOwner> ranks(static_cast<std::size_t>(nranks));
   for (auto _ : state) {
     for (simmpi::Rank r = 0; r < nranks; ++r) {
-      comm.enter_collective(simmpi::MpiFunc::kAllreduce, r, 0, 64, [] {});
+      comm.enter_collective(simmpi::MpiFunc::kAllreduce, r, 0, 64,
+                            ranks[static_cast<std::size_t>(r)]);
     }
     engine.run_until_idle();
   }

@@ -30,86 +30,92 @@ CommEngine::CommEngine(sim::Engine& engine, const sim::Platform& platform,
     : engine_(engine), platform_(platform), nranks_(nranks),
       next_collective_seq_(static_cast<std::size_t>(nranks), 0) {
   PS_CHECK(nranks >= 1, "world needs at least one rank");
+  inbound_.resize(static_cast<std::size_t>(nranks));
 }
 
-void CommEngine::complete_at(Request& req, sim::Time t) {
-  // The key is reserved at the match, so its place in the firing order is
-  // where an event scheduled for the completion now would fire.
-  req.key = engine_.reserve(t);
-  if (req.waiter != nullptr) {
-    std::exchange(req.waiter, nullptr)->on_completion_key(req.key);
+CommEngine::Channel& CommEngine::channel(Rank src, Rank dst, int tag) {
+  // A rank receives from a handful of (peer, tag) pairs, so a short list
+  // scanned on one packed word beats any hash table.
+  const std::uint64_t src_tag =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
+      static_cast<std::uint32_t>(tag);
+  auto& channels = inbound_[static_cast<std::size_t>(dst)];
+  for (Channel& channel : channels) {
+    if (channel.src_tag == src_tag) return channel;
   }
+  Channel& added = channels.emplace_back();
+  added.src_tag = src_tag;
+  return added;
 }
 
-RequestHandle CommEngine::post_send(Rank src, Rank dst, int tag,
-                                    std::size_t bytes) {
+void CommEngine::post_send(Rank src, Rank dst, int tag, std::size_t bytes,
+                           RequestOwner& owner, std::uint32_t slot) {
   PS_CHECK(src >= 0 && src < nranks_, "send: src out of range");
   PS_CHECK(dst >= 0 && dst < nranks_, "send: dst out of range");
   ++sends_posted_;
-  auto req = make_request();
-  const bool eager = bytes <= platform_.eager_threshold_bytes;
-  PendingSend op;
-  op.post_time = engine_.now();
-  op.bytes = bytes;
-  op.req = req;
-  op.eager = eager;
-  if (eager) {
-    op.arrival_time = engine_.now() + platform_.transfer_time(bytes);
+  const sim::Time now = engine_.now();
+  PendingOp send{&owner, platform_.transfer_time(bytes), slot};
+  if (bytes <= platform_.eager_threshold_bytes) {
     // Eager sends complete locally, receiver or not.
-    complete_at(*req, engine_.now() + eager_send_cost(platform_, bytes));
+    complete_at(owner, slot, now + eager_send_cost(platform_, bytes));
+    send = PendingOp{nullptr, now + send.time, slot};
   }
-  auto& channel = channels_.find_or_insert(ChannelKey{src, dst, tag});
-  channel.sends.push_back(std::move(op));
-  match(channel);
-  return req;
+  Channel& ch = channel(src, dst, tag);
+  if (ch.sends_waiting || ch.ops.empty()) {
+    ch.sends_waiting = true;
+    ch.ops.push_back(send);
+    return;
+  }
+  match(send, ch.ops.pop_front());
 }
 
-RequestHandle CommEngine::post_recv(Rank dst, Rank src, int tag,
-                                    std::size_t bytes) {
+void CommEngine::post_recv(Rank dst, Rank src, int tag, RequestOwner& owner,
+                           std::uint32_t slot) {
   PS_CHECK(src >= 0 && src < nranks_, "recv: src out of range");
   PS_CHECK(dst >= 0 && dst < nranks_, "recv: dst out of range");
   ++recvs_posted_;
-  auto req = make_request();
-  PendingRecv op;
-  op.post_time = engine_.now();
-  op.bytes = bytes;
-  op.req = req;
-  auto& channel = channels_.find_or_insert(ChannelKey{src, dst, tag});
-  channel.recvs.push_back(std::move(op));
-  match(channel);
-  return req;
+  const PendingOp recv{&owner, 0, slot};
+  Channel& ch = channel(src, dst, tag);
+  if (!ch.sends_waiting || ch.ops.empty()) {
+    ch.sends_waiting = false;
+    ch.ops.push_back(recv);
+    return;
+  }
+  match(ch.ops.pop_front(), recv);
 }
 
-void CommEngine::match(Channel& channel) {
-  while (!channel.sends.empty() && !channel.recvs.empty()) {
-    const PendingSend send = channel.sends.pop_front();
-    const PendingRecv recv = channel.recvs.pop_front();
-    ++matched_;
-    const sim::Time now = engine_.now();
-    if (send.eager) {
-      // Payload is in flight (or buffered at dst); the receiver finishes
-      // once it has both posted and the payload has landed.
-      complete_at(*recv.req, std::max(now, send.arrival_time));
-    } else {
-      // Rendezvous: transfer begins at the match instant.
-      const sim::Time done = now + platform_.transfer_time(send.bytes);
-      complete_at(*send.req, done);
-      complete_at(*recv.req, done);
-    }
+void CommEngine::match(const PendingOp& send, const PendingOp& recv) {
+  ++matched_;
+  const sim::Time now = engine_.now();
+  if (send.owner == nullptr) {
+    // Eager: the payload is in flight (or buffered at dst); the receiver
+    // finishes once it has both posted and the payload has landed.
+    complete_at(*recv.owner, recv.slot, std::max(now, send.time));
+  } else {
+    // Rendezvous: the transfer begins at the match instant.
+    const sim::Time done = now + send.time;
+    complete_at(*send.owner, send.slot, done);
+    complete_at(*recv.owner, recv.slot, done);
   }
 }
 
 std::uint64_t CommEngine::pending_sends() const noexcept {
   std::uint64_t pending = 0;
-  channels_.for_each(
-      [&pending](const Channel& channel) { pending += channel.sends.size(); });
+  for (const auto& channels : inbound_) {
+    for (const Channel& ch : channels) {
+      if (ch.sends_waiting) pending += ch.ops.size();
+    }
+  }
   return pending;
 }
 
 std::uint64_t CommEngine::pending_recvs() const noexcept {
   std::uint64_t pending = 0;
-  channels_.for_each(
-      [&pending](const Channel& channel) { pending += channel.recvs.size(); });
+  for (const auto& channels : inbound_) {
+    for (const Channel& ch : channels) {
+      if (!ch.sends_waiting) pending += ch.ops.size();
+    }
+  }
   return pending;
 }
 
@@ -130,97 +136,113 @@ sim::Time CommEngine::alltoall_latency(std::size_t bytes) const {
              platform_.network_latency + volume;
 }
 
-void CommEngine::release_waiter(CollectiveInstance::Waiter& waiter,
-                                sim::Time when) {
-  if (waiter.released) return;
-  waiter.released = true;
-  sim::PooledCallback done = std::move(waiter.done);
-  engine_.schedule_at(std::max(when, engine_.now()), std::move(done));
+void CommEngine::release(const Waiter& waiter, sim::Time when) {
+  engine_.schedule_at(std::max(when, engine_.now()),
+                      [owner = waiter.owner] { owner->on_collective_done(); });
 }
 
 void CommEngine::release_all(CollectiveInstance& inst, sim::Time when) {
-  // One event runs every continuation in arrival order. One event per
+  // One event releases every waiter in arrival order. One event per
   // waiter would give the same firing order: those events would share
   // `when` and consecutive sequence numbers, so nothing could fire between
-  // them, and whatever a continuation schedules for `when` fires after the
-  // last of them either way. A mismatched rank's waiter was marked
-  // released on entry; dropping it here leaves that rank blocked.
-  std::erase_if(inst.waiters, [](const CollectiveInstance::Waiter& waiter) {
-    return waiter.released;
-  });
-  engine_.schedule_at(when, [waiters = std::move(inst.waiters)]() mutable {
-    for (auto& waiter : waiters) waiter.done();
+  // them, and whatever a released rank schedules for `when` fires after
+  // the last of them either way. The event takes the waiter list and hands
+  // it back once it has run; the instance keeps a spare in its place.
+  std::vector<Waiter> waiters;
+  if (!spare_waiters_.empty()) {
+    waiters = std::move(spare_waiters_.back());
+    spare_waiters_.pop_back();
+  }
+  std::swap(waiters, inst.waiters);
+  engine_.schedule_at(when, [this, waiters = std::move(waiters)]() mutable {
+    for (const Waiter& waiter : waiters) waiter.owner->on_collective_done();
+    waiters.clear();
+    spare_waiters_.push_back(std::move(waiters));
   });
 }
 
-void CommEngine::try_release_bcast(CollectiveInstance& inst) {
+void CommEngine::release_bcast(const CollectiveInstance& inst,
+                               const Waiter& waiter, bool is_root) {
   // Bcast completes per rank as soon as the data could have reached it:
   // the root leaves after injecting; a non-root leaves once the root has
   // arrived and the tree has had time to fan out. No global barrier.
-  if (inst.root_arrival < 0) return;
-  const sim::Time fanout =
-      inst.root_arrival + tree_latency(inst.bytes, nranks_);
-  for (auto& waiter : inst.waiters) {
-    if (waiter.released) continue;
-    if (waiter.rank == inst.root) {
-      release_waiter(waiter, waiter.arrival +
-                                 eager_send_cost(platform_, inst.bytes) +
-                                 platform_.network_latency);
-    } else {
-      release_waiter(waiter, std::max(waiter.arrival, fanout));
-    }
+  if (is_root) {
+    release(waiter, waiter.arrival + eager_send_cost(platform_, inst.bytes) +
+                        platform_.network_latency);
+  } else {
+    release(waiter, std::max(waiter.arrival,
+                             inst.root_arrival +
+                                 tree_latency(inst.bytes, nranks_)));
   }
 }
 
 void CommEngine::enter_collective(MpiFunc kind, Rank rank, Rank root,
-                                  std::size_t bytes,
-                                  sim::PooledCallback done) {
+                                  std::size_t bytes, RequestOwner& owner) {
   PS_CHECK(is_collective(kind), "enter_collective needs a collective op");
   PS_CHECK(rank >= 0 && rank < nranks_, "collective: rank out of range");
   ++collectives_entered_;
-  const std::uint64_t id = next_collective_seq_[static_cast<std::size_t>(rank)]++;
-  auto [it, inserted] = collectives_.try_emplace(id);
-  CollectiveInstance& inst = it->second;
-  if (inserted) {
+  // Every instance before this rank's next one is open or closed, so the
+  // next one is open already or is the first past the window's end.
+  const std::uint64_t offset =
+      next_collective_seq_[static_cast<std::size_t>(rank)]++ - first_open_;
+  PS_CHECK(offset <= open_, "collective instance outside the window");
+  if (offset == open_) {
+    if (open_ == window_.size()) {
+      std::vector<CollectiveInstance> bigger(
+          window_.empty() ? 4 : 2 * window_.size());
+      for (std::size_t i = 0; i < open_; ++i) {
+        bigger[i] = std::move(window_[(head_ + i) & (window_.size() - 1)]);
+      }
+      window_ = std::move(bigger);
+      head_ = 0;
+    }
+    ++open_;
+    CollectiveInstance& inst =
+        window_[(head_ + offset) & (window_.size() - 1)];
     inst.kind = kind;
     inst.root = root;
     inst.bytes = bytes;
-  } else if (inst.kind != kind || inst.root != root) {
+    inst.arrived = 0;
+    inst.root_arrival = -1;
+  }
+  CollectiveInstance& inst = window_[(head_ + offset) & (window_.size() - 1)];
+  ++inst.arrived;
+  const Waiter waiter{engine_.now(), &owner};
+  if (inst.kind != kind || inst.root != root) {
     // Collective mismatch: record it; this rank will never be released —
     // the runtime-level deadlock a real MPI would produce.
     ++mismatches_;
-    ++inst.arrived;  // keep the instance's bookkeeping consistent
-    inst.waiters.push_back({rank, engine_.now(), std::move(done), true});
-    if (inst.arrived == nranks_) finalize_collective(id, inst);
-    return;
-  }
-  ++inst.arrived;
-  inst.waiters.push_back({rank, engine_.now(), std::move(done), false});
-  auto& waiter = inst.waiters.back();
-  if (kind == MpiFunc::kBcast && rank == root) inst.root_arrival = engine_.now();
-
-  switch (kind) {
-    case MpiFunc::kGather:
-    case MpiFunc::kReduce:
-      // Non-roots only inject their contribution and move on.
-      if (rank != root) {
-        release_waiter(waiter, engine_.now() +
-                                   eager_send_cost(platform_, bytes) +
-                                   platform_.network_latency);
+  } else if (kind == MpiFunc::kGather || kind == MpiFunc::kReduce) {
+    // Non-roots only inject their contribution and move on.
+    if (rank != root) {
+      release(waiter, waiter.arrival + eager_send_cost(platform_, bytes) +
+                          platform_.network_latency);
+    } else {
+      inst.waiters.push_back(waiter);
+    }
+  } else if (kind == MpiFunc::kBcast) {
+    // Ranks before the root wait for it; it releases them in arrival order
+    // and then itself, and every later rank is released as it arrives.
+    if (rank == root) {
+      inst.root_arrival = waiter.arrival;
+      for (const Waiter& early : inst.waiters) {
+        release_bcast(inst, early, false);
       }
-      break;
-    case MpiFunc::kBcast:
-      try_release_bcast(inst);
-      break;
-    default:
-      break;  // synchronizing kinds wait for everyone
+      inst.waiters.clear();
+      release_bcast(inst, waiter, true);
+    } else if (inst.root_arrival >= 0) {
+      release_bcast(inst, waiter, false);
+    } else {
+      inst.waiters.push_back(waiter);
+    }
+  } else {
+    inst.waiters.push_back(waiter);  // synchronizing kinds wait for everyone
   }
-
-  if (inst.arrived == nranks_) finalize_collective(id, inst);
+  if (inst.arrived == nranks_) finalize_collective(inst);
 }
 
-void CommEngine::finalize_collective(std::uint64_t id,
-                                     CollectiveInstance& inst) {
+void CommEngine::finalize_collective(CollectiveInstance& inst) {
+  PS_CHECK(&inst == &window_[head_], "collectives close oldest first");
   const sim::Time t_last = engine_.now();  // the last arrival is this event
   switch (inst.kind) {
     case MpiFunc::kBarrier:
@@ -235,22 +257,22 @@ void CommEngine::finalize_collective(std::uint64_t id,
       release_all(inst, t_last + alltoall_latency(inst.bytes));
       break;
     case MpiFunc::kGather:
-    case MpiFunc::kReduce: {
-      // Only the root is still waiting (plus any mismatched stragglers,
-      // which stay deadlocked: their waiters are marked released already).
-      const sim::Time done = t_last + tree_latency(inst.bytes, nranks_);
-      for (auto& waiter : inst.waiters) {
-        if (waiter.rank == inst.root) release_waiter(waiter, done);
+    case MpiFunc::kReduce:
+      // Only the root can still be waiting; a mismatched root stays
+      // deadlocked, as every mismatched rank does.
+      for (const Waiter& waiter : inst.waiters) {
+        release(waiter, t_last + tree_latency(inst.bytes, nranks_));
       }
       break;
-    }
     case MpiFunc::kBcast:
-      try_release_bcast(inst);
-      break;
+      break;  // released on arrival; with a mismatched root, never
     default:
       PS_UNREACHABLE("finalize of non-collective");
   }
-  collectives_.erase(id);
+  inst.waiters.clear();
+  head_ = (head_ + 1) & (window_.size() - 1);
+  --open_;
+  ++first_open_;
 }
 
 }  // namespace parastack::simmpi

@@ -1,17 +1,34 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/platform.hpp"
 #include "simmpi/fifo.hpp"
-#include "simmpi/request.hpp"
 #include "simmpi/types.hpp"
 
 namespace parastack::simmpi {
+
+/// Stands for a completion key not fixed yet: it sorts after every real
+/// key, so an unmatched request is never done before the firing event and
+/// is always the latest of several.
+inline constexpr sim::Key kUnmatchedKey{
+    std::numeric_limits<sim::Time>::max(),
+    std::numeric_limits<std::uint64_t>::max()};
+
+/// The rank side of every op the CommEngine holds: a rank posts each
+/// point-to-point request under a slot index of its own and is told the
+/// request's completion key, once, when the engine fixes it. No event fires
+/// for the completion itself; the request has completed once its key is
+/// below Engine::firing(). A rank in a collective is told when it may
+/// leave, by the event that releases it.
+struct RequestOwner {
+  virtual ~RequestOwner() = default;
+  virtual void on_completion_key(std::uint32_t slot, sim::Key key) = 0;
+  virtual void on_collective_done() = 0;
+};
 
 /// The simulated MPI runtime's communication core: point-to-point matching
 /// with eager/rendezvous protocols, and collectives with per-kind completion
@@ -28,23 +45,24 @@ class CommEngine {
   CommEngine(const CommEngine&) = delete;
   CommEngine& operator=(const CommEngine&) = delete;
 
-  /// Post a send src -> dst. The returned request completes when the sender
-  /// may proceed (eager: after the local injection cost, regardless of the
-  /// receiver, so its key is fixed on return; rendezvous: after the matched
-  /// transfer finishes).
-  RequestHandle post_send(Rank src, Rank dst, int tag, std::size_t bytes);
+  /// Post a send src -> dst as `owner`'s request `slot`. It completes when
+  /// the sender may proceed: eager, after the local injection cost whether
+  /// or not the receiver has posted, so the owner is told the key before
+  /// this returns; rendezvous, when the matched transfer finishes.
+  void post_send(Rank src, Rank dst, int tag, std::size_t bytes,
+                 RequestOwner& owner, std::uint32_t slot);
 
-  /// Post a receive of a message src -> dst. Completes when the matched
-  /// message has fully arrived.
-  RequestHandle post_recv(Rank dst, Rank src, int tag, std::size_t bytes);
+  /// Post a receive of a message src -> dst as `owner`'s request `slot`.
+  /// It completes when the matched message has fully arrived.
+  void post_recv(Rank dst, Rank src, int tag, RequestOwner& owner,
+                 std::uint32_t slot);
 
-  /// Enter a collective. `done` fires when this rank may leave the call
-  /// (any void() callable converts; small lambdas stay allocation-free).
-  /// Ranks must enter collectives in a globally consistent order; a
+  /// Enter a collective; `owner` is told when this rank may leave the
+  /// call. Ranks must enter collectives in a globally consistent order; a
   /// kind/root mismatch at the same instance is recorded (mismatch_count)
   /// and the offending rank never completes — a deadlock, as in real MPI.
   void enter_collective(MpiFunc kind, Rank rank, Rank root, std::size_t bytes,
-                        sim::PooledCallback done);
+                        RequestOwner& owner);
 
   int nranks() const noexcept { return nranks_; }
   std::uint64_t mismatch_count() const noexcept { return mismatches_; }
@@ -64,133 +82,79 @@ class CommEngine {
   std::uint64_t collectives_entered() const noexcept {
     return collectives_entered_;
   }
-  /// Point-to-point ops still waiting for a match (scans the channel map).
+  /// Point-to-point ops still waiting for a match (scans every channel).
   std::uint64_t pending_sends() const noexcept;
   std::uint64_t pending_recvs() const noexcept;
   /// Collective instances some rank has entered but not all have.
-  std::size_t open_collectives() const noexcept { return collectives_.size(); }
+  std::size_t open_collectives() const noexcept { return open_; }
 
  private:
-  struct PendingSend {
-    sim::Time post_time;
-    std::size_t bytes;
-    RequestHandle req;
-    bool eager;
-    sim::Time arrival_time;  ///< eager only: when payload reaches dst
+  /// A posted op waiting for its match.
+  struct PendingOp {
+    RequestOwner* owner;  ///< null for an eager send: its key is fixed
+    sim::Time time;       ///< send: eager arrival, or rendezvous transfer
+    std::uint32_t slot;
   };
-  struct PendingRecv {
-    sim::Time post_time;
-    std::size_t bytes;
-    RequestHandle req;
-  };
-  struct ChannelKey {
-    Rank src;
-    Rank dst;
-    int tag;
-    bool operator==(const ChannelKey&) const = default;
-  };
-  struct ChannelKeyHash {
-    std::size_t operator()(const ChannelKey& k) const noexcept {
-      auto h = static_cast<std::uint64_t>(k.src) * 0x9e3779b97f4a7c15ULL;
-      h ^= static_cast<std::uint64_t>(k.dst) + 0x7f4a7c15ULL + (h << 6);
-      h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.tag)) +
-           (h >> 2);
-      return static_cast<std::size_t>(h);
-    }
-  };
-  /// At most one of the two FIFOs is non-empty between ops: a post
-  /// matches against the other side before it returns.
+  /// The ops of one (src, dst, tag) triple, kept in the receiver's list.
+  /// Only one side can be waiting: a post matches against the other side
+  /// before it queues.
   struct Channel {
-    Fifo<PendingSend> sends;
-    Fifo<PendingRecv> recvs;
+    std::uint64_t src_tag;
+    bool sends_waiting = false;  ///< which side `ops` holds
+    Fifo<PendingOp> ops;
   };
 
-  /// Open-addressed find-or-insert table over channels. A campaign performs
-  /// one lookup per posted op (millions per trial) against a small, stable
-  /// key set — the node-based unordered_map's pointer chase was a top line
-  /// in profiles. Channels are never erased, so the table needs no
-  /// tombstones; linear probing over a power-of-two slot vector keeps the
-  /// hit path to one or two adjacent probes.
-  class ChannelTable {
-   public:
-    Channel& find_or_insert(const ChannelKey& key) {
-      if (slots_.empty() || used_ * 4 >= slots_.size() * 3) grow();
-      std::size_t i = ChannelKeyHash{}(key) & (slots_.size() - 1);
-      while (slots_[i].used) {
-        if (slots_[i].key == key) return slots_[i].channel;
-        i = (i + 1) & (slots_.size() - 1);
-      }
-      slots_[i].used = true;
-      slots_[i].key = key;
-      ++used_;
-      return slots_[i].channel;
-    }
-
-    /// Visit every channel (diagnostics; order is unspecified).
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (const auto& slot : slots_) {
-        if (slot.used) fn(slot.channel);
-      }
-    }
-
-   private:
-    struct Slot {
-      ChannelKey key{};
-      Channel channel;
-      bool used = false;
-    };
-
-    void grow() {
-      std::vector<Slot> old = std::move(slots_);
-      slots_.clear();
-      slots_.resize(old.empty() ? 64 : old.size() * 2);
-      for (auto& slot : old) {
-        if (!slot.used) continue;
-        std::size_t i = ChannelKeyHash{}(slot.key) & (slots_.size() - 1);
-        while (slots_[i].used) i = (i + 1) & (slots_.size() - 1);
-        slots_[i] = std::move(slot);
-      }
-    }
-
-    std::vector<Slot> slots_;
-    std::size_t used_ = 0;
+  struct Waiter {
+    sim::Time arrival;
+    RequestOwner* owner;
   };
-
+  /// One collective call every rank makes. `waiters` holds the ranks still
+  /// to be released; a mismatched rank only counts as arrived.
   struct CollectiveInstance {
     MpiFunc kind{};
     Rank root = 0;
     std::size_t bytes = 0;
     int arrived = 0;
     sim::Time root_arrival = -1;
-    struct Waiter {
-      Rank rank;
-      sim::Time arrival;
-      sim::PooledCallback done;
-      bool released = false;
-    };
     std::vector<Waiter> waiters;
   };
 
-  /// Fix `req`'s completion key for instant `t` and tell its waiter.
-  void complete_at(Request& req, sim::Time t);
-  void match(Channel& channel);
+  Channel& channel(Rank src, Rank dst, int tag);
+  /// Fix the key of `owner`'s request `slot` for instant `t`.
+  void complete_at(RequestOwner& owner, std::uint32_t slot, sim::Time t) {
+    // The key is reserved at the match, so its place in the firing order is
+    // where an event scheduled for the completion now would fire.
+    owner.on_completion_key(slot, engine_.reserve(t));
+  }
+  void match(const PendingOp& send, const PendingOp& recv);
   sim::Time tree_latency(std::size_t bytes, int ranks_involved) const;
   sim::Time alltoall_latency(std::size_t bytes) const;
-  /// Schedule one waiter's continuation (rooted kinds: per-rank times).
-  void release_waiter(CollectiveInstance::Waiter& waiter, sim::Time when);
+  /// Schedule one rank's release (rooted kinds: per-rank times).
+  void release(const Waiter& waiter, sim::Time when);
   /// Release every waiter of a synchronizing collective at `when` with one
   /// event.
   void release_all(CollectiveInstance& inst, sim::Time when);
-  void try_release_bcast(CollectiveInstance& inst);
-  void finalize_collective(std::uint64_t id, CollectiveInstance& inst);
+  /// Release a Bcast waiter once the root has arrived.
+  void release_bcast(const CollectiveInstance& inst, const Waiter& waiter,
+                     bool is_root);
+  void finalize_collective(CollectiveInstance& inst);
 
   sim::Engine& engine_;
   const sim::Platform& platform_;
   int nranks_;
-  ChannelTable channels_;
+  std::vector<std::vector<Channel>> inbound_;  // per receiving rank
   std::vector<std::uint64_t> next_collective_seq_;  // per rank
-  std::unordered_map<std::uint64_t, CollectiveInstance> collectives_;
+  /// Open instances in id order, in a ring: instance `first_open_ + i`
+  /// sits at window_[(head_ + i) % window_.size()]. An instance closes when
+  /// the last rank arrives, and that is always the oldest, so its ring
+  /// entry, waiter storage included, is reused by a later instance.
+  std::vector<CollectiveInstance> window_;
+  std::size_t head_ = 0;
+  std::size_t open_ = 0;
+  std::uint64_t first_open_ = 0;
+  /// Waiter storage that release events hand back, for the next instance
+  /// to release.
+  std::vector<std::vector<Waiter>> spare_waiters_;
   std::uint64_t mismatches_ = 0;
   std::uint64_t matched_ = 0;
   std::uint64_t sends_posted_ = 0;

@@ -109,8 +109,7 @@ void RankProcess::add_suspension(sim::Time dt) {
 }
 
 void RankProcess::freeze() {
-  frozen_ = true;
-  ++gen_;  // orphan all pending events and comm callbacks
+  frozen_ = true;  // orphans all pending events and comm releases
 }
 
 void RankProcess::advance() {
@@ -205,26 +204,42 @@ void RankProcess::end_blocking_mpi() {
 bool RankProcess::outstanding_complete() const {
   // A key below the firing event's is a completion that has passed.
   const sim::Key firing = engine_.firing();
-  for (const auto& req : outstanding_) {
-    if (!(req->key < firing)) return false;
+  for (const sim::Key& key : keys_) {
+    if (!(key < firing)) return false;
   }
   return true;
 }
 
-void RankProcess::await(Request& req) {
-  if (req.key == kUnmatchedKey) {
-    req.waiter = this;
-    ++awaiting_;
-  } else {
-    wake_key_ = std::max(wake_key_, req.key);
-  }
+void RankProcess::post_send(const Action& action, Rank dst) {
+  // The slot exists before the post: an eager send, or one that matches at
+  // once, reports its key from inside it.
+  const auto slot = static_cast<std::uint32_t>(keys_.size());
+  keys_.push_back(kUnmatchedKey);
+  comm_.post_send(rank_, dst, action.tag, action.bytes, *this, slot);
+}
+
+void RankProcess::post_recv(const Action& action, Rank src) {
+  const auto slot = static_cast<std::uint32_t>(keys_.size());
+  keys_.push_back(kUnmatchedKey);
+  comm_.post_recv(rank_, src, action.tag, *this, slot);
 }
 
 void RankProcess::block() {
+  for (std::size_t slot = wait_from_; slot < keys_.size(); ++slot) {
+    if (keys_[slot] == kUnmatchedKey) {
+      ++awaiting_;
+    } else {
+      wake_key_ = std::max(wake_key_, keys_[slot]);
+    }
+  }
   if (awaiting_ == 0) wake();
 }
 
-void RankProcess::on_completion_key(sim::Key key) {
+void RankProcess::on_completion_key(std::uint32_t slot, sim::Key key) {
+  keys_[slot] = key;
+  // A request the blocked call does not wait on (an Irecv completing during
+  // a later Send) only records its key for the Waitall that follows.
+  if (awaiting_ == 0 || slot < wait_from_) return;
   wake_key_ = std::max(wake_key_, key);
   if (--awaiting_ == 0) wake();
 }
@@ -232,6 +247,7 @@ void RankProcess::on_completion_key(sim::Key key) {
 void RankProcess::wake() {
   const sim::Key key = std::exchange(wake_key_, sim::Key{});
   auto resume = guarded([this] {
+    keys_.resize(wait_from_);
     end_blocking_mpi();
     advance();
   });
@@ -243,6 +259,12 @@ void RankProcess::wake() {
   } else {
     engine_.schedule_at(key, std::move(resume));
   }
+}
+
+void RankProcess::on_collective_done() {
+  if (frozen_) return;
+  end_blocking_mpi();
+  advance();
 }
 
 void RankProcess::begin_test_loop(const Action& action) {
@@ -290,7 +312,7 @@ void RankProcess::test_loop_poll() {
       emit_rank_span(engine_, obs::RankSpanEvent::Kind::kBusyWait, rank_,
                      busy_func_, busy_span_begin_);
       stack_.pop();  // busy loop body frame
-      outstanding_.clear();
+      keys_.clear();
       advance();
       return;
     }
@@ -306,37 +328,32 @@ void RankProcess::dispatch(const Action& action) {
       begin_compute(action);
       return;
 
-    // Send, Recv, Sendrecv and Waitall share one wait path: await() every
-    // request the call blocks on, then block(). The rank wakes with one
-    // event, at the latest of the requests' completion keys.
+    // Send, Recv, Sendrecv and Waitall share one wait path: post the
+    // call's requests, then block() on every slot from wait_from_ on. The
+    // rank wakes with one event, at the latest of their completion keys.
     case Kind::kSend:
       begin_blocking_mpi(MpiFunc::kSend);
-      await(*comm_.post_send(rank_, action.peer, action.tag, action.bytes));
+      wait_from_ = keys_.size();
+      post_send(action, action.peer);
       block();
       return;
 
     case Kind::kRecv:
       begin_blocking_mpi(MpiFunc::kRecv);
-      await(*comm_.post_recv(rank_, action.peer, action.tag, action.bytes));
+      wait_from_ = keys_.size();
+      post_recv(action, action.peer);
       block();
       return;
 
-    case Kind::kSendrecv: {
+    case Kind::kSendrecv:
       begin_blocking_mpi(MpiFunc::kSendrecv);
-      const Rank recv_peer =
-          action.recv_peer >= 0 ? action.recv_peer : action.peer;
-      // Post both halves before awaiting either: in a Sendrecv with itself
-      // the receive matches the send, which must not wake the rank before
-      // the receive is counted.
-      const RequestHandle send =
-          comm_.post_send(rank_, action.peer, action.tag, action.bytes);
-      const RequestHandle recv =
-          comm_.post_recv(rank_, recv_peer, action.tag, action.bytes);
-      await(*send);
-      await(*recv);
+      wait_from_ = keys_.size();
+      // Both halves are posted before the call counts either: in a
+      // Sendrecv with itself the receive matches the send.
+      post_send(action, action.peer);
+      post_recv(action, action.recv_peer >= 0 ? action.recv_peer : action.peer);
       block();
       return;
-    }
 
     case Kind::kIsend:
     case Kind::kIrecv: {
@@ -344,12 +361,11 @@ void RankProcess::dispatch(const Action& action) {
                                                        : MpiFunc::kIrecv;
       status_ = RankStatus::kInMpiBlocked;  // momentarily inside the call
       stack_.push(mpi_func_name(func));
-      auto req = action.kind == Kind::kIsend
-                     ? comm_.post_send(rank_, action.peer, action.tag,
-                                       action.bytes)
-                     : comm_.post_recv(rank_, action.peer, action.tag,
-                                       action.bytes);
-      outstanding_.push_back(std::move(req));
+      if (action.kind == Kind::kIsend) {
+        post_send(action, action.peer);
+      } else {
+        post_recv(action, action.peer);
+      }
       engine_.schedule_after(kCallOverhead, guarded([this] {
         stack_.pop();
         advance();
@@ -359,10 +375,7 @@ void RankProcess::dispatch(const Action& action) {
 
     case Kind::kWaitAll:
       begin_blocking_mpi(MpiFunc::kWaitall);
-      for (const auto& req : outstanding_) await(*req);
-      // An unmatched request stays alive in its channel until its key is
-      // fixed, so the handles can go now.
-      outstanding_.clear();
+      wait_from_ = 0;
       block();
       return;
 
@@ -388,11 +401,7 @@ void RankProcess::dispatch(const Action& action) {
         default: func = MpiFunc::kAlltoall; break;
       }
       begin_blocking_mpi(func);
-      comm_.enter_collective(func, rank_, action.root, action.bytes,
-                             guarded([this] {
-                               end_blocking_mpi();
-                               advance();
-                             }));
+      comm_.enter_collective(func, rank_, action.root, action.bytes, *this);
       return;
     }
 

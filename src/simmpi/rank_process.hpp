@@ -31,7 +31,7 @@ enum class RankStatus : std::uint8_t {
 /// One simulated MPI process: executes its Program action by action,
 /// maintaining a call stack the inspector can snapshot, and cooperating
 /// with the CommEngine for every communication op.
-class RankProcess : private CompletionWaiter {
+class RankProcess : private RequestOwner {
  public:
   struct Hooks {
     /// Called once when the rank executes kFinish.
@@ -112,18 +112,16 @@ class RankProcess : private CompletionWaiter {
   double compute_factor() const noexcept { return compute_factor_; }
 
  private:
-  using Gen = std::uint64_t;
-
-  /// Wrap a continuation so it becomes a no-op once the rank is frozen or
-  /// its generation moves on (freeze() orphans everything in flight).
-  /// Template on the callable: the wrapper is a small concrete lambda that
-  /// schedules into the engine's callback pool without ever materializing
-  /// a std::function — the per-event allocation this used to cost was a
-  /// top line in campaign profiles.
+  /// Wrap a continuation so it becomes a no-op once the rank is frozen
+  /// (freeze() orphans everything in flight). Template on the callable: the
+  /// wrapper is a small concrete lambda that schedules into the engine's
+  /// callback pool without ever materializing a std::function — the
+  /// per-event allocation this used to cost was a top line in campaign
+  /// profiles.
   template <typename F>
   auto guarded(F&& fn) {
-    return [this, expected = gen_, fn = std::forward<F>(fn)]() {
-      if (gen_ != expected || frozen_) return;
+    return [this, fn = std::forward<F>(fn)]() {
+      if (frozen_) return;
       fn();
     };
   }
@@ -152,12 +150,15 @@ class RankProcess : private CompletionWaiter {
   void test_loop_body();
   void test_loop_poll();
   bool outstanding_complete() const;
-  /// The wait path of the blocking point-to-point calls: await() each
-  /// request the call blocks on, then block(). wake() schedules the one
-  /// resume event once every awaited key is known.
-  void await(Request& req);
+  /// Post a request under the next slot of keys_.
+  void post_send(const Action& action, Rank dst);
+  void post_recv(const Action& action, Rank src);
+  /// The wait path of the blocking point-to-point calls: block() on the
+  /// requests from slot wait_from_ on. wake() schedules the one resume
+  /// event once every one of their keys is known.
   void block();
-  void on_completion_key(sim::Key key) override;
+  void on_completion_key(std::uint32_t slot, sim::Key key) override;
+  void on_collective_done() override;
   void wake();
 
   sim::Engine& engine_;
@@ -175,7 +176,12 @@ class RankProcess : private CompletionWaiter {
   bool thread_multiple_ = false;
   int next_comm_thread_ = 0;   ///< rotates over [0, threads] in MULTIPLE mode
   CallStack* mpi_stack_ = nullptr;  ///< where the current MPI frames live
-  std::vector<RequestHandle> outstanding_;
+  /// Completion keys of the live requests, by slot (kUnmatchedKey until
+  /// matched): the Isend/Irecv requests, then those of the blocking call in
+  /// progress. A wait that returns drops the slots it waited on; every one
+  /// of their keys is fixed by then, so no slot is reused while its op is
+  /// still queued.
+  std::vector<sim::Key> keys_;
   std::string_view busy_func_;
   double busy_backoff_ = 1.0;
   // Span bookkeeping for telemetry (obs::RankSpanEvent). Plain stores on
@@ -185,7 +191,6 @@ class RankProcess : private CompletionWaiter {
   sim::Time mpi_span_begin_ = 0;
   std::string_view mpi_span_func_;
   sim::Time busy_span_begin_ = 0;
-  Gen gen_ = 0;
   bool frozen_ = false;
   double compute_factor_ = 1.0;
   double combined_cv_for_ = -1.0;  ///< cv the cached combined_cv_ was built from
@@ -194,8 +199,10 @@ class RankProcess : private CompletionWaiter {
   sim::Time finished_at_ = -1;
   std::uint64_t actions_ = 0;
   std::uint64_t replay_target_ = 0;
-  /// Requests of the blocking call in progress whose keys are not fixed
-  /// yet, and the latest key among those that are.
+  /// The blocking call in progress waits on the slots from wait_from_ on:
+  /// awaiting_ of them have no key yet, and wake_key_ is the latest of the
+  /// keys that are fixed.
+  std::size_t wait_from_ = 0;
   int awaiting_ = 0;
   sim::Key wake_key_;
 };

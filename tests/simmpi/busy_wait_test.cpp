@@ -28,6 +28,12 @@ class ScriptedProgram : public Program {
   std::deque<Action> script_;
 };
 
+/// Rank 1's side: posts the send the busy-waiting rank 0 is waiting for.
+struct Sender final : RequestOwner {
+  void on_completion_key(std::uint32_t, sim::Key) override {}
+  void on_collective_done() override {}
+};
+
 struct BusyRig {
   BusyRig() : platform(sim::Platform::tianhe2()) {
     platform.noise_cv = 0.0;
@@ -44,9 +50,12 @@ struct BusyRig {
         RankProcess::Hooks{});
   }
 
+  void send_to_rank0() { comm->post_send(1, 0, 1, 64, sender, 0); }
+
   sim::Engine engine;
   sim::Platform platform;
   std::unique_ptr<CommEngine> comm;
+  Sender sender;
 };
 
 TEST(BusyWait, DutyCycleFavoursInMpi) {
@@ -100,7 +109,7 @@ TEST(BusyWait, BackoffResetsPerLoop) {
   // Satisfy the receive after 3 ms: the loop should exit within a few
   // fine-grained slices, not a backed-off 14 ms one.
   rig.engine.schedule_at(3 * sim::kMillisecond, [&] {
-    (void)rig.comm->post_send(1, 0, 1, 64);
+    rig.send_to_rank0();
   });
   rig.engine.run_until(20 * sim::kMillisecond);
   EXPECT_TRUE(rank->finished());
@@ -112,7 +121,7 @@ TEST(BusyWait, CompletionExitsTheLoopLate) {
   auto rank = rig.spin_forever();
   rank->start();
   rig.engine.run_until(30 * sim::kSecond);  // fully backed off
-  (void)rig.comm->post_send(1, 0, 1, 64);
+  rig.send_to_rank0();
   rig.engine.run_until(31 * sim::kSecond);
   EXPECT_TRUE(rank->finished());
 }

@@ -56,16 +56,32 @@ TEST(Fifo, PoppedSlotsReleaseTheirResources) {
   EXPECT_EQ(token.use_count(), 1);  // nothing lingers in consumed slots
 }
 
+/// One side of the backlog: keeps every request's key by slot, as a rank
+/// does, but never retires a slot.
+struct SlotLog final : RequestOwner {
+  std::uint32_t next_slot() {
+    keys.push_back(kUnmatchedKey);
+    return static_cast<std::uint32_t>(keys.size() - 1);
+  }
+  void on_completion_key(std::uint32_t slot, sim::Key key) override {
+    keys.at(slot) = key;
+  }
+  void on_collective_done() override {}
+
+  std::vector<sim::Key> keys;
+};
+
 class BacklogTest : public ::testing::Test {
  protected:
   BacklogTest() : platform_(sim::Platform::tianhe2()) {
     platform_.eager_threshold_bytes = 64 * 1024;
   }
 
-  /// Whether `req` has completed by now: its key is fixed (an unmatched
-  /// key's time is the largest there is) and its instant has passed.
-  bool completed(const RequestHandle& req) const {
-    return req->key.time <= engine_.now();
+  /// Whether a request has completed by now: its key is fixed (an
+  /// unmatched key's time is the largest there is) and its instant has
+  /// passed.
+  bool completed(const sim::Key& key) const {
+    return key.time <= engine_.now();
   }
 
   sim::Engine engine_;
@@ -79,24 +95,24 @@ class BacklogTest : public ::testing::Test {
 TEST_F(BacklogTest, SendBacklogMatchesOldestFirst) {
   CommEngine comm(engine_, platform_, 2);
   std::mt19937_64 gen(11);
-  std::vector<RequestHandle> sends;
-  std::vector<RequestHandle> recvs;
+  SlotLog sends;
+  SlotLog recvs;
   for (int step = 0; step < 600; ++step) {
     if (gen() % 100 < 70) {
-      sends.push_back(comm.post_send(0, 1, 3, 128 * 1024));
+      comm.post_send(0, 1, 3, 128 * 1024, sends, sends.next_slot());
     } else {
-      recvs.push_back(comm.post_recv(1, 0, 3, 128 * 1024));
+      comm.post_recv(1, 0, 3, recvs, recvs.next_slot());
     }
     engine_.run_until(engine_.now() + sim::kSecond);
-    const std::size_t matched = std::min(sends.size(), recvs.size());
+    const std::size_t matched = std::min(sends.keys.size(), recvs.keys.size());
     ASSERT_EQ(comm.matches(), matched);
-    ASSERT_EQ(comm.pending_sends(), sends.size() - matched);
-    ASSERT_EQ(comm.pending_recvs(), recvs.size() - matched);
-    for (std::size_t i = 0; i < sends.size(); ++i) {
-      ASSERT_EQ(completed(sends[i]), i < matched) << "send " << i;
+    ASSERT_EQ(comm.pending_sends(), sends.keys.size() - matched);
+    ASSERT_EQ(comm.pending_recvs(), recvs.keys.size() - matched);
+    for (std::size_t i = 0; i < sends.keys.size(); ++i) {
+      ASSERT_EQ(completed(sends.keys[i]), i < matched) << "send " << i;
     }
-    for (std::size_t i = 0; i < recvs.size(); ++i) {
-      ASSERT_EQ(completed(recvs[i]), i < matched) << "recv " << i;
+    for (std::size_t i = 0; i < recvs.keys.size(); ++i) {
+      ASSERT_EQ(completed(recvs.keys[i]), i < matched) << "recv " << i;
     }
   }
   EXPECT_GT(comm.pending_sends(), 100u);  // the backlog never drained
@@ -107,21 +123,20 @@ TEST_F(BacklogTest, SendBacklogMatchesOldestFirst) {
 TEST_F(BacklogTest, RecvBacklogMatchesOldestFirst) {
   CommEngine comm(engine_, platform_, 2);
   std::mt19937_64 gen(12);
-  std::vector<RequestHandle> recvs;
-  std::size_t sends = 0;
+  SlotLog sends;
+  SlotLog recvs;
   for (int step = 0; step < 600; ++step) {
     if (gen() % 100 < 65) {
-      recvs.push_back(comm.post_recv(1, 0, 4, 512));
+      comm.post_recv(1, 0, 4, recvs, recvs.next_slot());
     } else {
-      comm.post_send(0, 1, 4, 512);
-      ++sends;
+      comm.post_send(0, 1, 4, 512, sends, sends.next_slot());
     }
     engine_.run_until(engine_.now() + sim::kSecond);
-    const std::size_t matched = std::min(sends, recvs.size());
-    ASSERT_EQ(comm.pending_sends(), sends - matched);
-    ASSERT_EQ(comm.pending_recvs(), recvs.size() - matched);
-    for (std::size_t i = 0; i < recvs.size(); ++i) {
-      ASSERT_EQ(completed(recvs[i]), i < matched) << "recv " << i;
+    const std::size_t matched = std::min(sends.keys.size(), recvs.keys.size());
+    ASSERT_EQ(comm.pending_sends(), sends.keys.size() - matched);
+    ASSERT_EQ(comm.pending_recvs(), recvs.keys.size() - matched);
+    for (std::size_t i = 0; i < recvs.keys.size(); ++i) {
+      ASSERT_EQ(completed(recvs.keys[i]), i < matched) << "recv " << i;
     }
   }
   EXPECT_GT(comm.pending_recvs(), 100u);

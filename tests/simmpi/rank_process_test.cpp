@@ -4,6 +4,8 @@
 
 #include <deque>
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/platform.hpp"
@@ -29,6 +31,28 @@ class ScriptedProgram : public Program {
   std::deque<Action> script_;
 };
 
+/// Posts a peer's half of an exchange straight into the CommEngine; nobody
+/// waits on its requests, and a slot is never reused.
+struct Peer final : RequestOwner {
+  void send(CommEngine& comm, Rank src, Rank dst, int tag, std::size_t bytes) {
+    comm.post_send(src, dst, tag, bytes, *this, slots++);
+  }
+  void recv(CommEngine& comm, Rank dst, Rank src, int tag) {
+    comm.post_recv(dst, src, tag, *this, slots++);
+  }
+  void on_completion_key(std::uint32_t, sim::Key) override {}
+  void on_collective_done() override {}
+
+  std::uint32_t slots = 0;
+};
+
+/// The MPI call a blocked rank is in (the frame under the progress frame).
+std::string_view blocked_in(const RankProcess& rank) {
+  const auto& frames = rank.stack().frames();
+  return frames.size() < 2 ? std::string_view{}
+                           : frames[frames.size() - 2].name;
+}
+
 class RankProcessTest : public ::testing::Test {
  protected:
   RankProcessTest() : platform_(sim::Platform::tianhe2()) {
@@ -48,6 +72,7 @@ class RankProcessTest : public ::testing::Test {
   sim::Engine engine_;
   sim::Platform platform_;
   std::unique_ptr<CommEngine> comm_;
+  Peer peer_;
   int finished_ = 0;
 };
 
@@ -136,16 +161,16 @@ TEST_F(RankProcessTest, WaitallOverFourHaloRequestsCostsOneEvent) {
   EXPECT_EQ(a->stack().innermost_mpi_frame(), "pmpi_progress_wait");
   const std::uint64_t before = engine_.events_fired();
   engine_.schedule_at(1 * sim::kSecond, [this] {
-    (void)comm_->post_send(1, 0, 4, kBytes);
+    peer_.send(*comm_, 1, 0, 4, kBytes);
   });
   engine_.schedule_at(2 * sim::kSecond, [this] {
-    (void)comm_->post_recv(1, 0, 4, kBytes);
+    peer_.recv(*comm_, 1, 0, 4);
   });
   engine_.schedule_at(3 * sim::kSecond, [this] {
-    (void)comm_->post_send(2, 0, 4, kBytes);
+    peer_.send(*comm_, 2, 0, 4, kBytes);
   });
   engine_.schedule_at(4 * sim::kSecond, [this] {
-    (void)comm_->post_recv(2, 0, 4, kBytes);
+    peer_.recv(*comm_, 2, 0, 4);
   });
   engine_.run_until_idle();
   EXPECT_TRUE(a->finished());
@@ -163,10 +188,10 @@ TEST_F(RankProcessTest, SendrecvCostsOneEvent) {
   EXPECT_EQ(a->stack().innermost_mpi_frame(), "pmpi_progress_wait");
   const std::uint64_t before = engine_.events_fired();
   engine_.schedule_at(1 * sim::kSecond, [this] {
-    (void)comm_->post_send(1, 0, 3, kBytes);
+    peer_.send(*comm_, 1, 0, 3, kBytes);
   });
   engine_.schedule_at(2 * sim::kSecond, [this] {
-    (void)comm_->post_recv(1, 0, 3, kBytes);
+    peer_.recv(*comm_, 1, 0, 3);
   });
   engine_.run_until_idle();
   EXPECT_TRUE(a->finished());
@@ -174,6 +199,64 @@ TEST_F(RankProcessTest, SendrecvCostsOneEvent) {
   EXPECT_EQ(engine_.events_fired() - before, 2u + 1u);
   EXPECT_EQ(a->finished_at(),
             2 * sim::kSecond + platform_.transfer_time(kBytes));
+}
+
+// Slot retirement. A rank drops the slots a wait covered when that wait
+// returns, and only then; each of the cases below goes wrong if a slot is
+// dropped, reused or counted by the wrong call.
+
+// An Irecv whose key is fixed while the rank is blocked in a later Send
+// is not part of the Send's wait: the Send returns at its own completion,
+// and the Waitall after it still waits for the Irecv, whose transfer is
+// the longer one.
+TEST_F(RankProcessTest, IrecvCompletingDuringALaterSendWaitsForTheWaitall) {
+  constexpr std::size_t kLong = 64 * 1024 * 1024;
+  constexpr std::size_t kShort = 1024 * 1024;
+  auto a = make_rank(0, {Action::irecv(1, 4, kLong), Action::send(2, 5, kShort),
+                         Action::wait_all()});
+  a->start();
+  const sim::Time irecv_match = sim::kSecond;
+  const sim::Time send_match = sim::kSecond + sim::from_millis(1);
+  engine_.schedule_at(irecv_match,
+                      [this] { peer_.send(*comm_, 1, 0, 4, kLong); });
+  engine_.schedule_at(send_match, [this] { peer_.recv(*comm_, 2, 0, 5); });
+  const sim::Time send_done = send_match + platform_.transfer_time(kShort);
+  const sim::Time irecv_done = irecv_match + platform_.transfer_time(kLong);
+  ASSERT_LT(send_done, irecv_done);
+
+  engine_.run_until(send_match - 1);  // the Irecv's key is fixed
+  EXPECT_EQ(comm_->pending_recvs(), 0u);
+  EXPECT_EQ(blocked_in(*a), "MPI_Send");
+  engine_.run_until(send_done - 1);
+  EXPECT_EQ(blocked_in(*a), "MPI_Send");
+  engine_.run_until(send_done);
+  EXPECT_EQ(blocked_in(*a), "MPI_Waitall");
+  engine_.run_until_idle();
+  EXPECT_TRUE(a->finished());
+  EXPECT_EQ(a->finished_at(), irecv_done);
+}
+
+// A Sendrecv with itself: the receive half matches the send half inside
+// the call, so both keys arrive before the call counts what it waits on.
+TEST_F(RankProcessTest, SendrecvWithItself) {
+  for (const std::size_t bytes : {std::size_t{512}, std::size_t{1024 * 1024}}) {
+    SCOPED_TRACE(bytes);
+    sim::Engine engine;
+    CommEngine comm(engine, platform_, 1);
+    RankProcess a(engine, comm, platform_, 0, 0,
+                  std::make_unique<ScriptedProgram>(std::deque<Action>{
+                      Action::sendrecv(0, 3, bytes),
+                      Action::sendrecv(0, 3, bytes)}),
+                  util::Rng(7), RankProcess::Hooks{});
+    a.start();
+    engine.run_until_idle();
+    EXPECT_TRUE(a.finished());
+    EXPECT_EQ(comm.matches(), 2u);
+    EXPECT_EQ(comm.pending_sends(), 0u);
+    EXPECT_EQ(comm.pending_recvs(), 0u);
+    // The start, then one wake-up per call.
+    EXPECT_EQ(engine.events_fired(), 3u);
+  }
 }
 
 TEST_F(RankProcessTest, TestLoopFlipsBetweenStates) {
@@ -270,6 +353,74 @@ TEST_F(RankProcessTest, FrozenRankIgnoresCommCompletion) {
   engine_.run_until_idle();
   EXPECT_FALSE(receiver->finished());
   EXPECT_TRUE(receiver->in_mpi());  // still parked inside MPI_Recv
+}
+
+// A frozen rank still takes the completion it was blocked on: the
+// wake-up event fires, as a no-op, and the rank does not advance.
+TEST_F(RankProcessTest, RankFrozenInRecvTakesItsCompletionWithoutAdvancing) {
+  auto receiver = make_rank(0, {Action::recv(1, 9, 256)});
+  receiver->start();
+  engine_.run_until(sim::from_millis(50));
+  receiver->freeze();
+  const std::uint64_t actions = receiver->actions_executed();
+  const std::uint64_t before = engine_.events_fired();
+  engine_.schedule_at(sim::kSecond,
+                      [this] { peer_.send(*comm_, 1, 0, 9, 256); });
+  engine_.run_until_idle();
+  // The send and the receiver's no-op wake-up.
+  EXPECT_EQ(engine_.events_fired() - before, 2u);
+  EXPECT_EQ(comm_->pending_recvs(), 0u);
+  EXPECT_EQ(receiver->actions_executed(), actions);
+  EXPECT_EQ(blocked_in(*receiver), "MPI_Recv");
+  EXPECT_FALSE(receiver->finished());
+}
+
+TEST_F(RankProcessTest, RankFrozenInAllreduceTakesItsReleaseWithoutAdvancing) {
+  std::vector<std::unique_ptr<RankProcess>> ranks;
+  for (Rank r = 0; r < 4; ++r) {
+    ranks.push_back(make_rank(
+        r, {Action::collective(Action::Kind::kAllreduce, 64)}));
+  }
+  for (Rank r = 0; r < 3; ++r) ranks[static_cast<std::size_t>(r)]->start();
+  engine_.run_until(sim::from_millis(50));
+  ranks[0]->freeze();
+  const std::uint64_t actions = ranks[0]->actions_executed();
+  ranks[3]->start();
+  engine_.run_until_idle();
+  EXPECT_EQ(comm_->open_collectives(), 0u);
+  EXPECT_EQ(finished_, 3);
+  EXPECT_FALSE(ranks[0]->finished());
+  EXPECT_EQ(ranks[0]->actions_executed(), actions);
+  EXPECT_EQ(blocked_in(*ranks[0]), "MPI_Allreduce");
+}
+
+// A mismatched rank counts as arrived but is never released, and the
+// instance after it never fills; open_collectives() counts exactly the
+// instances some rank has entered and not all have.
+TEST_F(RankProcessTest, CollectiveMismatchLeavesItsRankBlocked) {
+  std::vector<std::unique_ptr<RankProcess>> ranks;
+  for (Rank r = 0; r < 3; ++r) {
+    ranks.push_back(make_rank(
+        r, {Action::collective(Action::Kind::kAllreduce, 64),
+            Action::collective(Action::Kind::kBarrier, 0)}));
+  }
+  ranks.push_back(
+      make_rank(3, {Action::collective(Action::Kind::kBarrier, 0)}));
+  for (Rank r = 0; r < 3; ++r) ranks[static_cast<std::size_t>(r)]->start();
+  engine_.run_until(sim::kSecond);
+  EXPECT_EQ(comm_->open_collectives(), 1u);
+  ranks[3]->start();
+  engine_.run_until_idle();
+  EXPECT_EQ(comm_->mismatch_count(), 1u);
+  // The Allreduce closed when rank 3 arrived; the Barrier ranks 0-2 then
+  // entered waits for rank 3, which never leaves its mismatched call.
+  EXPECT_EQ(comm_->open_collectives(), 1u);
+  EXPECT_EQ(ranks[3]->status(), RankStatus::kInMpiBlocked);
+  EXPECT_EQ(blocked_in(*ranks[3]), "MPI_Barrier");
+  for (Rank r = 0; r < 3; ++r) {
+    EXPECT_EQ(blocked_in(*ranks[static_cast<std::size_t>(r)]), "MPI_Barrier");
+  }
+  EXPECT_EQ(finished_, 0);
 }
 
 TEST_F(RankProcessTest, SlowdownFactorStretchesNewComputes) {

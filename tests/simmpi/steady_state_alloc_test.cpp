@@ -3,9 +3,10 @@
 // This binary replaces the global operator new with a counting one, runs a
 // 256-rank LU and CG world on Tardis (no detector, no fault, background
 // slowdowns on) to 30 s of virtual time, and counts the heap allocations
-// made between 30 s and 60 s. Per-message and per-compute-segment work must
-// not allocate: the only allowance is a small constant per collective
-// instance (its bookkeeping entry and waiter list) plus a fixed slack.
+// made between 30 s and 60 s. Per-message, per-compute-segment and
+// per-collective work must not allocate: a collective instance reuses the
+// storage of one that closed before it, so the only allowance is a fixed
+// slack (a ring or list that reaches a new high-water mark).
 
 #include <gtest/gtest.h>
 
@@ -38,7 +39,7 @@ std::atomic<std::uint64_t> g_allocations{0};
 namespace parastack::simmpi {
 namespace {
 
-constexpr std::uint64_t kPerCollective = 16;
+constexpr std::uint64_t kPerCollective = 0;
 constexpr std::uint64_t kSlack = 64;
 
 struct Window {
@@ -83,7 +84,8 @@ void expect_within_budget(const char* name, const Window& w) {
               static_cast<unsigned long long>(w.events));
   EXPECT_GT(w.matches, 0u);
   EXPECT_LE(w.allocations, kPerCollective * w.collective_instances + kSlack)
-      << name << ": allocations scale with messages or compute segments";
+      << name << ": allocations scale with messages, compute segments or "
+         "collective instances";
 }
 
 TEST(SteadyStateAllocations, Lu256AllocatesOnlyPerCollective) {
