@@ -67,23 +67,26 @@ inline util::Args parse_jobs(int argc, char** argv,
   }
   try {
     jobs_override() = args.get_whole<int>("jobs", -1, 0);
-    if (const char* env = std::getenv("PARASTACK_BENCH_JOBS");
-        env != nullptr && *env != '\0') {
-      int env_jobs = -1;
-      try {
-        env_jobs = util::Args::parse_whole<int>(env);
-      } catch (const std::invalid_argument&) {
-      }
-      if (env_jobs < 0) {
-        throw std::invalid_argument(
-            std::string("bad PARASTACK_BENCH_JOBS value '") + env +
-            "' (expected a whole number from 0)");
-      }
-      if (jobs_override() < 0) jobs_override() = env_jobs;
-    }
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(), error.what());
     bad = true;
+  }
+  if (const char* env = std::getenv("PARASTACK_BENCH_JOBS");
+      env != nullptr && *env != '\0') {
+    int env_jobs = -1;
+    try {
+      env_jobs = util::Args::parse_whole<int>(env);
+    } catch (const std::invalid_argument&) {
+    }
+    if (env_jobs < 0) {
+      std::fprintf(stderr,
+                   "%s: bad PARASTACK_BENCH_JOBS value '%s' (expected a "
+                   "whole number from 0)\n",
+                   name.c_str(), env);
+      bad = true;
+    } else if (jobs_override() < 0) {
+      jobs_override() = env_jobs;
+    }
   }
   if (bad) std::exit(2);
   return args;

@@ -186,7 +186,8 @@ void CommEngine::enter_collective(MpiFunc kind, Rank rank, Rank root,
   const std::uint64_t offset =
       next_collective_seq_[static_cast<std::size_t>(rank)]++ - first_open_;
   PS_CHECK(offset <= open_, "collective instance outside the window");
-  if (offset == open_) {
+  const bool opens = offset == open_;  // the first rank to make this call
+  if (opens) {
     if (open_ == window_.size()) {
       std::vector<CollectiveInstance> bigger(
           window_.empty() ? 4 : 2 * window_.size());
@@ -197,15 +198,15 @@ void CommEngine::enter_collective(MpiFunc kind, Rank rank, Rank root,
       head_ = 0;
     }
     ++open_;
-    CollectiveInstance& inst =
-        window_[(head_ + offset) & (window_.size() - 1)];
+  }
+  CollectiveInstance& inst = window_[(head_ + offset) & (window_.size() - 1)];
+  if (opens) {
     inst.kind = kind;
     inst.root = root;
     inst.bytes = bytes;
     inst.arrived = 0;
     inst.root_arrival = -1;
   }
-  CollectiveInstance& inst = window_[(head_ + offset) & (window_.size() - 1)];
   ++inst.arrived;
   const Waiter waiter{engine_.now(), &owner};
   if (inst.kind != kind || inst.root != root) {
