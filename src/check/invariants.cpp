@@ -277,18 +277,15 @@ void check_run_invariants(const simmpi::World& world,
   if (engine.events_fired() == 0) {
     out.push_back("run ended without firing a single event");
   }
-  // Scheduling ledger conservation. Every scheduled event is eventually
-  // fired, cancelled, or still pending — the engine's single shared pop
-  // path is what guarantees step() and run_until() cannot drift on this.
+  // Scheduling ledger conservation. Nothing is cancelled, so every
+  // scheduled event has either fired or is still pending.
   if (engine.events_scheduled() !=
-      engine.events_fired() + engine.events_cancelled() +
-          engine.events_pending()) {
+      engine.events_fired() + engine.events_pending()) {
     out.push_back(format(
         "engine ledger out of balance: scheduled %llu != fired %llu + "
-        "cancelled %llu + pending %zu",
+        "pending %zu",
         static_cast<unsigned long long>(engine.events_scheduled()),
         static_cast<unsigned long long>(engine.events_fired()),
-        static_cast<unsigned long long>(engine.events_cancelled()),
         engine.events_pending()));
   }
 

@@ -49,22 +49,11 @@ void ScroutSampler::choose_monitor_sets() {
       std::max(1, std::min(config_.monitored_count, nranks / 2));
   sets_[0].assign(all.begin(), all.begin() + per_set);
   sets_[1].assign(all.begin() + per_set, all.begin() + 2 * per_set);
-  for (int set = 0; set < 2; ++set) {
-    masks_[set].assign(static_cast<std::size_t>(nranks), false);
-    for (const simmpi::Rank r : sets_[set]) {
-      masks_[set].set(static_cast<std::size_t>(r));
-    }
-  }
 }
 
 const std::vector<simmpi::Rank>& ScroutSampler::monitor_set(int index) const {
   PS_CHECK(index == 0 || index == 1, "two monitor sets exist");
   return sets_[index];
-}
-
-const util::DynamicBitset& ScroutSampler::monitored_mask(int index) const {
-  PS_CHECK(index == 0 || index == 1, "two monitor sets exist");
-  return masks_[index];
 }
 
 double ScroutSampler::measure() { return measure_qualified().scrout; }

@@ -11,7 +11,6 @@
 #include "sim/time.hpp"
 #include "simmpi/world.hpp"
 #include "trace/inspector.hpp"
-#include "util/bitset.hpp"
 #include "util/rng.hpp"
 
 namespace parastack::obs {
@@ -87,15 +86,6 @@ class ScroutSampler {
 
   int active_set() const noexcept { return active_set_; }
   const std::vector<simmpi::Rank>& monitor_set(int index) const;
-  /// Bitset membership mask over the world's ranks for one monitor set —
-  /// the SoA view of monitor_set(): coverage bookkeeping over a 1M-rank
-  /// world costs bits per rank, not a heap object per query.
-  const util::DynamicBitset& monitored_mask(int index) const;
-  /// O(1): is `rank` in either monitor set?
-  bool is_monitored(simmpi::Rank rank) const {
-    const auto i = static_cast<std::size_t>(rank);
-    return masks_[0].test(i) || masks_[1].test(i);
-  }
   std::size_t observations() const noexcept { return observations_; }
 
  private:
@@ -110,7 +100,6 @@ class ScroutSampler {
   std::size_t observations_ = 0;
   std::size_t observations_since_switch_ = 0;
   std::vector<simmpi::Rank> sets_[2];
-  util::DynamicBitset masks_[2];  ///< bitset mirrors of sets_
 };
 
 /// Stage 2 (§3.1): doubles the sampling interval I until the Wald–Wolfowitz

@@ -12,12 +12,14 @@ namespace parastack::sim {
 
 /// Fixed-footprint type-erased callable, the pooled replacement for
 /// `std::function<void()>` in the engine's hot loop. Callables up to
-/// kInlineCapacity bytes (which covers every scheduler lambda in the tree:
-/// `this` plus a few captured words, or a moved-in std::function) are stored
-/// inline in the slot — scheduling them allocates nothing. Larger or
-/// throwing-move callables fall back to a single heap allocation, so the
-/// type stays fully general. Move-only by design: a callback has exactly one
-/// home (a pool slot, then the firing frame).
+/// kInlineCapacity bytes (`this` plus a few captured words, or a moved-in
+/// std::function) are stored inline in the slot — scheduling them allocates
+/// nothing. Larger or throwing-move callables fall back to a single heap
+/// allocation, so the type stays fully general: the fault injector's
+/// slowdown and freeze triggers (`FaultInjector::arm`) each capture a whole
+/// `FaultPlan` and two `shared_ptr`s, so each slowdown or freeze run pays
+/// one allocation here. Move-only by design: a callback has exactly one
+/// home, its pool slot.
 class PooledCallback {
  public:
   static constexpr std::size_t kInlineCapacity = 64;
@@ -138,40 +140,25 @@ class PooledCallback {
   const VTable* vt_ = nullptr;
 };
 
-/// Slab of callback slots with free-list reuse. Slots are addressed by a
-/// dense index plus a per-slot generation tag: the generation is odd while
-/// the slot is occupied and bumps on every acquire *and* every release, so
-/// a (slot, gen) pair names one scheduling forever — the engine's "ids are
-/// never reused" cancel contract holds even though the underlying storage
-/// is recycled. Stale pairs (cancelled or fired events) simply fail the
-/// `alive()` check; no hash map is consulted anywhere.
+/// Slab of callback slots with free-list reuse, addressed by a dense
+/// index; no hash map is consulted anywhere.
 ///
-/// Storage is a list of fixed-size chunks, never reallocated, so an Entry's
+/// Storage is a list of fixed-size chunks, never reallocated, so a slot's
 /// address is stable for the pool's lifetime. That stability is what lets
-/// the engine invoke callbacks *in place* (begin_fire/end_fire) instead of
-/// moving each closure onto the firing frame: a callback that schedules new
-/// events may add chunks or recycle free slots, but can never move or
-/// reuse the slot it is running out of — it leaves the free list only when
-/// end_fire() returns it.
+/// the engine invoke callbacks *in place* (`at(slot)()`, then release())
+/// instead of moving each closure onto the firing frame: a callback that
+/// schedules new events may add chunks or recycle free slots, but can
+/// never move or reuse the slot it is running out of — it rejoins the free
+/// list only when release() returns it.
 class CallbackPool {
  public:
   using Slot = std::uint32_t;
-
-  struct Ref {
-    Slot slot;
-    std::uint32_t gen;
-  };
-
-  struct Entry {
-    PooledCallback cb;
-    std::uint32_t gen = 0;  ///< odd = occupied, even = free
-  };
 
   /// Move a callable into a (possibly recycled) slot. An incoming
   /// PooledCallback moves slot-to-slot; anything else is emplaced (no
   /// double wrapping).
   template <typename F>
-  Ref acquire(F&& fn) {
+  Slot acquire(F&& fn) {
     Slot slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -179,52 +166,31 @@ class CallbackPool {
     } else {
       slot = static_cast<Slot>(size_);
       if ((size_ & kChunkMask) == 0) {
-        chunks_.push_back(std::make_unique<Entry[]>(kChunkSize));
+        chunks_.push_back(std::make_unique<PooledCallback[]>(kChunkSize));
       }
       ++size_;
     }
-    Entry& e = entry(slot);
-    ++e.gen;  // even (free) -> odd (occupied)
     if constexpr (std::is_same_v<std::decay_t<F>, PooledCallback>) {
-      e.cb = std::forward<F>(fn);
+      at(slot) = std::forward<F>(fn);
     } else {
-      e.cb.emplace(std::forward<F>(fn));
+      at(slot).emplace(std::forward<F>(fn));
     }
-    return {slot, e.gen};
+    return slot;
   }
 
-  /// Is (slot, gen) still a pending scheduling?
-  bool alive(Slot slot, std::uint32_t gen) const noexcept {
-    return slot < size_ && entry(slot).gen == gen;
-  }
-
-  /// Retire the id and return the entry for in-place invocation. The slot's
-  /// generation bumps first, so cancel() of the firing event's own id is a
-  /// no-op from inside its callback. Call end_fire(slot) after the
-  /// invocation returns.
-  Entry& begin_fire(Slot slot) noexcept {
-    Entry& e = entry(slot);
-    ++e.gen;  // odd (occupied) -> even (retired, firing)
-    return e;
+  /// The callback in `slot`, invoked in place by the engine.
+  PooledCallback& at(Slot slot) noexcept {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
 
   /// Destroy the just-invoked closure and recycle the slot.
-  void end_fire(Slot slot) {
-    Entry& e = entry(slot);
-    e.cb.reset();
+  void release(Slot slot) {
+    at(slot).reset();
     free_.push_back(slot);
   }
 
-  /// Destroy the callback and free the slot (cancellation).
-  void drop(Slot slot) {
-    Entry& e = entry(slot);
-    e.cb.reset();
-    ++e.gen;
-    free_.push_back(slot);
-  }
-
-  /// Occupied slots == pending (non-cancelled, non-fired) events. An event
-  /// whose callback is mid-invocation counts until end_fire() recycles it.
+  /// Occupied slots == pending events. An event whose callback is
+  /// mid-invocation counts until release() recycles it.
   std::size_t live() const noexcept { return size_ - free_.size(); }
 
  private:
@@ -232,14 +198,7 @@ class CallbackPool {
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 
-  Entry& entry(Slot slot) noexcept {
-    return chunks_[slot >> kChunkShift][slot & kChunkMask];
-  }
-  const Entry& entry(Slot slot) const noexcept {
-    return chunks_[slot >> kChunkShift][slot & kChunkMask];
-  }
-
-  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::vector<std::unique_ptr<PooledCallback[]>> chunks_;
   std::vector<Slot> free_;
   std::size_t size_ = 0;
 };

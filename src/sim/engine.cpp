@@ -4,37 +4,22 @@
 
 namespace parastack::sim {
 
-namespace {
-/// Compaction is only worth the O(n) rebuild when tombstones dominate and
-/// the heap is big enough for the memory to matter.
-constexpr std::size_t kCompactMinTombstones = 64;
-}  // namespace
-
 void Engine::set_perf(obs::perf::ProfileRegistry* registry) {
   flush_perf();  // retire pending deltas into the outgoing registry
   perf_ = registry;
   if (registry != nullptr) {
     perf_scheduled_ = registry->counter("sim.events_scheduled");
     perf_fired_ = registry->counter("sim.events_fired");
-    perf_cancelled_ = registry->counter("sim.events_cancelled");
-    perf_tombstones_ = registry->counter("sim.tombstones_dropped");
-    perf_compactions_ = registry->counter("sim.heap_compactions");
     perf_queue_depth_ = registry->high_water("sim.queue_depth");
   } else {
     perf_scheduled_ = nullptr;
     perf_fired_ = nullptr;
-    perf_cancelled_ = nullptr;
-    perf_tombstones_ = nullptr;
-    perf_compactions_ = nullptr;
     perf_queue_depth_ = nullptr;
   }
   // Count only post-attach activity for the new registry, matching the old
   // per-event emission (the harness attaches after world construction).
   flushed_scheduled_ = scheduled_;
   flushed_fired_ = fired_;
-  flushed_cancelled_ = cancelled_;
-  flushed_tombstones_ = tombstones_dropped_;
-  flushed_compactions_ = compactions_;
   queue_depth_hw_ = 0;
 }
 
@@ -42,44 +27,15 @@ void Engine::flush_perf() {
   if (perf_ == nullptr) return;
   PS_PERF_ADD(perf_scheduled_, scheduled_ - flushed_scheduled_);
   PS_PERF_ADD(perf_fired_, fired_ - flushed_fired_);
-  PS_PERF_ADD(perf_cancelled_, cancelled_ - flushed_cancelled_);
-  PS_PERF_ADD(perf_tombstones_, tombstones_dropped_ - flushed_tombstones_);
-  PS_PERF_ADD(perf_compactions_, compactions_ - flushed_compactions_);
   PS_PERF_OBSERVE(perf_queue_depth_, queue_depth_hw_);
   flushed_scheduled_ = scheduled_;
   flushed_fired_ = fired_;
-  flushed_cancelled_ = cancelled_;
-  flushed_tombstones_ = tombstones_dropped_;
-  flushed_compactions_ = compactions_;
-}
-
-void Engine::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (!pool_.alive(slot, gen)) return;  // already fired/cancelled or unknown
-  pool_.drop(slot);
-  ++cancelled_;
-  ++cancelled_in_heap_;
-  compact_if_worthwhile();
-}
-
-void Engine::compact_if_worthwhile() {
-  if (cancelled_in_heap_ <= kCompactMinTombstones ||
-      cancelled_in_heap_ <= pool_.live()) {
-    return;
-  }
-  const std::size_t dropped = queue_.remove_if([this](const QueuedEvent& ev) {
-    return !pool_.alive(ev.slot, ev.gen);
-  });
-  ++compactions_;
-  tombstones_dropped_ += dropped;
-  cancelled_in_heap_ -= dropped;  // == 0: every tombstone was in the heap
 }
 
 void Engine::run_until(Time t) {
   while (fire_next(t)) {
   }
-  if (!stopped_ && now_ < t) now_ = t;
+  if (now_ < t) now_ = t;
   flush_perf();
 }
 

@@ -18,13 +18,12 @@ struct Key {
 };
 
 /// One pending entry: its key's time and sequence, and the callback's pool
-/// address. Everything the pop path needs lives inline in 24 bytes; firing
-/// an event never touches a hash map.
+/// slot. Everything the pop path needs lives inline in 24 bytes; firing an
+/// event never touches a hash map.
 struct QueuedEvent {
   Time time;
   std::uint64_t seq;
   std::uint32_t slot;
-  std::uint32_t gen;
 };
 
 /// Priority queue on (time, seq): a one-entry next-event slot in front of
@@ -83,28 +82,6 @@ class EventQueue {
       v_[0] = moved;
       sift_down(0);
     }
-  }
-
-  /// Remove every entry matching `pred`, the slot included, and restore the
-  /// heap in one O(n) pass (tombstone compaction). Returns the number
-  /// removed.
-  template <typename Pred>
-  std::size_t remove_if(Pred pred) {
-    std::size_t removed = 0;
-    if (has_next_ && pred(next_)) {
-      has_next_ = false;
-      ++removed;
-    }
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < v_.size(); ++i) {
-      if (!pred(v_[i])) v_[kept++] = v_[i];
-    }
-    removed += v_.size() - kept;
-    v_.resize(kept);
-    if (kept > 1) {
-      for (std::size_t i = (kept - 2) / kArity + 1; i-- > 0;) sift_down(i);
-    }
-    return removed;
   }
 
  private:

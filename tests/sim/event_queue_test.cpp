@@ -1,7 +1,7 @@
 // Differential tests of sim::EventQueue (next-event slot in front of a 4-ary
 // heap) against a reference ordered set of (time, seq) keys, plus the
-// engine-level paths that touch the slot: tombstones parked in it at
-// compaction, and run_until cutoffs that peek at it without popping.
+// engine-level paths that touch the slot: run_until cutoffs that peek at it
+// without popping, and chained near events interleaving with the heap.
 
 #include "sim/event_queue.hpp"
 
@@ -26,7 +26,7 @@ class Reference {
  public:
   void push(EventQueue& queue, Time time) {
     const std::uint64_t seq = next_seq_++;
-    queue.push(QueuedEvent{time, seq, static_cast<std::uint32_t>(seq), 0});
+    queue.push(QueuedEvent{time, seq, static_cast<std::uint32_t>(seq)});
     keys_.insert({time, seq});
   }
 
@@ -45,25 +45,8 @@ class Reference {
     ASSERT_EQ((Key{front.time, front.seq}), *keys_.begin());
   }
 
-  template <typename Pred>
-  void remove_if(EventQueue& queue, Pred pred) {
-    std::size_t expected = 0;
-    for (auto it = keys_.begin(); it != keys_.end();) {
-      if (pred(it->first, it->second)) {
-        it = keys_.erase(it);
-        ++expected;
-      } else {
-        ++it;
-      }
-    }
-    const std::size_t removed = queue.remove_if(
-        [&pred](const QueuedEvent& ev) { return pred(ev.time, ev.seq); });
-    ASSERT_EQ(removed, expected);
-  }
-
   Time front_time() const { return keys_.begin()->first; }
   bool empty() const { return keys_.empty(); }
-  std::uint64_t last_seq() const { return next_seq_ - 1; }
 
  private:
   std::set<Key> keys_;
@@ -86,14 +69,8 @@ TEST(EventQueue, RandomSequencesMatchOrderedSet) {
         // Earlier than (or tied with) everything pending: the slot path,
         // displacing whatever is parked there.
         ref.push(queue, std::max<Time>(0, ref.front_time() - time(gen) % 3));
-      } else if (roll < 97) {
-        if (!ref.empty()) ref.pop(queue);
-      } else {
-        const auto modulus = static_cast<std::uint64_t>(2 + roll % 3);
-        const std::uint64_t residue = gen() % modulus;
-        ref.remove_if(queue, [&](Time, std::uint64_t seq) {
-          return seq % modulus == residue;
-        });
+      } else if (!ref.empty()) {
+        ref.pop(queue);
       }
       ref.expect_same_front(queue);
       if (::testing::Test::HasFatalFailure()) {
@@ -129,50 +106,6 @@ TEST(EventQueue, EqualTimesPopInSequenceOrder) {
   while (!ref.empty()) ref.pop(queue);
 }
 
-TEST(EventQueue, RemoveIfCoversTheSlot) {
-  EventQueue queue;
-  Reference ref;
-  for (const Time t : {40, 30, 20, 10}) ref.push(queue, t);  // 10 in the slot
-  const std::uint64_t parked = ref.last_seq();
-  ref.remove_if(queue,
-                [parked](Time, std::uint64_t seq) { return seq == parked; });
-  ref.expect_same_front(queue);
-  ASSERT_EQ(queue.front().time, 20);
-  ref.push(queue, 15);  // the emptied slot is reused
-  while (!ref.empty()) ref.pop(queue);
-}
-
-TEST(EngineNextEventSlot, TombstoneInTheSlotAtCompaction) {
-  Engine engine;
-  std::vector<int> fired;
-  // Fill the heap with live events, then park an early event in the slot
-  // and cancel it together with enough others to force a compaction.
-  for (int i = 0; i < 100; ++i) {
-    engine.schedule_at(1000 + i, [&fired, i] { fired.push_back(i); });
-  }
-  std::vector<Engine::EventId> doomed;
-  doomed.push_back(engine.schedule_at(5, [] { FAIL() << "cancelled"; }));
-  for (int i = 0; i < 100; ++i) {
-    doomed.push_back(
-        engine.schedule_at(2000 + i, [] { FAIL() << "cancelled"; }));
-  }
-  // The parked tombstone comes first; the 101st cancel outnumbers the live
-  // events and triggers the compaction.
-  for (const auto id : doomed) engine.cancel(id);
-  EXPECT_EQ(engine.events_pending(), 100u);
-  // Compaction swept every tombstone, the parked one included.
-  EXPECT_EQ(engine.queue_depth(), 100u);
-  engine.schedule_at(7, [&fired] { fired.push_back(-1); });
-  engine.run_until_idle();
-  ASSERT_EQ(fired.size(), 101u);
-  EXPECT_EQ(fired.front(), -1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(fired[static_cast<std::size_t>(i) + 1], i);
-  }
-  EXPECT_EQ(engine.events_scheduled(),
-            engine.events_fired() + engine.events_cancelled());
-}
-
 TEST(EngineNextEventSlot, RunUntilPeeksAtTheSlotWithoutPopping) {
   Engine engine;
   std::vector<int> fired;
@@ -181,7 +114,7 @@ TEST(EngineNextEventSlot, RunUntilPeeksAtTheSlotWithoutPopping) {
   engine.run_until(200);  // cutoff before the parked event
   EXPECT_TRUE(fired.empty());
   EXPECT_EQ(engine.now(), 200);
-  EXPECT_EQ(engine.queue_depth(), 2u);
+  EXPECT_EQ(engine.events_pending(), 2u);
   // A later push earlier than the parked event displaces it.
   engine.schedule_at(250, [&fired] { fired.push_back(250); });
   engine.run_until(300);  // inclusive cutoff: 250 and 300 fire
