@@ -1,7 +1,6 @@
 #include "core/detector.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -14,17 +13,6 @@
 namespace parastack::core {
 
 namespace {
-
-/// Detector state transitions are logged at debug level (wired to
-/// --log-level / PARASTACK_LOG_LEVEL); the guard keeps snprintf off the
-/// common path.
-template <typename... Args>
-void debug_log(const char* format, Args... args) {
-  if (util::log_level() > util::LogLevel::kDebug) return;
-  char buf[256];
-  std::snprintf(buf, sizeof buf, format, args...);
-  util::log(util::LogLevel::kDebug, "parastack", buf);
-}
 
 void emit_streak(obs::TelemetrySink* sink, sim::Time now,
                  std::string_view detector, obs::StreakEvent::Kind kind,
@@ -124,8 +112,8 @@ void HangDetector::notify_phase_change(int phase_id) {
   }
   judge_.reset_streak();  // samples across a phase boundary: not one streak
 
-  debug_log("phase change %d -> %d (%s model)", from_phase, phase_id,
-            resumed ? "resumed" : "fresh");
+  util::debug_log("phase change %d -> %d (%s model)", from_phase, phase_id,
+                  resumed ? "resumed" : "fresh");
   if (sink != nullptr) {
     obs::PhaseChangeEvent event;
     event.time = now;
@@ -239,9 +227,9 @@ void HangDetector::take_sample() {
   }
 
   if (verdict.entered_degraded || verdict.exited_degraded) {
-    debug_log("degraded mode %s at t=%.2fs (coverage %.2f)",
-              verdict.entered_degraded ? "entered" : "exited",
-              sim::to_seconds(now), qualified.coverage);
+    util::debug_log("degraded mode %s at t=%.2fs (coverage %.2f)",
+                    verdict.entered_degraded ? "entered" : "exited",
+                    sim::to_seconds(now), qualified.coverage);
     if (sink != nullptr) {
       obs::DegradedModeEvent event;
       event.time = now;
@@ -255,8 +243,9 @@ void HangDetector::take_sample() {
   }
 
   if (verdict.verify) {
-    debug_log("streak %zu/%zu complete at t=%.2fs; entering verification",
-              judge_.streak(), verdict.decision.k, sim::to_seconds(now));
+    util::debug_log(
+        "streak %zu/%zu complete at t=%.2fs; entering verification",
+        judge_.streak(), verdict.decision.k, sim::to_seconds(now));
     begin_verification();
     return;
   }
@@ -296,7 +285,8 @@ void HangDetector::begin_verification() {
     filter_.begin(sweep_all_ranks());
   }
   const sim::Time now = world_.engine().now();
-  debug_log("verification: filter round 1 swept %d ranks", world_.nranks());
+  util::debug_log("verification: filter round 1 swept %d ranks",
+                  world_.nranks());
   if (sink != nullptr) {
     obs::FilterEvent event;
     event.time = now;
@@ -341,8 +331,8 @@ void HangDetector::continue_filter() {
   }
   if (check.outcome == TransientFilter::Outcome::kHangConfirmed) {
     confirmed_at_ = now;
-    debug_log("filter: %d static rounds; hang confirmed",
-              filter_.rounds_done());
+    util::debug_log("filter: %d static rounds; hang confirmed",
+                    filter_.rounds_done());
     if (sink != nullptr) {
       obs::FilterEvent event;
       event.time = now;
@@ -379,8 +369,9 @@ void HangDetector::conclude_slowdown(const SlowdownEvidence& evidence) {
   report.filter_rounds = filter_.rounds_done() + 1;
   report.evidence = what;
   slowdown_reports_.push_back(report);
-  debug_log("filter verdict: transient slowdown (%s); resuming sampling",
-            what.c_str());
+  util::debug_log(
+      "filter verdict: transient slowdown (%s); resuming sampling",
+      what.c_str());
   obs::TelemetrySink* sink = world_.engine().telemetry();
   if (sink != nullptr) {
     obs::FilterEvent event;
@@ -447,8 +438,9 @@ void HangDetector::report_hang() {
   report.confirmed_at = confirmed_at_;
   hang_reports_.push_back(report);
   state_ = State::kDone;
-  debug_log("hang reported at t=%.2fs (%zu faulty ranks)",
-            sim::to_seconds(report.detected_at), report.faulty_ranks.size());
+  util::debug_log("hang reported at t=%.2fs (%zu faulty ranks)",
+                  sim::to_seconds(report.detected_at),
+                  report.faulty_ranks.size());
   if (obs::TelemetrySink* sink = world_.engine().telemetry();
       sink != nullptr) {
     obs::HangEvent event;

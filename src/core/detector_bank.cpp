@@ -35,18 +35,4 @@ void DetectorBank::stop_all() noexcept {
   for (const auto& detector : detectors_) detector->stop();
 }
 
-Detector* DetectorBank::find(DetectorKind kind) noexcept {
-  for (const auto& detector : detectors_) {
-    if (detector->kind() == kind) return detector.get();
-  }
-  return nullptr;
-}
-
-const Detector* DetectorBank::find(DetectorKind kind) const noexcept {
-  for (const auto& detector : detectors_) {
-    if (detector->kind() == kind) return detector.get();
-  }
-  return nullptr;
-}
-
 }  // namespace parastack::core

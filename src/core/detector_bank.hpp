@@ -34,10 +34,6 @@ class DetectorBank {
   Detector& at(std::size_t index) { return *detectors_[index]; }
   const Detector& at(std::size_t index) const { return *detectors_[index]; }
 
-  /// First detector of `kind`, or nullptr.
-  Detector* find(DetectorKind kind) noexcept;
-  const Detector* find(DetectorKind kind) const noexcept;
-
  private:
   std::vector<std::unique_ptr<Detector>> detectors_;
 };

@@ -76,14 +76,6 @@ void MonitorTopology::build(int nodes, const TopologyConfig& config) {
   for (auto& kids : children_) std::sort(kids.begin(), kids.end());
 }
 
-int MonitorTopology::max_level() const {
-  int deepest = -1;
-  for (std::size_t node = 0; node < level_.size(); ++node) {
-    if (!removed_[node]) deepest = std::max(deepest, level_[node]);
-  }
-  return deepest;
-}
-
 MonitorTopology::Removal MonitorTopology::remove(int node) {
   PS_CHECK(built(), "topology not built");
   PS_CHECK(node >= 0 && node < nodes(), "remove: node out of range");

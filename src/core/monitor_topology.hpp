@@ -71,9 +71,6 @@ class MonitorTopology {
   }
   /// Fanout actually used (>= config.fanout when a depth cap widened it).
   int effective_fanout() const noexcept { return effective_fanout_; }
-  /// Deepest level over the surviving monitors (0 when only a root
-  /// remains, -1 when the tree is empty).
-  int max_level() const;
 
   struct Removal {
     /// Child promoted into the removed node's position (-1: it was a leaf).

@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <utility>
 
@@ -12,18 +11,6 @@
 #include "util/log.hpp"
 
 namespace parastack::core {
-
-namespace {
-
-template <typename... Args>
-void debug_log(const char* format, Args... args) {
-  if (util::log_level() > util::LogLevel::kDebug) return;
-  char buf[256];
-  std::snprintf(buf, sizeof buf, format, args...);
-  util::log(util::LogLevel::kDebug, "parastack", buf);
-}
-
-}  // namespace
 
 // --- ScroutSampler ---------------------------------------------------------
 
@@ -55,8 +42,6 @@ const std::vector<simmpi::Rank>& ScroutSampler::monitor_set(int index) const {
   PS_CHECK(index == 0 || index == 1, "two monitor sets exist");
   return sets_[index];
 }
-
-double ScroutSampler::measure() { return measure_qualified().scrout; }
 
 ScroutSampler::Sample ScroutSampler::measure_qualified() {
   const auto& set = sets_[active_set_];
@@ -132,8 +117,8 @@ void IntervalTuner::on_model_sample(ScroutModel& model,
   }
   if (result.random) {
     state_.randomness_confirmed = true;
-    debug_log("runs test passed at n=%zu; sampling confirmed random",
-              model.size());
+    util::debug_log("runs test passed at n=%zu; sampling confirmed random",
+                    model.size());
     return;
   }
   const bool capped = state_.interval * 2 > config_.max_interval;
@@ -159,8 +144,9 @@ void IntervalTuner::on_model_sample(ScroutModel& model,
   state_.interval *= 2;
   ++state_.doublings;
   model.thin_half();  // history now approximates samples at the doubled I
-  debug_log("runs test rejected randomness; I doubled to %.0fms (x%zu)",
-            sim::to_millis(state_.interval), state_.doublings);
+  util::debug_log(
+      "runs test rejected randomness; I doubled to %.0fms (x%zu)",
+      sim::to_millis(state_.interval), state_.doublings);
   if (sink != nullptr) {
     obs::IntervalEvent event;
     event.time = now;

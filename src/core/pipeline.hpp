@@ -67,11 +67,8 @@ class ScroutSampler {
     int partials_missing = 0;
   };
 
-  /// S_crout of the active set.
-  double measure();
-
-  /// Like measure(), but keeps the tool-health qualifiers the monitor
-  /// network attaches to the sample.
+  /// S_crout of the active set, with the tool-health qualifiers the
+  /// monitor network attaches to the sample.
   Sample measure_qualified();
 
   /// r_step = rand(I) + I/2: uniform over [I/2, 3I/2], mean I (§3.1).

@@ -84,17 +84,6 @@ const DetectorRunResult* RunResult::detector(core::DetectorKind kind) const {
   return nullptr;
 }
 
-DetectorRunResult& RunResult::detector_entry(core::DetectorKind kind) {
-  for (auto& entry : detectors) {
-    if (entry.kind == kind) return entry;
-  }
-  DetectorRunResult entry;
-  entry.kind = kind;
-  entry.label = std::string(core::detector_kind_name(kind));
-  detectors.push_back(std::move(entry));
-  return detectors.back();
-}
-
 namespace {
 const std::vector<core::HangReport> kNoHangs;
 const std::vector<core::SlowdownReport> kNoSlowdowns;
@@ -227,6 +216,22 @@ struct AttemptContext {
   std::vector<simmpi::Rank> faulty_ranks;
   sim::Time end_now = 0;  ///< engine clock when the attempt wound down
 };
+
+/// One `det_span` leg, stamped `now`. A leg whose opening milestone is
+/// unknown (negative) or that ends before it begins is skipped.
+void emit_span(const RunConfig& config, sim::Time now,
+               std::string_view detector, std::string_view span,
+               sim::Time begin, sim::Time end) {
+  if (begin < 0 || end < begin) return;
+  obs::DetectionSpanEvent event;
+  event.time = now;
+  event.detector = detector;
+  event.span = span;
+  event.begin = begin;
+  event.end = end;
+  event.run_index = config.run_index;
+  config.telemetry->on_event(event);
+}
 
 RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
   util::Rng rng(ctx.seed);
@@ -527,8 +532,8 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
 
   // Detection-latency breakdown for the first genuine (post-fault) hang:
   // emitted at end of run, before run_end, so the journal's time order
-  // holds. Each leg is skipped if its opening milestone is unknown or the
-  // milestones are out of order (e.g. a streak that began before the fault).
+  // holds. A leg whose milestones are out of order (e.g. a streak that
+  // began before the fault) is skipped.
   if (config.telemetry != nullptr) {
     if (const core::HangReport* hang = result.first_hang_after_fault();
         hang != nullptr) {
@@ -537,24 +542,16 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
       const std::string_view label = entry == nullptr
                                          ? std::string_view("parastack")
                                          : std::string_view(entry->label);
+      const sim::Time now = engine.now();
       const sim::Time fault_at = result.fault.activated_at;
-      const auto emit_span = [&](std::string_view span, sim::Time begin,
-                                 sim::Time end) {
-        if (begin < 0 || end < begin) return;
-        obs::DetectionSpanEvent event;
-        event.time = engine.now();
-        event.detector = label;
-        event.span = span;
-        event.begin = begin;
-        event.end = end;
-        event.run_index = config.run_index;
-        config.telemetry->on_event(event);
-      };
-      emit_span("fault-to-suspicion", fault_at, hang->first_suspicion_at);
-      emit_span("suspicion-to-confirm", hang->first_suspicion_at,
-                hang->confirmed_at);
-      emit_span("confirm-to-kill", hang->confirmed_at, hang->detected_at);
-      emit_span("fault-to-kill", fault_at, hang->detected_at);
+      emit_span(config, now, label, "fault-to-suspicion", fault_at,
+                hang->first_suspicion_at);
+      emit_span(config, now, label, "suspicion-to-confirm",
+                hang->first_suspicion_at, hang->confirmed_at);
+      emit_span(config, now, label, "confirm-to-kill", hang->confirmed_at,
+                hang->detected_at);
+      emit_span(config, now, label, "fault-to-kill", fault_at,
+                hang->detected_at);
     }
   }
 
@@ -837,28 +834,17 @@ RunResult run_one(const RunConfig& config) {
   result.max_monitor_fan_in = max_fan_in;
   result.degraded_entries = degraded_entries;
 
-  if (config.telemetry != nullptr) {
-    // Recovery spans: fault -> detect -> restore -> done, the end-to-end
-    // legs the bench sweeps aggregate (emitted before run_end so the
-    // journal's time order holds).
-    const auto emit_span = [&](std::string_view span, sim::Time begin,
-                               sim::Time end) {
-      if (begin < 0 || end < begin) return;
-      obs::DetectionSpanEvent event;
-      event.time = final_now;
-      event.detector = "recovery";
-      event.span = span;
-      event.begin = begin;
-      event.end = end;
-      event.run_index = config.run_index;
-      config.telemetry->on_event(event);
-    };
-    if (summary.recovered) {
-      emit_span("kill-to-restore", first_kill_time, first_restore_start);
-      emit_span("restore-to-done", first_restore_start, result.end_time);
-      if (fault_record.activated()) {
-        emit_span("fault-to-done", fault_record.activated_at, result.end_time);
-      }
+  // Recovery spans: fault -> detect -> restore -> done, the end-to-end legs
+  // the bench sweeps aggregate (emitted before run_end so the journal's
+  // time order holds).
+  if (config.telemetry != nullptr && summary.recovered) {
+    emit_span(config, final_now, "recovery", "kill-to-restore",
+              first_kill_time, first_restore_start);
+    emit_span(config, final_now, "recovery", "restore-to-done",
+              first_restore_start, result.end_time);
+    if (fault_record.activated()) {
+      emit_span(config, final_now, "recovery", "fault-to-done",
+                fault_record.activated_at, result.end_time);
     }
   }
   emit_run_end(config, result, final_now, final_killed);

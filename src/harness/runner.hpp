@@ -220,9 +220,6 @@ struct RunResult {
 
   /// First entry of this kind, or nullptr.
   const DetectorRunResult* detector(core::DetectorKind kind) const;
-  /// First entry of this kind, appending an empty one if absent (used by
-  /// the runner and by tests that synthesize results).
-  DetectorRunResult& detector_entry(core::DetectorKind kind);
 
   /// ParaStack hang reports from the first ParaStack entry (empty
   /// reference when none is attached).

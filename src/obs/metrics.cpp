@@ -26,11 +26,6 @@ Digest& MetricsRegistry::digest(const std::string& name) {
   return digests_[name];
 }
 
-std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
 void MetricsRegistry::write_json(std::ostream& out) const {
   std::string doc;
   JsonObject root(doc);

@@ -45,7 +45,6 @@ class MetricsRegistry {
   bool has_counter(const std::string& name) const {
     return counters_.count(name) != 0;
   }
-  std::uint64_t counter_value(const std::string& name) const;
 
   /// One JSON document: {"counters":{...},"digests":{...},"gauges":{...},
   /// "summaries":{...},"histograms":{...}}. Keys sorted, doubles rendered

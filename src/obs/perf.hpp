@@ -6,15 +6,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
-
-// Compile-time kill switch: building with -DPARASTACK_PERF_DISABLED turns
-// every PS_PERF_* macro into nothing, so instrumented call sites vanish
-// entirely. The default (macros expand to a null-pointer test) is already
-// cheap enough that benchmarks cannot tell an unattached run from the
-// pre-instrumentation code, but the switch keeps that claim checkable.
 
 namespace parastack::obs::perf {
 
@@ -32,8 +25,7 @@ namespace parastack::obs::perf {
 // the seed (they count simulated facts, never wall-clock ones), so
 // counter_snapshot() must be byte-identical across re-runs, across
 // --jobs=1 vs --jobs=N, and across platforms. Timer values are wall-clock
-// and therefore ADVISORY — they are excluded from snapshots and may be
-// excluded from JSON dumps.
+// and therefore ADVISORY — they are excluded from snapshots.
 // ---------------------------------------------------------------------------
 
 /// Monotonic event counter. add() is a relaxed atomic increment, safe from
@@ -176,11 +168,6 @@ class ProfileRegistry {
     return snapshot;
   }
 
-  /// JSON dump: {"counters":{...},"high_water":{...},"timers":{...}}.
-  /// Keys are sorted; with include_timers=false the (non-reproducible)
-  /// timers section is omitted and the output is byte-stable per seed.
-  void write_json(std::ostream& out, bool include_timers = true) const;
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, Counter, std::less<>> counters_;
@@ -190,9 +177,7 @@ class ProfileRegistry {
 
 }  // namespace parastack::obs::perf
 
-// Hot-path helpers: a null handle is the run-time "off" switch; defining
-// PARASTACK_PERF_DISABLED removes the call sites at compile time.
-#ifndef PARASTACK_PERF_DISABLED
+// Hot-path helpers: a null handle is the "off" switch.
 #define PS_PERF_ADD(handle, delta)                        \
   do {                                                    \
     if ((handle) != nullptr) (handle)->add(delta);        \
@@ -203,14 +188,3 @@ class ProfileRegistry {
   } while (0)
 #define PS_PERF_SCOPE(var, handle) \
   ::parastack::obs::perf::ScopedTimer var(handle)
-#else
-#define PS_PERF_ADD(handle, delta) \
-  do {                             \
-  } while (0)
-#define PS_PERF_OBSERVE(handle, v) \
-  do {                             \
-  } while (0)
-#define PS_PERF_SCOPE(var, handle) \
-  do {                             \
-  } while (0)
-#endif

@@ -42,7 +42,6 @@
 #include "stats/geometric.hpp"
 #include "stats/runs_test.hpp"
 #include "trace/inspector.hpp"
-#include "trace/process_table.hpp"
 #include "util/histogram.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"

@@ -1,7 +1,7 @@
 #include "recover/spec.hpp"
 
-#include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 namespace parastack::recover {
@@ -94,26 +94,6 @@ std::optional<RecoverySpec> parse_recovery(std::string_view text) {
     return spec;
   }
   return std::nullopt;
-}
-
-std::string format_recovery(const RecoverySpec& spec) {
-  char buffer[96];
-  switch (spec.policy) {
-    case RecoveryPolicy::kNone:
-      return "none";
-    case RecoveryPolicy::kCheckpointRestart:
-      std::snprintf(buffer, sizeof buffer, "ckpt:%g,%g",
-                    sim::to_seconds(spec.checkpoint_interval),
-                    sim::to_seconds(spec.checkpoint_cost));
-      return buffer;
-    case RecoveryPolicy::kSpareFailover:
-      std::snprintf(buffer, sizeof buffer, "spare:%d", spec.spare_count);
-      return buffer;
-    case RecoveryPolicy::kTeamReplication:
-      std::snprintf(buffer, sizeof buffer, "team:%d", spec.replicas);
-      return buffer;
-  }
-  return "?";
 }
 
 }  // namespace parastack::recover

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "sim/time.hpp"
@@ -66,8 +65,5 @@ struct RecoverySpec {
 /// Durations are seconds (decimals allowed). Malformed input -> nullopt;
 /// unknown policy names are rejected, never ignored.
 std::optional<RecoverySpec> parse_recovery(std::string_view text);
-
-/// Round-trip formatting of the fields parse_recovery controls.
-std::string format_recovery(const RecoverySpec& spec);
 
 }  // namespace parastack::recover

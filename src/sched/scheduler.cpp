@@ -14,21 +14,6 @@ double service_units(const JobTicket& ticket, sim::Time elapsed) {
          static_cast<double>(ticket.cores_per_node) * hours;
 }
 
-std::string_view job_state_name(JobState state) noexcept {
-  switch (state) {
-    case JobState::kPending: return "pending";
-    case JobState::kRunning: return "running";
-    case JobState::kSuspected: return "suspected";
-    case JobState::kKilled: return "killed";
-    case JobState::kRestoring: return "restoring";
-    case JobState::kCompleted: return "completed";
-    case JobState::kGaveUp: return "gave-up";
-    case JobState::kExpired: return "expired";
-    case JobState::kRefused: return "refused";
-  }
-  return "?";
-}
-
 void JobLifecycle::move_to(JobState to, sim::Time at) {
   history_.push_back({state_, to, at});
   state_ = to;
@@ -47,12 +32,6 @@ void JobLifecycle::refuse(sim::Time at) {
 void JobLifecycle::suspect(sim::Time at) {
   PS_CHECK(state_ == JobState::kRunning, "suspect from non-running state");
   move_to(JobState::kSuspected, at);
-}
-
-void JobLifecycle::clear_suspicion(sim::Time at) {
-  PS_CHECK(state_ == JobState::kSuspected,
-           "clear_suspicion without a live suspicion");
-  move_to(JobState::kRunning, at);
 }
 
 void JobLifecycle::kill(sim::Time at) {

@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -48,8 +47,6 @@ enum class JobState : std::uint8_t {
   kRefused,    ///< admission denied before launch; no SUs ever burned
 };
 
-std::string_view job_state_name(JobState state) noexcept;
-
 /// Legality-checked state machine for one job's recovery lifecycle. Every
 /// transition records (from, to, at) history, so tests and telemetry can
 /// audit the exact path a job took; illegal transitions fail loudly
@@ -70,7 +67,6 @@ class JobLifecycle {
   void launch(sim::Time at);           ///< pending -> running
   void refuse(sim::Time at);           ///< pending -> refused (terminal)
   void suspect(sim::Time at);          ///< running -> suspected
-  void clear_suspicion(sim::Time at);  ///< suspected -> running (transient)
   void kill(sim::Time at);             ///< running | suspected -> killed
   /// killed -> restoring when restart budget remains, else -> gave-up.
   /// Returns true when a restore began.

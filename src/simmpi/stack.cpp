@@ -1,7 +1,5 @@
 #include "simmpi/stack.hpp"
 
-#include <string>
-
 #include "util/check.hpp"
 
 namespace parastack::simmpi {
@@ -20,11 +18,6 @@ void CallStack::pop() {
   frames_.pop_back();
 }
 
-std::string_view CallStack::top() const {
-  PS_CHECK(!frames_.empty(), "top of empty call stack");
-  return frames_.back().name;
-}
-
 bool CallStack::in_mpi() const noexcept {
   // The real tool walks from the innermost frame outwards and stops at the
   // first MPI-prefixed name (§5); presence anywhere is equivalent.
@@ -39,15 +32,6 @@ std::string_view CallStack::innermost_mpi_frame() const noexcept {
     if (frame_is_mpi(it->name)) return it->name;
   }
   return {};
-}
-
-std::string CallStack::to_string() const {
-  std::string out;
-  for (const auto& frame : frames_) {
-    if (!out.empty()) out += " -> ";
-    out += frame.name;
-  }
-  return out;
 }
 
 }  // namespace parastack::simmpi

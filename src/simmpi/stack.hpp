@@ -22,7 +22,6 @@ class CallStack {
 
   const std::vector<Frame>& frames() const noexcept { return frames_; }
   bool empty() const noexcept { return frames_.empty(); }
-  std::string_view top() const;
 
   /// Paper §5 classification: IN_MPI iff any frame name starts with
   /// "mpi", "MPI", "pmpi" or "PMPI".
@@ -30,9 +29,6 @@ class CallStack {
 
   /// Name of the innermost MPI frame, or empty if none.
   std::string_view innermost_mpi_frame() const noexcept;
-
-  /// Render like a debugger backtrace (outermost first), for reports.
-  std::string to_string() const;
 
  private:
   std::vector<Frame> frames_;

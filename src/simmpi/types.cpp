@@ -28,19 +28,6 @@ std::string_view mpi_func_name(MpiFunc f) noexcept {
   return "MPI_Unknown";
 }
 
-bool is_test_family(MpiFunc f) noexcept {
-  switch (f) {
-    case MpiFunc::kTest:
-    case MpiFunc::kTestany:
-    case MpiFunc::kTestsome:
-    case MpiFunc::kTestall:
-    case MpiFunc::kIprobe:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_collective(MpiFunc f) noexcept {
   switch (f) {
     case MpiFunc::kBarrier:
@@ -48,18 +35,6 @@ bool is_collective(MpiFunc f) noexcept {
     case MpiFunc::kReduce:
     case MpiFunc::kAllreduce:
     case MpiFunc::kGather:
-    case MpiFunc::kAllgather:
-    case MpiFunc::kAlltoall:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_synchronizing_collective(MpiFunc f) noexcept {
-  switch (f) {
-    case MpiFunc::kBarrier:
-    case MpiFunc::kAllreduce:
     case MpiFunc::kAllgather:
     case MpiFunc::kAlltoall:
       return true;

@@ -36,17 +36,7 @@ enum class MpiFunc : std::uint8_t {
 /// Canonical function name as it would appear in a stack frame ("MPI_Send").
 std::string_view mpi_func_name(MpiFunc f) noexcept;
 
-/// Paper §3.3: the busy-wait exception list — a process stepping in and out
-/// of these (and only these) is treated as staying inside MPI when checking
-/// for transient slowdowns.
-bool is_test_family(MpiFunc f) noexcept;
-
 /// True for the collective operations.
 bool is_collective(MpiFunc f) noexcept;
-
-/// True for collectives with synchronization-like semantics (paper §4: no
-/// process can finish before all have entered — e.g. MPI_Allgather yes,
-/// MPI_Gather no).
-bool is_synchronizing_collective(MpiFunc f) noexcept;
 
 }  // namespace parastack::simmpi

@@ -71,11 +71,6 @@ RankProcess& World::rank(Rank r) {
   return *ranks_[static_cast<std::size_t>(r)];
 }
 
-const RankProcess& World::rank(Rank r) const {
-  PS_CHECK(r >= 0 && r < config_.nranks, "rank out of range");
-  return *ranks_[static_cast<std::size_t>(r)];
-}
-
 void World::start() {
   for (auto& rank_process : ranks_) rank_process->start();
   if (config_.background_slowdowns &&

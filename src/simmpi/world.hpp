@@ -79,7 +79,6 @@ class World {
   std::vector<Rank> ranks_on_node(int node) const;
 
   RankProcess& rank(Rank r);
-  const RankProcess& rank(Rank r) const;
 
   /// Launch all ranks (schedules their first actions).
   void start();

@@ -1,7 +1,6 @@
 #include "stats/ecdf.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.hpp"
 
@@ -43,16 +42,6 @@ void EmpiricalCdf::refresh() const {
   dirty_ = false;
 }
 
-double EmpiricalCdf::cdf(double x) const {
-  if (samples_.empty()) return 0.0;
-  refresh();
-  const auto it = std::upper_bound(
-      support_.begin(), support_.end(), x,
-      [](double lhs, const Point& pt) { return lhs < pt.value; });
-  if (it == support_.begin()) return 0.0;
-  return std::prev(it)->cum_prob;
-}
-
 double EmpiricalCdf::quantile(double p) const {
   PS_CHECK(!samples_.empty(), "quantile of empty ECDF");
   PS_CHECK(p >= 0.0 && p <= 1.0, "quantile p must be in [0,1]");
@@ -65,12 +54,6 @@ double EmpiricalCdf::quantile(double p) const {
       [p](const Point& pt) { return pt.cum_prob < p - 1e-12; });
   if (it == support_.end()) return support_.back().value;
   return it->value;
-}
-
-double EmpiricalCdf::mean() const {
-  if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
 }
 
 const std::vector<EmpiricalCdf::Point>& EmpiricalCdf::support() const {

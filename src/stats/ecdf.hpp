@@ -25,17 +25,11 @@ class EmpiricalCdf {
   /// Samples in insertion order.
   const std::vector<double>& samples() const noexcept { return samples_; }
 
-  /// F(x) = fraction of samples <= x. 0 for an empty sample set.
-  double cdf(double x) const;
-
-  /// Smallest sample value v with F(v) >= p; requires a non-empty set and
-  /// p in [0, 1]. (The paper's t = F_n^{-1}(p).) p == 0 returns the minimum
-  /// sample — the infimum of the support, matching util::Histogram::quantile
-  /// so every quantile surface in the tree accepts the same closed domain.
+  /// Smallest sample value v with F(v) >= p, where F(x) is the fraction of
+  /// samples <= x; requires a non-empty set and p in [0, 1]. (The paper's
+  /// t = F_n^{-1}(p).) p == 0 returns the minimum sample, the infimum of
+  /// the support.
   double quantile(double p) const;
-
-  /// Mean of the samples (0 when empty).
-  double mean() const;
 
   /// Distinct sample values in increasing order with their cumulative
   /// probabilities — the support the robust model walks when discretizing

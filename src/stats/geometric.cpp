@@ -6,11 +6,6 @@
 
 namespace parastack::stats {
 
-double prob_at_least_k_consecutive(double q, std::size_t k) {
-  PS_CHECK(q >= 0.0 && q < 1.0, "q must be in [0,1)");
-  return std::pow(q, static_cast<double>(k));
-}
-
 std::size_t consecutive_suspicions_required(double q, double alpha) {
   PS_CHECK(q > 0.0 && q < 1.0, "q must be in (0,1)");
   PS_CHECK(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");

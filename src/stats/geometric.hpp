@@ -9,10 +9,7 @@ namespace parastack::stats {
 /// non-suspicion is geometric with suspicion probability q, so
 /// P(Y >= k) = q^k. A hang is reported at confidence 1 - alpha once
 /// k >= ceil(log_q(alpha)) consecutive suspicions are seen.
-
-/// P(Y >= k) = q^k for q in [0, 1).
-double prob_at_least_k_consecutive(double q, std::size_t k);
-
+///
 /// ceil(log_q(alpha)) — the number of consecutive suspicions required to
 /// reject H0 at significance alpha. Requires q in (0, 1) and alpha in (0, 1).
 std::size_t consecutive_suspicions_required(double q, double alpha);

@@ -54,12 +54,6 @@ double runs_pmf(std::size_t r, std::size_t n1, std::size_t n0) {
   return choose_ratio_exp(a, log_total) + choose_ratio_exp(b, log_total);
 }
 
-double runs_cdf(std::size_t r, std::size_t n1, std::size_t n0) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i <= r; ++i) acc += runs_pmf(i, n1, n0);
-  return std::min(acc, 1.0);
-}
-
 std::pair<std::size_t, std::size_t> runs_critical_region(std::size_t n1,
                                                          std::size_t n0,
                                                          double alpha) {

@@ -28,9 +28,6 @@ struct RunsTestResult {
 /// n0 negatives. Zero outside the feasible range [2, n1+n0].
 double runs_pmf(std::size_t r, std::size_t n1, std::size_t n0);
 
-/// Exact P(R <= r).
-double runs_cdf(std::size_t r, std::size_t n1, std::size_t n0);
-
 /// Two-tailed critical values {lo, hi} at significance `alpha`: reject H0
 /// iff R <= lo or R >= hi, with each tail holding at most alpha/2.
 /// lo may be 1 (nothing rejectable on the low side) and hi may be

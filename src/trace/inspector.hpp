@@ -20,10 +20,11 @@ struct StackSnapshot {
   bool in_mpi = false;              ///< prefix-rule classification
   std::string innermost_mpi;        ///< e.g. "MPI_Allreduce"; empty if none
 
-  /// §3.3: busy-wait states (OUT_MPI loop body, or inside a Test-family
-  /// probe) are treated as "staying in the MPI function" by the
-  /// transient-slowdown filter. True when the innermost MPI frame is in
-  /// the Test family.
+  /// Paper §3.3: the busy-wait exception list. A process stepping in and
+  /// out of the Test family (MPI_Test, MPI_Testany, MPI_Testsome,
+  /// MPI_Testall and MPI_Iprobe), and only these, is treated as staying
+  /// inside MPI by the transient-slowdown filter. True when the innermost
+  /// MPI frame is one of them.
   bool in_test_family() const;
 };
 

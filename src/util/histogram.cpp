@@ -59,29 +59,6 @@ double Histogram::bucket_hi(std::size_t bucket) const {
   return bucket + 1 == counts_.size() ? hi_ : bucket_lo(bucket + 1);
 }
 
-double Histogram::quantile(double p) const {
-  PS_CHECK(p >= 0.0 && p <= 1.0, "quantile needs p in [0, 1]");
-  const std::size_t n = in_range();
-  PS_CHECK(n > 0, "quantile needs at least one in-range sample");
-  // Target rank in [1, n]: the smallest count of in-range samples that
-  // covers probability p (p == 0 maps to the first sample).
-  const auto target = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(p * static_cast<double>(n))));
-  std::size_t seen = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    if (seen + counts_[b] >= target) {
-      // Interpolate within the bucket, treating its mass as uniform.
-      const double into = static_cast<double>(target - seen) /
-                          static_cast<double>(counts_[b]);
-      return bucket_lo(b) + into * (bucket_hi(b) - bucket_lo(b));
-    }
-    seen += counts_[b];
-  }
-  // Unreachable when the counters are consistent: total in-range mass is n.
-  return bucket_hi(counts_.size() - 1);
-}
-
 std::string Histogram::ascii(std::size_t max_width) const {
   std::size_t peak =
       counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());

@@ -36,14 +36,6 @@ class Histogram {
   double bucket_lo(std::size_t bucket) const;
   double bucket_hi(std::size_t bucket) const;
 
-  /// Quantile estimate over the *in-range* samples: the smallest value v
-  /// such that at least ceil(p * in_range()) in-range samples are <= v,
-  /// linearly interpolated within the bucket that crosses the target count.
-  /// Monotone in p by construction. Requires 0 <= p <= 1 and in_range() > 0.
-  /// Underflow/overflow mass is excluded (its values are unknown); callers
-  /// tracking heavy tails should widen the range instead.
-  double quantile(double p) const;
-
   /// Render as an ASCII bar chart, one line per bucket, for bench output.
   /// Non-empty underflow/overflow counters get their own "< lo" / ">= hi"
   /// rows so out-of-range mass stays visible.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdio>
 #include <optional>
 #include <string_view>
 
@@ -23,5 +24,16 @@ std::optional<LogLevel> parse_log_level(std::string_view name) noexcept;
 
 /// Emit one line to stderr if `level` passes the threshold.
 void log(LogLevel level, std::string_view component, std::string_view message);
+
+/// A printf-style debug line from the detector (component "parastack"),
+/// wired to --log-level / PARASTACK_LOG_LEVEL. The guard keeps snprintf off
+/// the common path.
+template <typename... Args>
+void debug_log(const char* format, Args... args) {
+  if (log_level() > LogLevel::kDebug) return;
+  char buf[256];
+  std::snprintf(buf, sizeof buf, format, args...);
+  log(LogLevel::kDebug, "parastack", buf);
+}
 
 }  // namespace parastack::util

@@ -70,10 +70,6 @@ double Rng::normal() noexcept {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
 double Rng::lognormal_mean_cv(double mean, double cv) noexcept {
   if (cv <= 0.0) return mean;
   // For lognormal(mu, sigma): E = exp(mu + sigma^2/2), CV^2 = exp(sigma^2)-1.

@@ -40,7 +40,6 @@ class Rng {
   /// Standard normal via Box–Muller (no cached spare: keeps the state
   /// trivially copyable and the stream position obvious).
   double normal() noexcept;
-  double normal(double mean, double stddev) noexcept;
   /// Lognormal such that the *mean* of the distribution is `mean` and the
   /// coefficient of variation is `cv`. Returns `mean` exactly when cv == 0.
   double lognormal_mean_cv(double mean, double cv) noexcept;

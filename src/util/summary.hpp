@@ -10,7 +10,6 @@ namespace parastack::util {
 class Summary {
  public:
   void add(double x) noexcept;
-  void merge(const Summary& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   bool empty() const noexcept { return n_ == 0; }

@@ -139,15 +139,6 @@ TEST(DetectorBank, UniquifiesCollidingLabels) {
   EXPECT_EQ(bank.at(2).label(), "parastack#3");
 }
 
-TEST(DetectorBank, FindReturnsFirstOfAKind) {
-  BankRig rig(91, faults::FaultPlan{});
-  EXPECT_EQ(rig.bank.find(DetectorKind::kParastack), &rig.bank.at(0));
-  EXPECT_EQ(rig.bank.find(DetectorKind::kTimeout), &rig.bank.at(1));
-  EXPECT_EQ(rig.bank.find(DetectorKind::kIoWatchdog), &rig.bank.at(2));
-  const DetectorBank empty;
-  EXPECT_EQ(empty.find(DetectorKind::kParastack), nullptr);
-}
-
 TEST(DetectorBank, ThreeKindsJudgeTheSameHangingTrial) {
   BankRig rig(93, hang_plan(9, 40 * sim::kSecond));
   rig.run(10 * sim::kMinute);
@@ -164,12 +155,12 @@ TEST(DetectorBank, ThreeKindsJudgeTheSameHangingTrial) {
   }
   // The watchdog's verdict carries its silence evidence; at a 60 s timeout
   // it is the slowest of the three.
-  const Detection& watchdog =
-      rig.bank.find(DetectorKind::kIoWatchdog)->detections().front();
+  ASSERT_EQ(rig.bank.at(0).kind(), DetectorKind::kParastack);
+  ASSERT_EQ(rig.bank.at(2).kind(), DetectorKind::kIoWatchdog);
+  const Detection& watchdog = rig.bank.at(2).detections().front();
   EXPECT_GE(watchdog.silence, 60 * sim::kSecond);
   EXPECT_GE(watchdog.detected_at,
-            rig.bank.find(DetectorKind::kParastack)
-                ->detections().front().detected_at);
+            rig.bank.at(0).detections().front().detected_at);
 }
 
 TEST(DetectorBank, OnDetectionHookFiresPerVerdict) {

@@ -16,6 +16,16 @@ TopologyConfig tree_config(int fanout, int depth = 0, std::uint64_t seed = 0) {
   return config;
 }
 
+/// Deepest level over the surviving monitors (0 when only a root remains,
+/// -1 when the tree is empty).
+int deepest_level(const MonitorTopology& t) {
+  int deepest = -1;
+  for (int n = 0; n < t.nodes(); ++n) {
+    if (!t.removed(n)) deepest = std::max(deepest, t.level(n));
+  }
+  return deepest;
+}
+
 /// Structural invariants every built (and every post-removal) tree must
 /// satisfy: one root, parent/child symmetry, levels = parent level + 1,
 /// children within the effective fanout, every survivor reachable.
@@ -67,7 +77,7 @@ TEST(MonitorTopology, BinaryTreeShape) {
   EXPECT_EQ(t.children(0), (std::vector<int>{1, 2}));
   EXPECT_EQ(t.children(1), (std::vector<int>{3, 4}));
   EXPECT_EQ(t.children(2), (std::vector<int>{5, 6}));
-  EXPECT_EQ(t.max_level(), 2);
+  EXPECT_EQ(deepest_level(t), 2);
 }
 
 TEST(MonitorTopology, SingleNodeIsItsOwnRoot) {
@@ -75,7 +85,7 @@ TEST(MonitorTopology, SingleNodeIsItsOwnRoot) {
   t.build(1, tree_config(4));
   EXPECT_EQ(t.root(), 0);
   EXPECT_EQ(t.parent(0), -1);
-  EXPECT_EQ(t.max_level(), 0);
+  EXPECT_EQ(deepest_level(t), 0);
 }
 
 TEST(MonitorTopology, DepthCapWidensFanout) {
@@ -86,7 +96,7 @@ TEST(MonitorTopology, DepthCapWidensFanout) {
   expect_valid_tree(t);
   expect_within_fanout(t);
   EXPECT_EQ(t.effective_fanout(), 10);
-  EXPECT_LE(t.max_level(), 2);
+  EXPECT_LE(deepest_level(t), 2);
 }
 
 TEST(MonitorTopology, SeededPlacementIsDeterministicAndComplete) {
@@ -188,7 +198,7 @@ TEST(MonitorTopology, StarIsOneLevel) {
     EXPECT_EQ(t.effective_fanout(), 5);
     EXPECT_EQ(t.children(0), (std::vector<int>{1, 2, 3, 4, 5}));
     for (int n = 1; n < 6; ++n) EXPECT_EQ(t.level(n), 1);
-    EXPECT_EQ(t.max_level(), 1);
+    EXPECT_EQ(deepest_level(t), 1);
 
     // A dead root promotes monitor 1, which adopts the rest.
     const auto removal = t.remove(0);
@@ -208,7 +218,7 @@ TEST(MonitorTopology, RemovingEverythingEmptiesTheTree) {
     if (!t.removed(n)) t.remove(t.root());
   }
   EXPECT_EQ(t.root(), -1);
-  EXPECT_EQ(t.max_level(), -1);
+  EXPECT_EQ(deepest_level(t), -1);
 }
 
 TEST(MonitorTopologyDeath, DoubleRemovalRejected) {

@@ -140,7 +140,7 @@ TEST(ScroutSampler, AlternationCanBeDisabled) {
 
 TEST(ScroutSampler, MeasureReturnsAFractionOfTheSet) {
   SamplerRig rig(16, {.monitored_count = 6});
-  const double scrout = rig.sampler.measure();
+  const double scrout = rig.sampler.measure_qualified().scrout;
   EXPECT_GE(scrout, 0.0);
   EXPECT_LE(scrout, 1.0);
 }

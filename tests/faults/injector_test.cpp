@@ -76,7 +76,7 @@ TEST(FaultInjector, ComputeHangPreservesUserFunctionFrame) {
   world.start();
   world.run_until_done(sim::kMinute);
   // The hang is injected into the benchmark's own user function (§7).
-  EXPECT_EQ(world.rank(2).stack().top(), "loop_compute");
+  EXPECT_EQ(world.rank(2).stack().frames().back().name, "loop_compute");
 }
 
 TEST(FaultInjector, CommDeadlockLeavesEveryoneInMpi) {

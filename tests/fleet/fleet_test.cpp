@@ -245,7 +245,7 @@ TEST(Fleet, BillRollsUpEveryAdmittedTenant) {
                 last == sched::JobState::kGaveUp ||
                 last == sched::JobState::kExpired ||
                 last == sched::JobState::kKilled)
-        << sched::job_state_name(last);
+        << static_cast<int>(last);
     EXPECT_GE(tenant.lifecycle.front().at, tenant.arrival);
   }
 }

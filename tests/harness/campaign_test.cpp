@@ -125,6 +125,14 @@ RunResult synthetic_faulted_run() {
   return result;
 }
 
+/// Appends an empty entry for one detector kind, as the runner does for
+/// each attached detector.
+DetectorRunResult& add_detector(RunResult& result, core::DetectorKind kind) {
+  DetectorRunResult& entry = result.detectors.emplace_back();
+  entry.kind = kind;
+  return entry;
+}
+
 core::HangReport hang_at(sim::Time t, simmpi::Rank rank) {
   core::HangReport report;
   report.detected_at = t;
@@ -138,7 +146,7 @@ TEST(Accounting, PreFaultFpThenGenuineDetectionCountsBoth) {
   // whose pre-fault false positive preceded the real detection count as
   // FP-only, deflating accuracy and the faulty-id stats.
   RunResult result = synthetic_faulted_run();
-  auto& parastack = result.detector_entry(core::DetectorKind::kParastack);
+  auto& parastack = add_detector(result, core::DetectorKind::kParastack);
   parastack.hang_reports.push_back(hang_at(50 * sim::kSecond, 3));   // FP
   parastack.hang_reports.push_back(hang_at(130 * sim::kSecond, 7));  // real
 
@@ -159,7 +167,7 @@ TEST(Accounting, PreFaultFpThenGenuineDetectionCountsBoth) {
 
 TEST(Accounting, PreFaultFpAloneIsNotADetection) {
   RunResult result = synthetic_faulted_run();
-  result.detector_entry(core::DetectorKind::kParastack)
+  add_detector(result, core::DetectorKind::kParastack)
       .hang_reports.push_back(hang_at(50 * sim::kSecond, 3));
 
   ErroneousCampaignResult out;
@@ -181,7 +189,7 @@ TEST(Accounting, SilentRunIsMissed) {
 
 TEST(Accounting, TimeoutMirrorsTheSameSemantics) {
   RunResult result = synthetic_faulted_run();
-  auto& timeout = result.detector_entry(core::DetectorKind::kTimeout);
+  auto& timeout = add_detector(result, core::DetectorKind::kTimeout);
   timeout.detections.push_back(
       {60 * sim::kSecond, core::DetectorKind::kTimeout});   // pre-fault FP
   timeout.detections.push_back(

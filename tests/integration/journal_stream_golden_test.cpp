@@ -45,6 +45,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -53,6 +54,7 @@
 #include "harness/runner.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/journal.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
 #include "recover/spec.hpp"
@@ -82,6 +84,31 @@ StreamDigest digest(const std::string& stream) {
 bool contains(const std::string& journal, const char* ev) {
   return journal.find(std::string("\"ev\":\"") + ev + "\"") !=
          std::string::npos;
+}
+
+/// The seed-pure perf-counter dump: counter_snapshot() rendered as
+/// {"counters":{...},"high_water":{...}}, each section sorted by name, the
+/// high-water names without their ".hw" suffix.
+std::string perf_dump(const obs::perf::ProfileRegistry& perf) {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::uint64_t> high_waters;
+  for (const auto& [name, value] : perf.counter_snapshot()) {
+    if (name.ends_with(".hw")) {
+      high_waters[name.substr(0, name.size() - 3)] = value;
+    } else {
+      counters[name] = value;
+    }
+  }
+  std::string doc;
+  obs::JsonObject root(doc);
+  for (const auto& [section, values] :
+       {std::pair{"counters", &counters}, {"high_water", &high_waters}}) {
+    root.key(section);
+    obs::JsonObject fields(doc);
+    for (const auto& [name, value] : *values) fields.field(name, value);
+  }
+  root.done();
+  return doc;
 }
 
 /// Every document the telemetry sinks render for one run: the journal, the
@@ -114,9 +141,7 @@ Artifacts artifacts_of_run(harness::RunConfig config,
   std::ostringstream trace_out;
   trace.write(trace_out);
   out.trace = trace_out.str();
-  std::ostringstream perf_out;
-  perf.write_json(perf_out, /*include_timers=*/false);
-  out.perf = perf_out.str();
+  out.perf = perf_dump(perf);
   return out;
 }
 
@@ -263,9 +288,7 @@ TEST(JournalStreamGolden, BoundedPoolFleetMatchesRecordedDigest) {
   EXPECT_LT(refused, 6);
   EXPECT_NE(out.str().find("\"pool_capacity\":8"), std::string::npos);
   expect_golden("fleet6-poisson-pool8", out.str());
-  std::ostringstream perf_out;
-  perf.write_json(perf_out, /*include_timers=*/false);
-  expect_golden("fleet6-poisson-pool8.perf", perf_out.str());
+  expect_golden("fleet6-poisson-pool8.perf", perf_dump(perf));
 }
 
 }  // namespace

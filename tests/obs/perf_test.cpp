@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 
 #include "harness/runner.hpp"
@@ -81,23 +80,6 @@ TEST(PerfRegistry, SnapshotSuffixesHighWatersAndExcludesTimers) {
   EXPECT_EQ(snapshot.at("events"), 3u);
   EXPECT_EQ(snapshot.at("depth.hw"), 9u);
   EXPECT_EQ(snapshot.count("stage"), 0u);  // timers are advisory
-}
-
-TEST(PerfRegistry, WriteJsonSortsKeysAndCanOmitTimers) {
-  ProfileRegistry registry;
-  registry.counter("b")->add(2);
-  registry.counter("a")->add(1);
-  registry.high_water("q")->observe(5);
-  registry.timer("t")->record(10);
-  std::ostringstream with_timers;
-  registry.write_json(with_timers);
-  EXPECT_EQ(with_timers.str().find("\"a\""),
-            with_timers.str().find("\"counters\"") + 12);
-  EXPECT_NE(with_timers.str().find("\"timers\""), std::string::npos);
-  std::ostringstream deterministic;
-  registry.write_json(deterministic, /*include_timers=*/false);
-  EXPECT_EQ(deterministic.str().find("\"timers\""), std::string::npos);
-  EXPECT_NE(deterministic.str().find("\"high_water\""), std::string::npos);
 }
 
 harness::RunConfig instrumented_lu(std::uint64_t seed,

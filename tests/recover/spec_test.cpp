@@ -54,16 +54,6 @@ TEST(RecoverySpec, RejectsMalformedInput) {
   EXPECT_FALSE(parse_recovery("").has_value());
 }
 
-TEST(RecoverySpec, FormatRoundTripsParsedFields) {
-  for (const char* text : {"none", "ckpt:30,2", "spare:4", "team:3"}) {
-    const auto spec = parse_recovery(text);
-    ASSERT_TRUE(spec.has_value()) << text;
-    const auto again = parse_recovery(format_recovery(*spec));
-    ASSERT_TRUE(again.has_value()) << text;
-    EXPECT_EQ(*spec, *again) << text;
-  }
-}
-
 TEST(RecoverySpec, PolicyNamesAreStable) {
   EXPECT_EQ(recovery_policy_name(RecoveryPolicy::kNone), "none");
   EXPECT_EQ(recovery_policy_name(RecoveryPolicy::kCheckpointRestart), "ckpt");

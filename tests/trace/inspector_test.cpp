@@ -73,6 +73,68 @@ TEST(StackInspector, BusyWaitTestFamilyDetection) {
   EXPECT_TRUE(saw_test_family);
 }
 
+TEST(StackSnapshot, InTestFamilyTable) {
+  // §3.3's busy-wait list, read off the innermost MPI frame's name.
+  const struct {
+    const char* innermost_mpi;
+    bool in_test_family;
+  } rows[] = {
+      {"MPI_Test", true},
+      {"MPI_Testany", true},
+      {"MPI_Testsome", true},
+      {"MPI_Testall", true},
+      {"MPI_Iprobe", true},
+      {"MPI_Wait", false},
+      {"MPI_Recv", false},
+      {"MPI_Allreduce", false},
+      {"", false},
+  };
+  for (const auto& row : rows) {
+    StackSnapshot snapshot;
+    snapshot.innermost_mpi = row.innermost_mpi;
+    EXPECT_EQ(snapshot.in_test_family(), row.in_test_family)
+        << "'" << row.innermost_mpi << "'";
+  }
+}
+
+TEST(StackSnapshot, InTestFamilyReadsAWorkersInnermostMpiFrame) {
+  // Hybrid MPI_THREAD_MULTIPLE ranks: the first blocking call runs on the
+  // master, the second on worker 0, while the master overlaps compute. The
+  // snapshot takes its innermost MPI frame from the worker's stack (§6),
+  // and a blocked call there is no busy-wait.
+  simmpi::WorldConfig config = config3();
+  config.nranks = 2;
+  config.threads_per_rank = 2;
+  config.mpi_thread_multiple = true;
+  const auto factory = [](Rank, int,
+                          util::Rng) -> std::unique_ptr<simmpi::Program> {
+    class P : public simmpi::Program {
+     public:
+      Action next() override {
+        if (step_++ == 0) {
+          return Action::collective(Action::Kind::kBarrier, 0);
+        }
+        return Action::hang_in_mpi(simmpi::MpiFunc::kRecv);
+      }
+     private:
+      int step_ = 0;
+    };
+    return std::make_unique<P>();
+  };
+  simmpi::World world(config, factory);
+  world.start();
+  world.engine().run_until(sim::from_millis(50));
+  const auto& rank = world.rank(0);
+  ASSERT_FALSE(rank.stack().in_mpi());
+  ASSERT_TRUE(rank.worker_stack(0).in_mpi());
+
+  StackInspector inspector(world);
+  const auto snapshot = inspector.trace(0);
+  EXPECT_TRUE(snapshot.in_mpi);
+  EXPECT_EQ(snapshot.innermost_mpi, rank.worker_stack(0).innermost_mpi_frame());
+  EXPECT_FALSE(snapshot.in_test_family());
+}
+
 TEST(StackInspector, ChargesComputingTargets) {
   simmpi::World world(config3(), mixed_factory());
   world.start();

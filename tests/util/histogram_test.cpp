@@ -156,31 +156,5 @@ TEST(Histogram, PropertyCountsConserveAndMatchEdges) {
   }
 }
 
-TEST(Histogram, QuantilesAreMonotoneAndInRange) {
-  Rng rng(77);
-  Histogram h(0.0, 10.0, 16);
-  for (int i = 0; i < 300; ++i) {
-    h.add(rng.uniform(-1.0, 11.0));  // include some flow mass
-  }
-  ASSERT_GT(h.in_range(), 0u);
-  double prev = h.quantile(0.0);
-  EXPECT_GE(prev, 0.0);
-  for (double p = 0.05; p <= 1.0; p += 0.05) {
-    const double q = h.quantile(p);
-    EXPECT_GE(q, prev) << "quantile not monotone at p=" << p;
-    prev = q;
-  }
-  EXPECT_LE(h.quantile(1.0), 10.0);
-}
-
-TEST(Histogram, QuantileInterpolatesWithinASingleBucket) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 4; ++i) h.add(3.5);  // all mass in bucket [3, 4)
-  EXPECT_GE(h.quantile(0.0), 3.0);
-  EXPECT_LE(h.quantile(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
-  EXPECT_LT(h.quantile(0.25), h.quantile(1.0));
-}
-
 }  // namespace
 }  // namespace parastack::util

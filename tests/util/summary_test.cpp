@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.hpp"
-
 namespace parastack::util {
 namespace {
 
@@ -31,35 +29,6 @@ TEST(Summary, SingleSampleVarianceIsZero) {
   s.add(3.0);
   EXPECT_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(Summary, MergeMatchesSequential) {
-  Rng rng(5);
-  Summary all;
-  Summary left;
-  Summary right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(10.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a;
-  a.add(1.0);
-  Summary b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
 }
 
 TEST(Quantile, OrderStatisticsInterpolation) {
