@@ -2,7 +2,7 @@
 # Dead-function sweep: lists every out-of-line library function that no
 # shipped executable keeps.
 #
-#   .github/scripts/dead_function_sweep.sh [JOBS]
+#   .github/scripts/dead_function_sweep.sh
 #
 # Configures perfbench/ into build-sweep/. perfbench pulls in the whole
 # repository as a subproject, so perfbench is a root next to psim, pscheck,
@@ -20,7 +20,6 @@ set -euo pipefail
 export LC_ALL=C  # sort and comm must agree on the order
 
 cd "$(dirname "$0")/../.."
-jobs="${1:-$(nproc)}"
 build=build-sweep
 
 targets=(perfbench psim pscheck)
@@ -33,7 +32,7 @@ log="$build/sweep_build.log"
 if ! { cmake -S perfbench -B "$build" -DCMAKE_BUILD_TYPE=None \
          -DCMAKE_CXX_FLAGS="-O0 -g0 -ffunction-sections -fdata-sections" \
          -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" &&
-       cmake --build "$build" -j "$jobs" --target "${targets[@]}"; } \
+       cmake --build "$build" -j "$(nproc)" --target "${targets[@]}"; } \
      >"$log" 2>&1; then
   cat "$log" >&2
   echo "dead-function sweep: the build failed" >&2
