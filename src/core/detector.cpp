@@ -76,10 +76,14 @@ FaultyIdentifier::Config HangDetector::identifier_config(
 HangDetector::HangDetector(simmpi::World& world,
                            trace::StackInspector& inspector,
                            DetectorConfig config)
-    : Detector(DetectorKind::kParastack), world_(world),
-      inspector_(inspector), config_(config), rng_(config.seed),
+    : Detector(DetectorKind::kParastack),
+      world_(world),
+      inspector_(inspector),
+      config_(config),
+      rng_(config.seed),
       sampler_(world, inspector, sampler_config(config_), rng_),
-      tuner_(tuner_config(config_)), judge_(judge_config(config_)),
+      tuner_(tuner_config(config_)),
+      judge_(judge_config(config_)),
       filter_(filter_config(config_)),
       identifier_(identifier_config(config_)) {
   PS_CHECK(config_.alpha > 0.0 && config_.alpha < 1.0, "alpha in (0,1)");
@@ -162,9 +166,9 @@ void HangDetector::take_sample() {
   // on q <= 0.77 (k <= 27); with heavily zero-massed distributions (e.g.
   // wait-dominated apps) q — and hence k — can exceed that, so the dwell
   // time adapts to the current k.
-  const std::size_t required_dwell = std::max<std::size_t>(
-      static_cast<std::size_t>(config_.set_switch_period),
-      judge_.decision().k + 3);
+  const std::size_t required_dwell =
+      std::max<std::size_t>(static_cast<std::size_t>(config_.set_switch_period),
+                            judge_.decision().k + 3);
   if (sampler_.count_observation(required_dwell)) {
     if (judge_.streak() > 0) {
       emit_streak(sink, now, label(), obs::StreakEvent::Kind::kReset,
@@ -243,9 +247,8 @@ void HangDetector::take_sample() {
   }
 
   if (verdict.verify) {
-    util::debug_log(
-        "streak %zu/%zu complete at t=%.2fs; entering verification",
-        judge_.streak(), verdict.decision.k, sim::to_seconds(now));
+    util::debug_log("streak %zu/%zu complete at t=%.2fs; entering verification",
+                    judge_.streak(), verdict.decision.k, sim::to_seconds(now));
     begin_verification();
     return;
   }
@@ -362,16 +365,15 @@ void HangDetector::continue_filter() {
 
 void HangDetector::conclude_slowdown(const SlowdownEvidence& evidence) {
   const sim::Time now = world_.engine().now();
-  std::string what = "rank " + std::to_string(evidence.rank) + ": " +
-                     evidence.what;
+  std::string what =
+      "rank " + std::to_string(evidence.rank) + ": " + evidence.what;
   SlowdownReport report;
   report.detected_at = now;
   report.filter_rounds = filter_.rounds_done() + 1;
   report.evidence = what;
   slowdown_reports_.push_back(report);
-  util::debug_log(
-      "filter verdict: transient slowdown (%s); resuming sampling",
-      what.c_str());
+  util::debug_log("filter verdict: transient slowdown (%s); resuming sampling",
+                  what.c_str());
   obs::TelemetrySink* sink = world_.engine().telemetry();
   if (sink != nullptr) {
     obs::FilterEvent event;
@@ -405,8 +407,7 @@ void HangDetector::faulty_sweep_round() {
     PS_PERF_SCOPE(scope, perf_identifier_.timer);
     return identifier_.add_sweep(sweep_all_ranks());
   }();
-  if (obs::TelemetrySink* sink = world_.engine().telemetry();
-      sink != nullptr) {
+  if (obs::TelemetrySink* sink = world_.engine().telemetry(); sink != nullptr) {
     obs::SweepEvent sweep;
     sweep.time = world_.engine().now();
     sweep.detector = label();
@@ -441,8 +442,7 @@ void HangDetector::report_hang() {
   util::debug_log("hang reported at t=%.2fs (%zu faulty ranks)",
                   sim::to_seconds(report.detected_at),
                   report.faulty_ranks.size());
-  if (obs::TelemetrySink* sink = world_.engine().telemetry();
-      sink != nullptr) {
+  if (obs::TelemetrySink* sink = world_.engine().telemetry(); sink != nullptr) {
     obs::HangEvent event;
     event.time = report.detected_at;
     event.detector = label();

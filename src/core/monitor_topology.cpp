@@ -39,8 +39,7 @@ void MonitorTopology::build(int nodes, const TopologyConfig& config) {
   std::uint64_t fanout = static_cast<std::uint64_t>(
       config.tree() ? config.fanout : std::max(nodes - 1, 1));
   if (config.depth > 0) {
-    while (capacity(fanout, config.depth) <
-           static_cast<std::uint64_t>(nodes)) {
+    while (capacity(fanout, config.depth) < static_cast<std::uint64_t>(nodes)) {
       ++fanout;
     }
   }
@@ -113,8 +112,7 @@ MonitorTopology::Removal MonitorTopology::remove(int node) {
   parent_[promoted_idx] = old_parent;
   if (old_parent >= 0) {
     auto& kids = children_[static_cast<std::size_t>(old_parent)];
-    kids.insert(std::upper_bound(kids.begin(), kids.end(), promoted),
-                promoted);
+    kids.insert(std::upper_bound(kids.begin(), kids.end(), promoted), promoted);
   }
   auto& adopted = children_[promoted_idx];
   for (std::size_t i = 1; i < orphans.size(); ++i) {
@@ -126,9 +124,8 @@ MonitorTopology::Removal MonitorTopology::remove(int node) {
 
   // The promotee climbed one level; recompute levels across its subtree
   // (rare — once per interior crash — so a simple BFS is fine).
-  level_[promoted_idx] = old_parent < 0
-                             ? 0
-                             : level_[static_cast<std::size_t>(old_parent)] + 1;
+  level_[promoted_idx] =
+      old_parent < 0 ? 0 : level_[static_cast<std::size_t>(old_parent)] + 1;
   std::vector<int> frontier{promoted};
   while (!frontier.empty()) {
     std::vector<int> next;

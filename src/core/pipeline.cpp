@@ -144,9 +144,8 @@ void IntervalTuner::on_model_sample(ScroutModel& model,
   state_.interval *= 2;
   ++state_.doublings;
   model.thin_half();  // history now approximates samples at the doubled I
-  util::debug_log(
-      "runs test rejected randomness; I doubled to %.0fms (x%zu)",
-      sim::to_millis(state_.interval), state_.doublings);
+  util::debug_log("runs test rejected randomness; I doubled to %.0fms (x%zu)",
+                  sim::to_millis(state_.interval), state_.doublings);
   if (sink != nullptr) {
     obs::IntervalEvent event;
     event.time = now;

@@ -63,7 +63,7 @@ class ScroutSampler {
   struct Sample {
     double scrout = 0.0;
     double coverage = 1.0;
-    bool degraded = false;     ///< nothing arrived: the sample is blind
+    bool degraded = false;  ///< nothing arrived: the sample is blind
     int partials_missing = 0;
   };
 
@@ -186,8 +186,8 @@ class SuspicionJudge {
 
   struct Verdict {
     ScroutModel::Decision decision;
-    bool suspicious = false;     ///< counted toward the streak
-    bool verify = false;         ///< streak reached k: start verification
+    bool suspicious = false;       ///< counted toward the streak
+    bool verify = false;           ///< streak reached k: start verification
     std::size_t ended_streak = 0;  ///< >0 when a healthy sample reset one
     /// Streak length verification actually required (k, plus the
     /// low-coverage surcharge when the streak saw below-quorum samples).
@@ -236,7 +236,7 @@ class SuspicionJudge {
   int current_phase_ = 0;
   std::map<int, PhaseState> stash_;
   // Tool-health state (all quiescent while coverage stays at 1).
-  std::size_t low_coverage_run_ = 0;   ///< consecutive below-quorum samples
+  std::size_t low_coverage_run_ = 0;    ///< consecutive below-quorum samples
   std::size_t streak_low_samples_ = 0;  ///< below-quorum samples in streak
   bool degraded_ = false;
 };

@@ -177,8 +177,7 @@ sim::Time estimate_clean_runtime(const workloads::BenchmarkProfile& profile,
                   (scaled + 1.0e4 /*per-hop message+call overhead, ns*/);
     }
     // Big synchronizing transposes are runtime, not slack.
-    if (phase.comm == workloads::CommPattern::kAlltoall &&
-        phase.every == 1) {
+    if (phase.comm == workloads::CommPattern::kAlltoall && phase.every == 1) {
       const double bytes = static_cast<double>(phase.bytes) *
                            std::min(std::pow(ratio, 2.0), 8.0);
       const double gbytes_per_s = platform.network_bandwidth_gbps * 0.125;
@@ -200,8 +199,8 @@ struct AttemptContext {
   // Driver -> attempt:
   int attempt = 0;
   std::uint64_t seed = 0;
-  sim::Time start_time = 0;      ///< absolute job-timeline start
-  bool inject_fault = true;      ///< false: this attempt outlives the fault
+  sim::Time start_time = 0;  ///< absolute job-timeline start
+  bool inject_fault = true;  ///< false: this attempt outlives the fault
   const simmpi::WorldSnapshot* resume = nullptr;  ///< null = cold start
   sim::Time checkpoint_interval = 0;              ///< 0 = no checkpoints
   sim::Time checkpoint_cost = 0;
@@ -240,8 +239,8 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
       config.input.empty()
           ? workloads::default_input(config.bench, config.nranks)
           : config.input;
-  const auto profile = workloads::make_profile(config.bench, input,
-                                               config.nranks);
+  const auto profile =
+      workloads::make_profile(config.bench, input, config.nranks);
 
   RunResult result;
   result.estimated_clean =
@@ -254,9 +253,8 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
   plan.type = config.fault;
   if (!ctx.inject_fault) plan.type = faults::FaultType::kNone;
   if (plan.type != faults::FaultType::kNone) {
-    plan.victim =
-        static_cast<simmpi::Rank>(rng.uniform_int(
-            static_cast<std::uint64_t>(config.nranks)));
+    plan.victim = static_cast<simmpi::Rank>(
+        rng.uniform_int(static_cast<std::uint64_t>(config.nranks)));
     double lo;
     double hi;
     if (config.fault_trigger_lo && config.fault_trigger_hi) {
@@ -265,11 +263,9 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
     } else {
       lo = std::max(
           static_cast<double>(config.min_fault_time),
-          config.fault_window_lo *
-              static_cast<double>(result.estimated_clean));
-      hi = std::max(lo + 1e9,
-                    config.fault_window_hi *
-                        static_cast<double>(result.estimated_clean));
+          config.fault_window_lo * static_cast<double>(result.estimated_clean));
+      hi = std::max(lo + 1e9, config.fault_window_hi *
+                                  static_cast<double>(result.estimated_clean));
     }
     plan.trigger_time = static_cast<sim::Time>(rng.uniform(lo, hi));
     // A refault strikes at the same relative position on the restarted
@@ -316,12 +312,11 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
       case core::DetectorKind::kParastack: {
         auto det_config = spec.parastack;
         det_config.seed = rng.next();
-        auto parastack = std::make_unique<core::HangDetector>(
-            world, inspector, det_config);
+        auto parastack =
+            std::make_unique<core::HangDetector>(world, inspector, det_config);
         if (config.use_monitor_network) {
           if (!monitors) {
-            monitors = std::make_unique<core::MonitorNetwork>(world,
-                                                              inspector);
+            monitors = std::make_unique<core::MonitorNetwork>(world, inspector);
           }
           parastack->use_monitor_network(monitors.get());
         }
@@ -337,8 +332,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
         break;
       }
       case core::DetectorKind::kIoWatchdog: {
-        detector = std::make_unique<core::IoWatchdog>(world,
-                                                      spec.io_watchdog);
+        detector = std::make_unique<core::IoWatchdog>(world, spec.io_watchdog);
         break;
       }
     }
@@ -444,8 +438,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
       engine.schedule_after(ctx.checkpoint_interval,
                             [&] { take_checkpoint(); });
     };
-    engine.schedule_after(ctx.checkpoint_interval,
-                          [&] { take_checkpoint(); });
+    engine.schedule_after(ctx.checkpoint_interval, [&] { take_checkpoint(); });
   }
 
   while (!world.all_finished() && !killed && engine.now() <= result.walltime) {
@@ -459,13 +452,11 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
   if (killed) {
     ctx.kill_time = kill_time;
     ctx.at_kill = world.snapshot_progress();
-    ctx.kill_kind = config.detectors.empty()
-                        ? core::DetectorKind::kParastack
-                        : config.detectors.front().kind;
+    ctx.kill_kind = config.detectors.empty() ? core::DetectorKind::kParastack
+                                             : config.detectors.front().kind;
     if (kill_from_fallback) ctx.kill_kind = core::DetectorKind::kTimeout;
-    ctx.degraded_kill =
-        kill_from_fallback ||
-        (primary_parastack != nullptr && primary_parastack->degraded());
+    ctx.degraded_kill = kill_from_fallback || (primary_parastack != nullptr &&
+                                               primary_parastack->degraded());
     if (primary_parastack != nullptr &&
         !primary_parastack->hang_reports().empty()) {
       ctx.faulty_ranks = primary_parastack->hang_reports().back().faulty_ranks;
@@ -489,8 +480,7 @@ RunResult run_attempt(const RunConfig& config, AttemptContext& ctx) {
     entry.kind = detector.kind();
     entry.detections = detector.detections();
     if (detector.kind() == core::DetectorKind::kParastack) {
-      const auto& parastack =
-          static_cast<const core::HangDetector&>(detector);
+      const auto& parastack = static_cast<const core::HangDetector&>(detector);
       entry.hang_reports = parastack.hang_reports();
       entry.slowdown_reports = parastack.slowdown_reports();
       if (!parastack_summarized) {
@@ -838,8 +828,8 @@ RunResult run_one(const RunConfig& config) {
   // the bench sweeps aggregate (emitted before run_end so the journal's
   // time order holds).
   if (config.telemetry != nullptr && summary.recovered) {
-    emit_span(config, final_now, "recovery", "kill-to-restore",
-              first_kill_time, first_restore_start);
+    emit_span(config, final_now, "recovery", "kill-to-restore", first_kill_time,
+              first_restore_start);
     emit_span(config, final_now, "recovery", "restore-to-done",
               first_restore_start, result.end_time);
     if (fault_record.activated()) {

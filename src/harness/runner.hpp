@@ -159,8 +159,8 @@ struct DetectorRunResult {
 
 /// One attempt's provenance within a multi-attempt (recovery) run.
 struct AttemptRecord {
-  int attempt = 0;        ///< 0-based position in the attempt sequence
-  std::uint64_t seed = 0; ///< RNG seed this attempt ran under
+  int attempt = 0;           ///< 0-based position in the attempt sequence
+  std::uint64_t seed = 0;    ///< RNG seed this attempt ran under
   sim::Time start_time = 0;  ///< absolute job-timeline start of the attempt
   sim::Time end_time = 0;    ///< kill / completion / walltime expiry
   bool completed = false;
@@ -176,9 +176,9 @@ struct RecoverySummary {
   bool enabled = false;
   recover::RecoveryPolicy policy = recover::RecoveryPolicy::kNone;
   int attempts_used = 1;
-  bool recovered = false;  ///< completed on an attempt after a restore
-  bool gave_up = false;    ///< retry budget or policy resources exhausted
-  double su_multiplier = 1.0;  ///< allocation billing factor (team: replicas)
+  bool recovered = false;        ///< completed on an attempt after a restore
+  bool gave_up = false;          ///< retry budget or policy resources exhausted
+  double su_multiplier = 1.0;    ///< allocation billing factor (team: replicas)
   sim::Time overhead_total = 0;  ///< restore/failover/arbitration time
   std::uint64_t checkpoints_taken = 0;
 };

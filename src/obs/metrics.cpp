@@ -172,8 +172,7 @@ struct Fold {
   void operator()(const DetectionEvent& e) const {
     ++registry.counter("detector.detections");
     if (!e.detector.empty()) {
-      ++registry.counter("detector." + std::string(e.detector) +
-                          ".detections");
+      ++registry.counter("detector." + std::string(e.detector) + ".detections");
     }
   }
 

@@ -178,13 +178,13 @@ class ProfileRegistry {
 }  // namespace parastack::obs::perf
 
 // Hot-path helpers: a null handle is the "off" switch.
-#define PS_PERF_ADD(handle, delta)                        \
-  do {                                                    \
-    if ((handle) != nullptr) (handle)->add(delta);        \
+#define PS_PERF_ADD(handle, delta)                 \
+  do {                                             \
+    if ((handle) != nullptr) (handle)->add(delta); \
   } while (0)
-#define PS_PERF_OBSERVE(handle, v)                        \
-  do {                                                    \
-    if ((handle) != nullptr) (handle)->observe(v);        \
+#define PS_PERF_OBSERVE(handle, v)                 \
+  do {                                             \
+    if ((handle) != nullptr) (handle)->observe(v); \
   } while (0)
 #define PS_PERF_SCOPE(var, handle) \
   ::parastack::obs::perf::ScopedTimer var(handle)

@@ -8,10 +8,14 @@ namespace parastack::recover {
 
 std::string_view recovery_policy_name(RecoveryPolicy policy) noexcept {
   switch (policy) {
-    case RecoveryPolicy::kNone: return "none";
-    case RecoveryPolicy::kCheckpointRestart: return "ckpt";
-    case RecoveryPolicy::kSpareFailover: return "spare";
-    case RecoveryPolicy::kTeamReplication: return "team";
+    case RecoveryPolicy::kNone:
+      return "none";
+    case RecoveryPolicy::kCheckpointRestart:
+      return "ckpt";
+    case RecoveryPolicy::kSpareFailover:
+      return "spare";
+    case RecoveryPolicy::kTeamReplication:
+      return "team";
   }
   return "?";
 }
@@ -56,9 +60,9 @@ std::optional<RecoverySpec> parse_recovery(std::string_view text) {
   RecoverySpec spec;
   const std::size_t colon = text.find(':');
   const std::string_view name = text.substr(0, colon);
-  const std::string_view rest =
-      colon == std::string_view::npos ? std::string_view{}
-                                      : text.substr(colon + 1);
+  const std::string_view rest = colon == std::string_view::npos
+                                    ? std::string_view{}
+                                    : text.substr(colon + 1);
   if (name == "none") {
     if (colon != std::string_view::npos) return std::nullopt;
     return spec;

@@ -82,9 +82,8 @@ JobCharge settle(const JobTicket& ticket, std::optional<sim::Time> finish,
   } else if (detection && *detection < ticket.walltime) {
     charge.end = JobEnd::kKilledOnHangDetection;
     charge.elapsed = *detection;
-    charge.savings_fraction =
-        1.0 - static_cast<double>(*detection) /
-                  static_cast<double>(ticket.walltime);
+    charge.savings_fraction = 1.0 - static_cast<double>(*detection) /
+                                        static_cast<double>(ticket.walltime);
   } else {
     charge.end = JobEnd::kWalltimeExpired;
     charge.elapsed = ticket.walltime;
@@ -125,10 +124,18 @@ void MonitorPool::release(int monitors) {
 void FleetBill::add(const JobTicket& ticket, const JobCharge& charge) {
   ++jobs;
   switch (charge.end) {
-    case JobEnd::kCompleted: ++completed; break;
-    case JobEnd::kKilledOnHangDetection: ++killed; break;
-    case JobEnd::kWalltimeExpired: ++expired; break;
-    case JobEnd::kGaveUp: ++gave_up; break;
+    case JobEnd::kCompleted:
+      ++completed;
+      break;
+    case JobEnd::kKilledOnHangDetection:
+      ++killed;
+      break;
+    case JobEnd::kWalltimeExpired:
+      ++expired;
+      break;
+    case JobEnd::kGaveUp:
+      ++gave_up;
+      break;
   }
   su_billed += charge.service_units;
   if (charge.end == JobEnd::kKilledOnHangDetection) {

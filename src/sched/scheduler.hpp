@@ -21,10 +21,10 @@ struct JobTicket {
 };
 
 enum class JobEnd {
-  kCompleted,             ///< application finished inside the slot
-  kKilledOnHangDetection, ///< ParaStack terminated it early
-  kWalltimeExpired,       ///< hung (or slow) job burned the whole slot
-  kGaveUp,                ///< recovery exhausted its retry budget
+  kCompleted,              ///< application finished inside the slot
+  kKilledOnHangDetection,  ///< ParaStack terminated it early
+  kWalltimeExpired,        ///< hung (or slow) job burned the whole slot
+  kGaveUp,                 ///< recovery exhausted its retry budget
 };
 
 /// Job lifecycle under the detect -> recover loop (DESIGN.md §13):
@@ -44,7 +44,7 @@ enum class JobState : std::uint8_t {
   kCompleted,
   kGaveUp,
   kExpired,
-  kRefused,    ///< admission denied before launch; no SUs ever burned
+  kRefused,  ///< admission denied before launch; no SUs ever burned
 };
 
 /// Legality-checked state machine for one job's recovery lifecycle. Every
@@ -64,19 +64,19 @@ class JobLifecycle {
            state_ == JobState::kExpired || state_ == JobState::kRefused;
   }
 
-  void launch(sim::Time at);           ///< pending -> running
-  void refuse(sim::Time at);           ///< pending -> refused (terminal)
-  void suspect(sim::Time at);          ///< running -> suspected
-  void kill(sim::Time at);             ///< running | suspected -> killed
+  void launch(sim::Time at);   ///< pending -> running
+  void refuse(sim::Time at);   ///< pending -> refused (terminal)
+  void suspect(sim::Time at);  ///< running -> suspected
+  void kill(sim::Time at);     ///< running | suspected -> killed
   /// killed -> restoring when restart budget remains, else -> gave-up.
   /// Returns true when a restore began.
   bool try_restore(sim::Time at);
   /// killed | restoring -> gave-up: the policy itself is out of resources
   /// (spares exhausted, no replica left) even though restarts remained.
   void give_up(sim::Time at);
-  void resume(sim::Time at);           ///< restoring -> running (counts one restart)
-  void complete(sim::Time at);         ///< running | suspected -> completed
-  void expire(sim::Time at);           ///< any non-terminal -> expired
+  void resume(sim::Time at);    ///< restoring -> running (counts one restart)
+  void complete(sim::Time at);  ///< running | suspected -> completed
+  void expire(sim::Time at);    ///< any non-terminal -> expired
 
   struct Transition {
     JobState from = JobState::kPending;
@@ -99,7 +99,7 @@ class JobLifecycle {
 /// is billed until its slot expires.
 struct JobCharge {
   JobEnd end = JobEnd::kCompleted;
-  sim::Time elapsed = 0;        ///< billed wall-clock time
+  sim::Time elapsed = 0;  ///< billed wall-clock time
   double service_units = 0.0;
   /// Fraction of the allocated slot ParaStack saved vs. burning it fully
   /// (0 unless end == kKilledOnHangDetection).
@@ -156,14 +156,14 @@ class MonitorPool {
 /// behind bench_fleet's "SUs saved" headline (paper §7.1-V scaled from one
 /// job to a fleet). Refused tenants are counted but never billed.
 struct FleetBill {
-  int jobs = 0;         ///< admitted tenants folded in
+  int jobs = 0;  ///< admitted tenants folded in
   int completed = 0;
-  int killed = 0;       ///< ended by kill-on-detection
-  int expired = 0;      ///< burned their whole slot
-  int gave_up = 0;      ///< recovery retry budget exhausted
-  int refused = 0;      ///< turned away at admission (billed nothing)
-  double su_billed = 0.0;   ///< SUs actually charged across the fleet
-  double su_saved = 0.0;    ///< full-slot SUs minus billed, killed jobs only
+  int killed = 0;          ///< ended by kill-on-detection
+  int expired = 0;         ///< burned their whole slot
+  int gave_up = 0;         ///< recovery retry budget exhausted
+  int refused = 0;         ///< turned away at admission (billed nothing)
+  double su_billed = 0.0;  ///< SUs actually charged across the fleet
+  double su_saved = 0.0;   ///< full-slot SUs minus billed, killed jobs only
   /// Fold one settled tenant into the ledger. `ticket` must be the
   /// allocation the charge was settled against.
   void add(const JobTicket& ticket, const JobCharge& charge);

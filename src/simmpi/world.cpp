@@ -20,8 +20,8 @@ World::World(WorldConfig config, const ProgramFactory& factory)
                    static_cast<std::size_t>(config_.nranks),
            "replay_actions must cover every rank");
   if (config_.start_time > 0) engine_.advance_to(config_.start_time);
-  comm_ = std::make_unique<CommEngine>(engine_, config_.platform,
-                                       config_.nranks);
+  comm_ =
+      std::make_unique<CommEngine>(engine_, config_.platform, config_.nranks);
   ranks_.reserve(static_cast<std::size_t>(config_.nranks));
   for (Rank r = 0; r < config_.nranks; ++r) {
     RankProcess::Hooks hooks;
@@ -60,8 +60,8 @@ std::vector<Rank> World::ranks_on_node(int node) const {
   PS_CHECK(node >= 0 && node < nnodes_, "node out of range");
   std::vector<Rank> out;
   const Rank first = node * config_.platform.cores_per_node;
-  const Rank last = std::min<Rank>(first + config_.platform.cores_per_node,
-                                   config_.nranks);
+  const Rank last =
+      std::min<Rank>(first + config_.platform.cores_per_node, config_.nranks);
   for (Rank r = first; r < last; ++r) out.push_back(r);
   return out;
 }
@@ -93,8 +93,7 @@ WorldSnapshot World::snapshot_progress() const {
 
 void World::schedule_node_slowdown_cycle(int node) {
   auto& rng = node_noise_rng_[static_cast<std::size_t>(node)];
-  const double mean_gap_s =
-      3600.0 / config_.platform.slowdowns_per_node_hour;
+  const double mean_gap_s = 3600.0 / config_.platform.slowdowns_per_node_hour;
   const auto gap = sim::from_seconds(rng.exponential(mean_gap_s));
   engine_.schedule_after(gap, [this, node] {
     auto& node_rng = node_noise_rng_[static_cast<std::size_t>(node)];

@@ -15,8 +15,8 @@ namespace parastack::simmpi {
 
 /// Builds a per-rank instruction stream. Invoked once per rank at world
 /// construction with an independent RNG stream.
-using ProgramFactory =
-    std::function<std::unique_ptr<Program>(Rank rank, int nranks, util::Rng rng)>;
+using ProgramFactory = std::function<std::unique_ptr<Program>(
+    Rank rank, int nranks, util::Rng rng)>;
 
 struct WorldConfig {
   int nranks = 16;
@@ -88,9 +88,7 @@ class World {
   /// resumes the job from this point.
   WorldSnapshot snapshot_progress() const;
 
-  bool all_finished() const noexcept {
-    return finished_ == config_.nranks;
-  }
+  bool all_finished() const noexcept { return finished_ == config_.nranks; }
   /// Virtual time when the last rank finished; -1 if the job has not.
   sim::Time finish_time() const noexcept { return finish_time_; }
 

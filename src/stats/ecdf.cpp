@@ -12,9 +12,9 @@ void EmpiricalCdf::add(double x) {
 }
 
 void EmpiricalCdf::count(double x) {
-  const auto it = std::lower_bound(
-      counts_.begin(), counts_.end(), x,
-      [](const Count& c, double v) { return c.value < v; });
+  const auto it =
+      std::lower_bound(counts_.begin(), counts_.end(), x,
+                       [](const Count& c, double v) { return c.value < v; });
   if (it != counts_.end() && it->value == x) {
     ++it->n;
   } else {
@@ -74,4 +74,3 @@ void EmpiricalCdf::thin_half() {
 }
 
 }  // namespace parastack::stats
-

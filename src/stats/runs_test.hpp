@@ -16,12 +16,12 @@ namespace parastack::stats {
 /// the paper references. For larger samples the standard normal
 /// approximation is used.
 struct RunsTestResult {
-  std::size_t n_pos = 0;   ///< samples >= mean (coded +)
-  std::size_t n_neg = 0;   ///< samples <  mean (coded -)
-  std::size_t runs = 0;    ///< observed number of runs R
-  bool random = false;     ///< true iff H0 ("sequence is random") survives
-  bool degenerate = false; ///< n_pos <= 1 or n_neg <= 1 (paper: treat as
-                           ///< non-random to stay conservative)
+  std::size_t n_pos = 0;    ///< samples >= mean (coded +)
+  std::size_t n_neg = 0;    ///< samples <  mean (coded -)
+  std::size_t runs = 0;     ///< observed number of runs R
+  bool random = false;      ///< true iff H0 ("sequence is random") survives
+  bool degenerate = false;  ///< n_pos <= 1 or n_neg <= 1 (paper: treat as
+                            ///< non-random to stay conservative)
 };
 
 /// Exact probability P(R = r) for a random arrangement of n1 positives and

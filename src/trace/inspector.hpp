@@ -43,7 +43,8 @@ class StackInspector {
     std::uint64_t seed = 0x7a57ed5eedULL;
   };
 
-  explicit StackInspector(simmpi::World& world) : StackInspector(world, Config{}) {}
+  explicit StackInspector(simmpi::World& world)
+      : StackInspector(world, Config{}) {}
   StackInspector(simmpi::World& world, Config config);
 
   /// Snapshot one rank's stack (charging it the trace cost).

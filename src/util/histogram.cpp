@@ -9,7 +9,9 @@
 namespace parastack::util {
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
+    : lo_(lo),
+      hi_(hi),
+      width_((hi - lo) / static_cast<double>(buckets)),
       counts_(buckets, 0) {
   PS_CHECK(hi > lo, "histogram range must be non-empty");
   PS_CHECK(buckets > 0, "histogram needs at least one bucket");
@@ -27,8 +29,8 @@ void Histogram::add(double x) noexcept {
   }
   // In-range values can still compute an index == size() through rounding
   // (x just below hi with a coarse width); clamp that edge case only.
-  auto idx = std::min(
-      static_cast<std::size_t>((x - lo_) / width_), counts_.size() - 1);
+  auto idx = std::min(static_cast<std::size_t>((x - lo_) / width_),
+                      counts_.size() - 1);
   // (x - lo) / width and the published edges lo + width * b round
   // differently, so a sample exactly on (or within one ulp of) an edge can
   // index the neighbouring bucket. Nudge until add() agrees with

@@ -66,8 +66,7 @@ double Rng::normal() noexcept {
   double u1 = uniform();
   const double u2 = uniform();
   if (u1 <= 0.0) u1 = 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 double Rng::lognormal_mean_cv(double mean, double cv) noexcept {

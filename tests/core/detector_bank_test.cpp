@@ -71,8 +71,8 @@ struct BankRig {
         world(world_config(16, seed),
               injector.wrap(workloads::make_factory(writing_solver()))),
         inspector(world) {
-    bank.add(std::make_unique<HangDetector>(world, inspector,
-                                            parastack_config()));
+    bank.add(
+        std::make_unique<HangDetector>(world, inspector, parastack_config()));
     TimeoutDetector::Config timeout;
     timeout.monitored_count = 6;
     bank.add(std::make_unique<TimeoutDetector>(world, inspector, timeout));
@@ -128,12 +128,12 @@ TEST(DetectorBank, UniquifiesCollidingLabels) {
                       workloads::make_factory(writing_solver()));
   trace::StackInspector inspector(world);
   DetectorBank bank;
-  bank.add(std::make_unique<HangDetector>(world, inspector,
-                                          parastack_config()));
-  bank.add(std::make_unique<HangDetector>(world, inspector,
-                                          parastack_config()));
-  bank.add(std::make_unique<HangDetector>(world, inspector,
-                                          parastack_config()));
+  bank.add(
+      std::make_unique<HangDetector>(world, inspector, parastack_config()));
+  bank.add(
+      std::make_unique<HangDetector>(world, inspector, parastack_config()));
+  bank.add(
+      std::make_unique<HangDetector>(world, inspector, parastack_config()));
   EXPECT_EQ(bank.at(0).label(), "parastack");
   EXPECT_EQ(bank.at(1).label(), "parastack#2");
   EXPECT_EQ(bank.at(2).label(), "parastack#3");
@@ -146,8 +146,7 @@ TEST(DetectorBank, ThreeKindsJudgeTheSameHangingTrial) {
   const sim::Time fault_at = rig.injector.record().activated_at;
   for (std::size_t i = 0; i < rig.bank.size(); ++i) {
     const Detector& detector = rig.bank.at(i);
-    ASSERT_TRUE(detector.detected())
-        << detector.label() << " missed the hang";
+    ASSERT_TRUE(detector.detected()) << detector.label() << " missed the hang";
     const Detection& first = detector.detections().front();
     EXPECT_EQ(first.kind, detector.kind());
     EXPECT_GT(first.detected_at, fault_at)
@@ -172,8 +171,7 @@ TEST(DetectorBank, OnDetectionHookFiresPerVerdict) {
   };
   rig.run(10 * sim::kMinute);
   ASSERT_GT(primary_verdicts, 0);
-  EXPECT_EQ(first_kill,
-            rig.bank.at(0).detections().front().detected_at);
+  EXPECT_EQ(first_kill, rig.bank.at(0).detections().front().detected_at);
 }
 
 TEST(DetectorBank, StopAllSilencesPendingCallbacks) {

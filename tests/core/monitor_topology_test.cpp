@@ -45,8 +45,7 @@ void expect_valid_tree(const MonitorTopology& t) {
       EXPECT_FALSE(t.removed(p)) << "live node " << n << " has dead parent";
       EXPECT_EQ(t.level(n), t.level(p) + 1);
       const auto& siblings = t.children(p);
-      EXPECT_NE(std::find(siblings.begin(), siblings.end(), n),
-                siblings.end())
+      EXPECT_NE(std::find(siblings.begin(), siblings.end(), n), siblings.end())
           << "parent " << p << " does not list child " << n;
     }
     const auto& kids = t.children(n);

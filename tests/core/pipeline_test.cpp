@@ -61,8 +61,7 @@ trace::StackSnapshot snap(simmpi::Rank rank, std::vector<std::string> frames) {
   trace::StackSnapshot snapshot;
   snapshot.rank = rank;
   snapshot.frames = std::move(frames);
-  for (auto it = snapshot.frames.rbegin(); it != snapshot.frames.rend();
-       ++it) {
+  for (auto it = snapshot.frames.rbegin(); it != snapshot.frames.rend(); ++it) {
     if (simmpi::frame_is_mpi(*it)) {
       snapshot.innermost_mpi = *it;
       break;
@@ -129,8 +128,7 @@ TEST(ScroutSampler, DwellSwitchAlternatesActiveSet) {
 }
 
 TEST(ScroutSampler, AlternationCanBeDisabled) {
-  SamplerRig rig(16,
-                 {.monitored_count = 6, .enable_set_alternation = false});
+  SamplerRig rig(16, {.monitored_count = 6, .enable_set_alternation = false});
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(rig.sampler.count_observation(3));
   }
@@ -163,8 +161,8 @@ TEST(IntervalTuner, StartsAtInitialIntervalAndResets) {
 }
 
 TEST(IntervalTuner, NonRandomSeriesDoublesIntervalAndThinsModel) {
-  IntervalTuner tuner({.initial_interval = sim::from_millis(400),
-                       .runs_test_batch = 16});
+  IntervalTuner tuner(
+      {.initial_interval = sim::from_millis(400), .runs_test_batch = 16});
   ScroutModel model;
   // A monotone ramp: the runs test sees two runs around the median and
   // rejects randomness on the first batch.
@@ -180,8 +178,8 @@ TEST(IntervalTuner, NonRandomSeriesDoublesIntervalAndThinsModel) {
 }
 
 TEST(IntervalTuner, RandomSeriesConfirmsWithoutDoubling) {
-  IntervalTuner tuner({.initial_interval = sim::from_millis(400),
-                       .runs_test_batch = 16});
+  IntervalTuner tuner(
+      {.initial_interval = sim::from_millis(400), .runs_test_batch = 16});
   ScroutModel model;
   util::Rng rng(17);
   for (int i = 0; i < 16; ++i) {
@@ -194,10 +192,10 @@ TEST(IntervalTuner, RandomSeriesConfirmsWithoutDoubling) {
 }
 
 TEST(IntervalTuner, ConfirmedTunerIgnoresFurtherSamples) {
-  IntervalTuner tuner({.initial_interval = sim::from_millis(400),
-                       .runs_test_batch = 4});
-  tuner.restore({.interval = sim::from_millis(400),
-                 .randomness_confirmed = true});
+  IntervalTuner tuner(
+      {.initial_interval = sim::from_millis(400), .runs_test_batch = 4});
+  tuner.restore(
+      {.interval = sim::from_millis(400), .randomness_confirmed = true});
   ScroutModel model;
   for (int i = 0; i < 32; ++i) {
     model.add_sample(static_cast<double>(i));  // wildly non-random
@@ -335,8 +333,7 @@ TEST(SuspicionJudge, ModelFreezesDuringLongStreaks) {
 }
 
 TEST(SuspicionJudge, EagerFreezeVariantFreezesFromFirstSuspicion) {
-  SuspicionJudge judge({.alpha = 0.001,
-                        .freeze_model_during_streak = true});
+  SuspicionJudge judge({.alpha = 0.001, .freeze_model_during_streak = true});
   fill_healthy(judge.model());
   EXPECT_FALSE(judge.model_frozen());
   judge.judge(0.0, true);
@@ -437,9 +434,8 @@ TEST(SuspicionJudge, ZeroCoverageSampleIsStreakNeutral) {
 }
 
 TEST(SuspicionJudge, DegradedModeEntersAfterConsecutiveLowAndExits) {
-  SuspicionJudge judge({.alpha = 0.001,
-                        .coverage_quorum = 0.55,
-                        .degraded_mode_after = 3});
+  SuspicionJudge judge(
+      {.alpha = 0.001, .coverage_quorum = 0.55, .degraded_mode_after = 3});
   fill_healthy(judge.model());
   EXPECT_FALSE(judge.degraded_mode());
   EXPECT_FALSE(judge.judge(0.9, true, 0.4).entered_degraded);
@@ -509,9 +505,8 @@ TEST(TransientFilter, RearmingRestartsTheCount) {
 std::vector<trace::StackSnapshot> sweep_with_victim(simmpi::Rank victim) {
   std::vector<trace::StackSnapshot> sweep;
   for (simmpi::Rank r = 0; r < 4; ++r) {
-    sweep.push_back(r == victim
-                        ? snap(r, {"main", "solver", "stuck_user_loop"})
-                        : snap(r, {"main", "solver", "MPI_Allreduce"}));
+    sweep.push_back(r == victim ? snap(r, {"main", "solver", "stuck_user_loop"})
+                                : snap(r, {"main", "solver", "MPI_Allreduce"}));
   }
   return sweep;
 }

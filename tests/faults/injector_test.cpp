@@ -32,8 +32,8 @@ simmpi::WorldConfig config8(std::uint64_t seed = 11) {
 
 TEST(FaultInjector, NoFaultPassesThrough) {
   FaultInjector injector(FaultPlan{});
-  simmpi::World world(config8(),
-                      injector.wrap(workloads::make_factory(looping_profile())));
+  simmpi::World world(
+      config8(), injector.wrap(workloads::make_factory(looping_profile())));
   injector.arm(world);
   world.start();
   EXPECT_TRUE(world.run_until_done(sim::kMinute));
@@ -46,8 +46,8 @@ TEST(FaultInjector, ComputeHangActivatesAfterTrigger) {
   plan.victim = 5;
   plan.trigger_time = sim::from_millis(300);
   FaultInjector injector(plan);
-  simmpi::World world(config8(),
-                      injector.wrap(workloads::make_factory(looping_profile())));
+  simmpi::World world(
+      config8(), injector.wrap(workloads::make_factory(looping_profile())));
   injector.arm(world);
   world.start();
   EXPECT_FALSE(world.run_until_done(sim::kMinute));  // global hang
@@ -70,8 +70,8 @@ TEST(FaultInjector, ComputeHangPreservesUserFunctionFrame) {
   plan.victim = 2;
   plan.trigger_time = sim::from_millis(100);
   FaultInjector injector(plan);
-  simmpi::World world(config8(),
-                      injector.wrap(workloads::make_factory(looping_profile())));
+  simmpi::World world(
+      config8(), injector.wrap(workloads::make_factory(looping_profile())));
   injector.arm(world);
   world.start();
   world.run_until_done(sim::kMinute);
@@ -85,8 +85,8 @@ TEST(FaultInjector, CommDeadlockLeavesEveryoneInMpi) {
   plan.victim = 3;
   plan.trigger_time = sim::from_millis(300);
   FaultInjector injector(plan);
-  simmpi::World world(config8(),
-                      injector.wrap(workloads::make_factory(looping_profile())));
+  simmpi::World world(
+      config8(), injector.wrap(workloads::make_factory(looping_profile())));
   injector.arm(world);
   world.start();
   EXPECT_FALSE(world.run_until_done(sim::kMinute));
@@ -102,8 +102,8 @@ TEST(FaultInjector, NodeFreezeStopsWholeNode) {
   plan.victim = 0;  // node 0 hosts all 8 ranks on Tianhe-2 (24 cores/node)
   plan.trigger_time = sim::from_millis(200);
   FaultInjector injector(plan);
-  simmpi::World world(config8(),
-                      injector.wrap(workloads::make_factory(looping_profile())));
+  simmpi::World world(
+      config8(), injector.wrap(workloads::make_factory(looping_profile())));
   injector.arm(world);
   world.start();
   EXPECT_FALSE(world.run_until_done(sim::kMinute));
@@ -131,8 +131,7 @@ TEST(FaultInjector, TransientSlowdownRecoversAndCompletes) {
   ASSERT_TRUE(clean.run_until_done(sim::kMinute));
 
   simmpi::World world(
-      config8(42),
-      injector.wrap(workloads::make_factory(looping_profile(50))));
+      config8(42), injector.wrap(workloads::make_factory(looping_profile(50))));
   injector.arm(world);
   world.start();
   EXPECT_TRUE(world.run_until_done(10 * sim::kMinute));  // completes anyway
@@ -150,8 +149,8 @@ TEST(FaultInjector, VictimOutsideWrapUnaffected) {
   plan.victim = 7;
   plan.trigger_time = sim::kHour;  // never reached in this run
   FaultInjector injector(plan);
-  simmpi::World world(config8(),
-                      injector.wrap(workloads::make_factory(looping_profile())));
+  simmpi::World world(
+      config8(), injector.wrap(workloads::make_factory(looping_profile())));
   injector.arm(world);
   world.start();
   EXPECT_TRUE(world.run_until_done(sim::kMinute));
@@ -164,8 +163,8 @@ TEST(FaultInjectorDeath, ArmTwiceFailsLoudly) {
   plan.victim = 1;
   plan.trigger_time = sim::from_millis(100);
   FaultInjector injector(plan);
-  simmpi::World world(config8(),
-                      injector.wrap(workloads::make_factory(looping_profile())));
+  simmpi::World world(
+      config8(), injector.wrap(workloads::make_factory(looping_profile())));
   injector.arm(world);
   EXPECT_DEATH(injector.arm(world), "arm called twice");
 }

@@ -147,7 +147,7 @@ TEST(Fleet, AdmissionRefusesWithoutBurnWhenThePoolIsExhausted) {
   config.arrivals.jobs = 2;
   config.arrivals.model = ArrivalModel::kTrace;
   config.arrivals.mean_interarrival = sim::kMillisecond;  // arrive mid-run
-  config.monitor_pool = monitors_for(config.base);  // room for one tenant
+  config.monitor_pool = monitors_for(config.base);        // room for one tenant
   config.capture_tenant_journals = true;
   std::ostringstream out;
   obs::JsonlJournal journal(out);
@@ -296,8 +296,7 @@ TEST(Fleet, ResultIsDeterministicAcrossWorkerCounts) {
       EXPECT_DOUBLE_EQ(serial.bill.su_saved, other->bill.su_saved);
       for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
         EXPECT_EQ(serial.tenants[i].admitted, other->tenants[i].admitted);
-        EXPECT_EQ(serial.tenants[i].pool_in_use,
-                  other->tenants[i].pool_in_use);
+        EXPECT_EQ(serial.tenants[i].pool_in_use, other->tenants[i].pool_in_use);
         EXPECT_EQ(serial.tenants[i].end_at, other->tenants[i].end_at);
       }
     }

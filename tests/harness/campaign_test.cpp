@@ -191,7 +191,7 @@ TEST(Accounting, TimeoutMirrorsTheSameSemantics) {
   RunResult result = synthetic_faulted_run();
   auto& timeout = add_detector(result, core::DetectorKind::kTimeout);
   timeout.detections.push_back(
-      {60 * sim::kSecond, core::DetectorKind::kTimeout});   // pre-fault FP
+      {60 * sim::kSecond, core::DetectorKind::kTimeout});  // pre-fault FP
   timeout.detections.push_back(
       {150 * sim::kSecond, core::DetectorKind::kTimeout});  // genuine
 

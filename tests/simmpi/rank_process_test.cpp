@@ -152,26 +152,22 @@ TEST_F(RankProcessTest, WaitallBlocksUntilPeerPosts) {
 // 0's requests and one for each of the peers'.
 TEST_F(RankProcessTest, WaitallOverFourHaloRequestsCostsOneEvent) {
   constexpr std::size_t kBytes = 1024 * 1024;
-  auto a = make_rank(
-      0, {Action::irecv(1, 4, kBytes), Action::irecv(2, 4, kBytes),
-          Action::isend(1, 4, kBytes), Action::isend(2, 4, kBytes),
-          Action::wait_all()});
+  auto a =
+      make_rank(0, {Action::irecv(1, 4, kBytes), Action::irecv(2, 4, kBytes),
+                    Action::isend(1, 4, kBytes), Action::isend(2, 4, kBytes),
+                    Action::wait_all()});
   a->start();
   engine_.run_until(sim::from_millis(1));
   EXPECT_EQ(a->stack().innermost_mpi_frame(), "pmpi_progress_wait");
   const std::uint64_t before = engine_.events_fired();
-  engine_.schedule_at(1 * sim::kSecond, [this] {
-    peer_.send(*comm_, 1, 0, 4, kBytes);
-  });
-  engine_.schedule_at(2 * sim::kSecond, [this] {
-    peer_.recv(*comm_, 1, 0, 4);
-  });
-  engine_.schedule_at(3 * sim::kSecond, [this] {
-    peer_.send(*comm_, 2, 0, 4, kBytes);
-  });
-  engine_.schedule_at(4 * sim::kSecond, [this] {
-    peer_.recv(*comm_, 2, 0, 4);
-  });
+  engine_.schedule_at(1 * sim::kSecond,
+                      [this] { peer_.send(*comm_, 1, 0, 4, kBytes); });
+  engine_.schedule_at(2 * sim::kSecond,
+                      [this] { peer_.recv(*comm_, 1, 0, 4); });
+  engine_.schedule_at(3 * sim::kSecond,
+                      [this] { peer_.send(*comm_, 2, 0, 4, kBytes); });
+  engine_.schedule_at(4 * sim::kSecond,
+                      [this] { peer_.recv(*comm_, 2, 0, 4); });
   engine_.run_until_idle();
   EXPECT_TRUE(a->finished());
   // Four posts and one wake-up, at the last completion's instant.
@@ -187,12 +183,10 @@ TEST_F(RankProcessTest, SendrecvCostsOneEvent) {
   engine_.run_until(sim::from_millis(1));
   EXPECT_EQ(a->stack().innermost_mpi_frame(), "pmpi_progress_wait");
   const std::uint64_t before = engine_.events_fired();
-  engine_.schedule_at(1 * sim::kSecond, [this] {
-    peer_.send(*comm_, 1, 0, 3, kBytes);
-  });
-  engine_.schedule_at(2 * sim::kSecond, [this] {
-    peer_.recv(*comm_, 1, 0, 3);
-  });
+  engine_.schedule_at(1 * sim::kSecond,
+                      [this] { peer_.send(*comm_, 1, 0, 3, kBytes); });
+  engine_.schedule_at(2 * sim::kSecond,
+                      [this] { peer_.recv(*comm_, 1, 0, 3); });
   engine_.run_until_idle();
   EXPECT_TRUE(a->finished());
   // Two posts and one wake-up, at the later completion's instant.
@@ -243,11 +237,11 @@ TEST_F(RankProcessTest, SendrecvWithItself) {
     SCOPED_TRACE(bytes);
     sim::Engine engine;
     CommEngine comm(engine, platform_, 1);
-    RankProcess a(engine, comm, platform_, 0, 0,
-                  std::make_unique<ScriptedProgram>(std::deque<Action>{
-                      Action::sendrecv(0, 3, bytes),
-                      Action::sendrecv(0, 3, bytes)}),
-                  util::Rng(7), RankProcess::Hooks{});
+    RankProcess a(
+        engine, comm, platform_, 0, 0,
+        std::make_unique<ScriptedProgram>(std::deque<Action>{
+            Action::sendrecv(0, 3, bytes), Action::sendrecv(0, 3, bytes)}),
+        util::Rng(7), RankProcess::Hooks{});
     a.start();
     engine.run_until_idle();
     EXPECT_TRUE(a.finished());
@@ -378,8 +372,8 @@ TEST_F(RankProcessTest, RankFrozenInRecvTakesItsCompletionWithoutAdvancing) {
 TEST_F(RankProcessTest, RankFrozenInAllreduceTakesItsReleaseWithoutAdvancing) {
   std::vector<std::unique_ptr<RankProcess>> ranks;
   for (Rank r = 0; r < 4; ++r) {
-    ranks.push_back(make_rank(
-        r, {Action::collective(Action::Kind::kAllreduce, 64)}));
+    ranks.push_back(
+        make_rank(r, {Action::collective(Action::Kind::kAllreduce, 64)}));
   }
   for (Rank r = 0; r < 3; ++r) ranks[static_cast<std::size_t>(r)]->start();
   engine_.run_until(sim::from_millis(50));
@@ -400,9 +394,9 @@ TEST_F(RankProcessTest, RankFrozenInAllreduceTakesItsReleaseWithoutAdvancing) {
 TEST_F(RankProcessTest, CollectiveMismatchLeavesItsRankBlocked) {
   std::vector<std::unique_ptr<RankProcess>> ranks;
   for (Rank r = 0; r < 3; ++r) {
-    ranks.push_back(make_rank(
-        r, {Action::collective(Action::Kind::kAllreduce, 64),
-            Action::collective(Action::Kind::kBarrier, 0)}));
+    ranks.push_back(
+        make_rank(r, {Action::collective(Action::Kind::kAllreduce, 64),
+                      Action::collective(Action::Kind::kBarrier, 0)}));
   }
   ranks.push_back(
       make_rank(3, {Action::collective(Action::Kind::kBarrier, 0)}));

@@ -137,17 +137,17 @@ TEST(EmpiricalCdf, IncrementalRefreshMatchesFullRebuild) {
   // almost all distinct.
   for (const bool few_values : {true, false}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      SCOPED_TRACE(testing::Message() << "few_values " << few_values
-                                      << " seed " << seed);
+      SCOPED_TRACE(testing::Message()
+                   << "few_values " << few_values << " seed " << seed);
       util::Rng rng(seed);
       EmpiricalCdf ecdf;
       std::vector<double> mirror;  // the samples, in time order
       for (int step = 0; step < 3000; ++step) {
         const double op = rng.uniform();
         if (op < 0.95) {
-          const double x =
-              few_values ? static_cast<double>(rng.uniform_int(11)) / 10.0
-                         : rng.uniform();
+          const double x = few_values
+                               ? static_cast<double>(rng.uniform_int(11)) / 10.0
+                               : rng.uniform();
           ecdf.add(x);
           mirror.push_back(x);
         } else if (op < 0.996) {

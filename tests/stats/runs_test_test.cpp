@@ -73,11 +73,8 @@ TEST(RunsCriticalRegion, SwedEisenhartPins) {
   };
   // Table entries (n1, n0): lower and upper critical values.
   const Pin pins[] = {
-      {10, 10, 6, 16},
-      {12, 12, 7, 19},
-      {5, 5, 2, 10},
-      {8, 8, 4, 14},
-      {6, 10, 4, 13},  // asymmetric case
+      {10, 10, 6, 16}, {12, 12, 7, 19}, {5, 5, 2, 10},
+      {8, 8, 4, 14},   {6, 10, 4, 13},  // asymmetric case
   };
   for (const auto& pin : pins) {
     const auto [lo, hi] = runs_critical_region(pin.n1, pin.n0);
@@ -87,14 +84,14 @@ TEST(RunsCriticalRegion, SwedEisenhartPins) {
 }
 
 TEST(RunsCriticalRegion, TailsHoldAlphaHalf) {
-  for (const auto& [n1, n0] : {std::pair<std::size_t, std::size_t>{8, 13},
-                               {15, 18},
-                               {20, 20}}) {
+  for (const auto& [n1, n0] :
+       {std::pair<std::size_t, std::size_t>{8, 13}, {15, 18}, {20, 20}}) {
     const auto [lo, hi] = runs_critical_region(n1, n0);
     EXPECT_LE(runs_cdf(lo, n1, n0), 0.025 + 1e-9);
     EXPECT_GT(runs_cdf(lo + 1, n1, n0), 0.025);
     double upper_tail = 0.0;
-    for (std::size_t r = hi; r <= n1 + n0; ++r) upper_tail += runs_pmf(r, n1, n0);
+    for (std::size_t r = hi; r <= n1 + n0; ++r)
+      upper_tail += runs_pmf(r, n1, n0);
     EXPECT_LE(upper_tail, 0.025 + 1e-9);
   }
 }
@@ -123,8 +120,8 @@ TEST(RunsTest, PaperSequenceRejected) {
 
 TEST(RunsTest, DegenerateWhenOneSided) {
   // Paper: N1 <= 1 or N0 <= 1 -> treat as non-random.
-  const std::vector<double> nearly_constant = {1.0, 1.0, 1.0, 1.0, 1.0,
-                                               1.0, 1.0, 0.0};
+  const std::vector<double> nearly_constant = {1.0, 1.0, 1.0, 1.0,
+                                               1.0, 1.0, 1.0, 0.0};
   const auto result = runs_test(nearly_constant);
   EXPECT_TRUE(result.degenerate);
   EXPECT_FALSE(result.random);
@@ -172,8 +169,8 @@ TEST(RunsTest, FalseRejectionRateNearAlpha) {
     }
   }
   EXPECT_LT(degenerate, trials / 10);
-  const double rate =
-      static_cast<double>(rejections) / static_cast<double>(trials - degenerate);
+  const double rate = static_cast<double>(rejections) /
+                      static_cast<double>(trials - degenerate);
   // Exact test is conservative (discrete); the rate must be below ~5% and
   // not absurdly small.
   EXPECT_LT(rate, 0.06);
@@ -204,12 +201,11 @@ TEST_P(RunsRegionSweep, RegionBracketsAreConsistent) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SmallTable, RunsRegionSweep,
-                         ::testing::Values(RegionCase{5, 5}, RegionCase{5, 10},
-                                           RegionCase{8, 8}, RegionCase{10, 15},
-                                           RegionCase{12, 9}, RegionCase{16, 16},
-                                           RegionCase{20, 20},
-                                           RegionCase{18, 6}));
+INSTANTIATE_TEST_SUITE_P(
+    SmallTable, RunsRegionSweep,
+    ::testing::Values(RegionCase{5, 5}, RegionCase{5, 10}, RegionCase{8, 8},
+                      RegionCase{10, 15}, RegionCase{12, 9}, RegionCase{16, 16},
+                      RegionCase{20, 20}, RegionCase{18, 6}));
 
 }  // namespace
 }  // namespace parastack::stats

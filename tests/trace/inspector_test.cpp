@@ -26,6 +26,7 @@ simmpi::ProgramFactory mixed_factory() {
         if (step_++ == 0) return Action::irecv(0, 1, 64);
         return Action::test_loop("busy_spread");
       }
+
      private:
       Rank rank_;
       int step_ = 0;
@@ -79,15 +80,9 @@ TEST(StackSnapshot, InTestFamilyTable) {
     const char* innermost_mpi;
     bool in_test_family;
   } rows[] = {
-      {"MPI_Test", true},
-      {"MPI_Testany", true},
-      {"MPI_Testsome", true},
-      {"MPI_Testall", true},
-      {"MPI_Iprobe", true},
-      {"MPI_Wait", false},
-      {"MPI_Recv", false},
-      {"MPI_Allreduce", false},
-      {"", false},
+      {"MPI_Test", true},    {"MPI_Testany", true},    {"MPI_Testsome", true},
+      {"MPI_Testall", true}, {"MPI_Iprobe", true},     {"MPI_Wait", false},
+      {"MPI_Recv", false},   {"MPI_Allreduce", false}, {"", false},
   };
   for (const auto& row : rows) {
     StackSnapshot snapshot;
@@ -116,6 +111,7 @@ TEST(StackSnapshot, InTestFamilyReadsAWorkersInnermostMpiFrame) {
         }
         return Action::hang_in_mpi(simmpi::MpiFunc::kRecv);
       }
+
      private:
       int step_ = 0;
     };

@@ -122,8 +122,8 @@ TEST(Histogram, PropertyCountsConserveAndMatchEdges) {
       double x;
       const double kind = rng.uniform();
       if (kind < 0.2) {
-        x = h.bucket_lo(static_cast<std::size_t>(
-            rng.uniform_int(std::uint64_t{buckets})));
+        x = h.bucket_lo(
+            static_cast<std::size_t>(rng.uniform_int(std::uint64_t{buckets})));
       } else {
         x = rng.uniform(lo - 10.0, hi + 10.0);
       }
