@@ -100,26 +100,21 @@ inline int jobs() {
 }
 
 inline void header(const char* experiment, const char* paper_ref) {
-  std::printf("=============================================================\n");
+  std::printf(
+      "=============================================================\n");
   std::printf("%s\n", experiment);
   std::printf("reproduces: %s\n", paper_ref);
-  std::printf("mode: %s (set PARASTACK_BENCH_SCALE=full for paper-sized "
-              "campaigns), %d worker thread%s\n",
-              full_scale() ? "full" : "quick", jobs(),
-              jobs() == 1 ? "" : "s");
-  std::printf("=============================================================\n");
-}
-
-inline sim::Platform platform_by_name(const std::string& name) {
-  if (name == "Tardis") return sim::Platform::tardis();
-  if (name == "Tianhe-2") return sim::Platform::tianhe2();
-  return sim::Platform::stampede();
+  std::printf(
+      "mode: %s (set PARASTACK_BENCH_SCALE=full for paper-sized "
+      "campaigns), %d worker thread%s\n",
+      full_scale() ? "full" : "quick", jobs(), jobs() == 1 ? "" : "s");
+  std::printf(
+      "=============================================================\n");
 }
 
 /// Base erroneous-run configuration shared by the accuracy-style benches.
 inline harness::RunConfig erroneous_config(workloads::Bench bench,
-                                           const std::string& input,
-                                           int nranks,
+                                           const std::string& input, int nranks,
                                            const sim::Platform& platform) {
   harness::RunConfig config;
   config.bench = bench;
@@ -134,8 +129,8 @@ inline harness::RunConfig erroneous_config(workloads::Bench bench,
 /// (Table 4, Figures 7-8, Table 5): the per-run metric is wall-clock
 /// seconds, or delivered GFLOPS for HPCG.
 struct OverheadSeries {
-  util::Summary metric;          ///< across runs
-  std::vector<double> per_run;   ///< individual runs (Figs 7-8 plot these)
+  util::Summary metric;         ///< across runs
+  std::vector<double> per_run;  ///< individual runs (Figs 7-8 plot these)
   bool is_gflops = false;
 };
 
@@ -144,10 +139,9 @@ struct OverheadSeries {
 /// study disables auto-tuning, §7.1-I: "Note I does not change in this
 /// study"). Trials fan out across jobs() workers; the series is reduced in
 /// trial order, so it is identical for any worker count.
-inline OverheadSeries measure_performance(workloads::Bench bench, int nranks,
-                                          const sim::Platform& platform,
-                                          int nruns, std::uint64_t seed0,
-                                          double fixed_interval_ms /*0=clean*/) {
+inline OverheadSeries measure_performance(
+    workloads::Bench bench, int nranks, const sim::Platform& platform,
+    int nruns, std::uint64_t seed0, double fixed_interval_ms /*0=clean*/) {
   struct Trial {
     double value = 0.0;
     bool is_gflops = false;

@@ -11,7 +11,7 @@ namespace {
 void fp_block(const char* platform_name, int nranks,
               std::initializer_list<workloads::Bench> benches, int nruns,
               std::uint64_t seed0) {
-  const auto platform = bench::platform_by_name(platform_name);
+  const auto platform = sim::platform_by_name(platform_name).value();
   int false_positives = 0;
   int total_runs = 0;
   int slowdown_filter_saves = 0;
@@ -32,11 +32,12 @@ void fp_block(const char* platform_name, int nranks,
       slowdown_filter_saves += static_cast<int>(run.slowdowns().size());
     }
   }
-  std::printf("%-10s @%5d: %3d clean runs, %6.1f simulated hours, "
-              "%d false positives, %d suspicion streaks absorbed by the "
-              "transient-slowdown filter\n",
-              platform_name, nranks, total_runs, hours, false_positives,
-              slowdown_filter_saves);
+  std::printf(
+      "%-10s @%5d: %3d clean runs, %6.1f simulated hours, "
+      "%d false positives, %d suspicion streaks absorbed by the "
+      "transient-slowdown filter\n",
+      platform_name, nranks, total_runs, hours, false_positives,
+      slowdown_filter_saves);
   std::fflush(stdout);
 }
 
@@ -57,8 +58,9 @@ int main(int argc, char** argv) {
   fp_block("Stampede", 1024,
            {B::kBT, B::kCG, B::kLU, B::kSP, B::kHPCG, B::kHPL},
            bench::runs(2, 20), 83000);
-  std::printf("\nExpected shape (paper): zero false positives; transient "
-              "slowdowns (Stampede especially) are absorbed by the §3.3 "
-              "filter rather than misreported.\n");
+  std::printf(
+      "\nExpected shape (paper): zero false positives; transient "
+      "slowdowns (Stampede especially) are absorbed by the §3.3 "
+      "filter rather than misreported.\n");
   return 0;
 }

@@ -12,9 +12,9 @@ namespace {
 void id_block(const char* platform_name, int nranks,
               std::initializer_list<workloads::Bench> benches, int nruns,
               std::uint64_t seed0) {
-  const auto platform = bench::platform_by_name(platform_name);
-  std::printf("\n-- %s @%d ranks (%d erroneous runs each) --\n",
-              platform_name, nranks, nruns);
+  const auto platform = sim::platform_by_name(platform_name).value();
+  std::printf("\n-- %s @%d ranks (%d erroneous runs each) --\n", platform_name,
+              nranks, nruns);
   std::printf("%-8s %10s %8s %8s\n", "bench", "ACf", "PRf", "Th");
   for (const auto bench : benches) {
     harness::CampaignConfig campaign;
@@ -50,8 +50,9 @@ int main(int argc, char** argv) {
   id_block("Stampede", 4096, {B::kBT, B::kCG, B::kLU, B::kSP, B::kHPL},
            bench::runs(2, 10), 24000);
   id_block("Stampede", 8192, {B::kHPL}, bench::runs(2, 5), 25000);
-  std::printf("\nExpected shape (paper): AC_f ~= 1.0 and PR_f ~= 1.0 almost "
-              "everywhere; HPL's busy-wait collectives occasionally add an "
-              "extra suspect (paper saw PR_f 86.7%% once at 8192).\n");
+  std::printf(
+      "\nExpected shape (paper): AC_f ~= 1.0 and PR_f ~= 1.0 almost "
+      "everywhere; HPL's busy-wait collectives occasionally add an "
+      "extra suspect (paper saw PR_f 86.7%% once at 8192).\n");
   return 0;
 }

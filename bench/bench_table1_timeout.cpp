@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       harness::CampaignConfig campaign;
       campaign.base = bench::erroneous_config(
           column.bench, column.input, 256,
-          bench::platform_by_name(column.platform));
+          sim::platform_by_name(column.platform).value());
       campaign.base.detectors = {harness::DetectorSpec::make_timeout()};
       campaign.base.timeout_config().interval =
           sim::from_millis(setting.interval_ms);
@@ -74,8 +74,9 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  std::printf("\nExpected shape (paper): the small setting (400ms, 5) false-"
-              "alarms on FT(E)@Tianhe-2 and on Tardis, while larger settings "
-              "pay multi-second delays — no single (I, K) fits all.\n");
+  std::printf(
+      "\nExpected shape (paper): the small setting (400ms, 5) false-"
+      "alarms on FT(E)@Tianhe-2 and on Tardis, while larger settings "
+      "pay multi-second delays — no single (I, K) fits all.\n");
   return 0;
 }

@@ -10,13 +10,13 @@ using namespace parastack;
 namespace {
 
 void campaign_block(const char* platform_name, int nranks,
-                    std::initializer_list<workloads::Bench> benches,
-                    int nruns, std::uint64_t seed0) {
-  const auto platform = bench::platform_by_name(platform_name);
+                    std::initializer_list<workloads::Bench> benches, int nruns,
+                    std::uint64_t seed0) {
+  const auto platform = sim::platform_by_name(platform_name).value();
   std::printf("\n-- %s @%d ranks, %d erroneous runs each --\n", platform_name,
               nranks, nruns);
-  std::printf("%-8s %9s %8s %8s %8s\n", "bench", "time(s)", "ACh",
-              "miss", "FP");
+  std::printf("%-8s %9s %8s %8s %8s\n", "bench", "time(s)", "ACh", "miss",
+              "FP");
   for (const auto bench : benches) {
     harness::CampaignConfig campaign;
     campaign.base = bench::erroneous_config(
@@ -31,8 +31,8 @@ void campaign_block(const char* platform_name, int nranks,
     const double clean_s = sim::to_seconds(
         harness::estimate_clean_runtime(*profile, platform, nranks));
     std::printf("%-8s %9.0f %8.2f %8d %8d\n",
-                workloads::bench_name(bench).data(), clean_s,
-                result.accuracy(), result.missed, result.false_positives);
+                workloads::bench_name(bench).data(), clean_s, result.accuracy(),
+                result.missed, result.false_positives);
     std::fflush(stdout);
   }
 }
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
                 "ParaStack SC'17, Table 6 + §7.1-III (4096/8192/16384)");
 
   using B = workloads::Bench;
-  campaign_block("Tardis", 256,
-                 {B::kBT, B::kCG, B::kFT, B::kLU, B::kMG, B::kSP, B::kHPCG,
-                  B::kHPL},
-                 bench::runs(8, 100), 90000);
+  campaign_block(
+      "Tardis", 256,
+      {B::kBT, B::kCG, B::kFT, B::kLU, B::kMG, B::kSP, B::kHPCG, B::kHPL},
+      bench::runs(8, 100), 90000);
   campaign_block("Tianhe-2", 1024,
                  {B::kBT, B::kCG, B::kFT, B::kLU, B::kSP, B::kHPL},
                  bench::runs(4, 50), 91000);
@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   campaign_block("Stampede", 8192, {B::kHPL}, bench::runs(2, 5), 94000);
   campaign_block("Stampede", 16384, {B::kHPL}, bench::runs(1, 3), 95000);
 
-  std::printf("\nExpected shape (paper): accuracy ~0.98-1.0 everywhere; the "
-              "rare misses are hangs striking before the model is built.\n");
+  std::printf(
+      "\nExpected shape (paper): accuracy ~0.98-1.0 everywhere; the "
+      "rare misses are hangs striking before the model is built.\n");
   return 0;
 }

@@ -10,9 +10,9 @@ namespace {
 void delay_block(const char* platform_name, int nranks,
                  std::initializer_list<workloads::Bench> benches, int nruns,
                  std::uint64_t seed0) {
-  const auto platform = bench::platform_by_name(platform_name);
-  std::printf("\n-- %s @%d ranks (%d erroneous runs each) --\n",
-              platform_name, nranks, nruns);
+  const auto platform = sim::platform_by_name(platform_name).value();
+  std::printf("\n-- %s @%d ranks (%d erroneous runs each) --\n", platform_name,
+              nranks, nruns);
   std::printf("%-8s %8s %8s %10s\n", "bench", "D(s)", "S", "detected");
   for (const auto bench : benches) {
     harness::CampaignConfig campaign;
@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
               bench::runs(2, 10), 99000);
   delay_block("Stampede", 8192, {B::kHPL}, bench::runs(2, 5), 99500);
   delay_block("Stampede", 16384, {B::kHPL}, bench::runs(1, 3), 99700);
-  std::printf("\nExpected shape (paper): average delays of ~4-25s; delay "
-              "varies across applications and across hangs of one "
-              "application (q and I adapt at runtime).\n");
+  std::printf(
+      "\nExpected shape (paper): average delays of ~4-25s; delay "
+      "varies across applications and across hangs of one "
+      "application (q and I adapt at runtime).\n");
   return 0;
 }

@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
     double final_interval[2] = {};
     for (int variant = 0; variant < 2; ++variant) {
       harness::CampaignConfig campaign;
-      campaign.base = bench::erroneous_config(
-          row.bench, row.input, 256, bench::platform_by_name(row.platform));
+      campaign.base =
+          bench::erroneous_config(row.bench, row.input, 256,
+                                  sim::platform_by_name(row.platform).value());
       campaign.base.parastack_config().initial_interval =
           variant == 0 ? sim::from_millis(400) : sim::from_millis(10);
       campaign.runs = nruns;
@@ -67,8 +68,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
     std::fflush(stdout);
   }
-  std::printf("\nExpected shape (paper): both variants reach AC=1.0 / FP=0 — "
-              "the auto-tuned interval compensates for the bad 10ms start "
-              "(watch I*_end grow via doubling).\n");
+  std::printf(
+      "\nExpected shape (paper): both variants reach AC=1.0 / FP=0 — "
+      "the auto-tuned interval compensates for the bad 10ms start "
+      "(watch I*_end grow via doubling).\n");
   return 0;
 }

@@ -26,9 +26,9 @@ void run_cell(const Cell& cell, int nranks, const sim::Platform& platform,
               int nruns, std::uint64_t seed0) {
   harness::CampaignConfig campaign;
   campaign.base = bench::erroneous_config(
-      workloads::Bench::kLU, workloads::default_input(workloads::Bench::kLU,
-                                                      nranks),
-      nranks, platform);
+      workloads::Bench::kLU,
+      workloads::default_input(workloads::Bench::kLU, nranks), nranks,
+      platform);
   campaign.runs = nruns;
   campaign.seed0 = seed0;
   campaign.jobs = bench::jobs();
@@ -64,11 +64,11 @@ int main(int argc, char** argv) {
                 "reproduces Table 6 conditions");
 
   const int nranks = 128;  // 8 Stampede nodes -> 8 monitors, 7 non-lead
-  const auto platform = bench::platform_by_name("Stampede");
+  const auto platform = sim::platform_by_name("Stampede").value();
   const int nruns = bench::runs(4, 40);
 
-  std::printf("\nLU @%d ranks (Stampede), %d erroneous runs per cell\n",
-              nranks, nruns);
+  std::printf("\nLU @%d ranks (Stampede), %d erroneous runs per cell\n", nranks,
+              nruns);
   std::printf("%5s %7s %5s %6s %5s %4s %9s %7s %9s %6s %8s\n", "loss",
               "crashes", "lead", "AC", "miss", "FP", "delay(s)", "mcrash",
               "failover", "lost", "retries");
@@ -88,8 +88,9 @@ int main(int argc, char** argv) {
   lead.lead_crash = true;
   run_cell(lead, nranks, platform, nruns, seed0);
 
-  std::printf("\nExpected shape: AC stays >= 0.95 with zero FP through 5%% "
-              "loss + one monitor crash; retries absorb the loss and the "
-              "lead-crash row pays only the re-registration latency.\n");
+  std::printf(
+      "\nExpected shape: AC stays >= 0.95 with zero FP through 5%% "
+      "loss + one monitor crash; retries absorb the loss and the "
+      "lead-crash row pays only the re-registration latency.\n");
   return 0;
 }

@@ -14,13 +14,6 @@ namespace {
 
 constexpr int kNranksChoices[] = {4, 8, 12, 16, 24, 32, 48, 64};
 
-std::optional<workloads::Bench> bench_from_name(std::string_view name) {
-  for (const auto bench : workloads::kAllBenches) {
-    if (workloads::bench_name(bench) == name) return bench;
-  }
-  return std::nullopt;
-}
-
 std::optional<faults::FaultType> fault_from_name(std::string_view name) {
   for (const auto type :
        {faults::FaultType::kNone, faults::FaultType::kComputeHang,
@@ -36,17 +29,6 @@ std::optional<int> platform_from_name(std::string_view name) {
     if (platform_name(i) == name) return i;
   }
   return std::nullopt;
-}
-
-sim::Platform platform_preset(int platform) {
-  switch (platform) {
-    case 1:
-      return sim::Platform::tianhe2();
-    case 2:
-      return sim::Platform::stampede();
-    default:
-      return sim::Platform::tardis();
-  }
 }
 
 }  // namespace
@@ -86,8 +68,8 @@ Scenario generate_scenario(std::uint64_t fuzz_seed) {
   s.bench = workloads::kAllBenches[rng.uniform_int(
       std::uint64_t{std::size(workloads::kAllBenches)})];
   s.input = default_fuzz_input(s.bench);
-  s.nranks = kNranksChoices[rng.uniform_int(
-      std::uint64_t{std::size(kNranksChoices)})];
+  s.nranks =
+      kNranksChoices[rng.uniform_int(std::uint64_t{std::size(kNranksChoices)})];
   s.platform = static_cast<int>(rng.uniform_int(std::uint64_t{3}));
   s.horizon = static_cast<sim::Time>(rng.uniform_int(60, 240)) * sim::kSecond;
 
@@ -186,7 +168,7 @@ harness::RunConfig to_run_config(const Scenario& scenario) {
   config.bench = scenario.bench;
   config.input = scenario.input;
   config.nranks = scenario.nranks;
-  config.platform = platform_preset(scenario.platform);
+  config.platform = *sim::platform_by_name(platform_name(scenario.platform));
   config.seed = scenario.run_seed;
   config.background_slowdowns = scenario.background_slowdowns;
   config.use_monitor_network = scenario.use_monitor_network;
@@ -261,11 +243,10 @@ std::string to_repro(const Scenario& s) {
   // Recovery keys only when armed: repro strings for recovery-free
   // scenarios stay byte-identical to the pre-recovery format.
   if (s.recovery_policy != 0) {
-    std::snprintf(buffer, sizeof buffer, ",recovery=%s,rparam=%d,refault=%d",
-                  recover::recovery_policy_name(
-                      s.recovery_spec().policy)
-                      .data(),
-                  s.recovery_param, s.recovery_refault);
+    std::snprintf(
+        buffer, sizeof buffer, ",recovery=%s,rparam=%d,refault=%d",
+        recover::recovery_policy_name(s.recovery_spec().policy).data(),
+        s.recovery_param, s.recovery_refault);
     out += buffer;
   }
   // Fleet keys only for multi-tenant scenarios, same stability contract.
@@ -299,7 +280,7 @@ std::optional<Scenario> parse_repro(const std::string& repro) {
     } else if (key == "rseed") {
       s.run_seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "bench") {
-      const auto bench = bench_from_name(value);
+      const auto bench = workloads::bench_by_name(value);
       if (!bench) return std::nullopt;
       s.bench = *bench;
     } else if (key == "input") {

@@ -6,50 +6,23 @@
 
 namespace parastack::core {
 
+/// C: number of monitored processes per set, fixed at 10 by the paper
+/// (§3.3 justifies the choice). The timeout baseline monitors as many.
+inline constexpr int kMonitoredCount = 10;
+
 /// ParaStack configuration (paper §3.3 "Parameter Setting"). The only knob
 /// the paper expects users to touch is `alpha`; everything else is the
-/// published default or an ablation switch.
+/// published default or an ablation switch. The parameters the paper fixes
+/// are constants next to the stage that reads them (core/pipeline.hpp).
 struct DetectorConfig {
-  /// C: number of monitored processes per set (fixed at 10 in the paper,
-  /// §3.3 justifies the choice).
-  int monitored_count = 10;
-
   /// I: initial maximum sampling interval; samples land uniformly in
   /// [I/2, 3I/2] (mean I). Auto-doubled by the runs test (§3.1).
   sim::Time initial_interval = sim::from_millis(400);
 
-  /// Safety cap for the auto-doubling (the paper does not bound it; without
-  /// a cap a pathologically regular waveform could push I without limit).
-  sim::Time max_interval = sim::from_millis(12800);
-
   /// Significance level; hang confidence is 1 - alpha. Paper default 0.1%.
   double alpha = 0.001;
 
-  /// Runs test cadence: re-test randomness every this many fresh samples
-  /// until it passes (§3.3 uses 16).
-  int runs_test_batch = 16;
-
-  /// Switch between the two disjoint monitor sets every this many
-  /// observations (§3.3: 30 > ceil(log_0.77 0.001) = 27).
-  int set_switch_period = 30;
-
-  /// Transient-slowdown filter (§3.3): full-sweep stack-trace rounds decide
-  /// hang vs slowdown. The paper takes two traces; we retry with
-  /// exponentially growing gaps (base = max(gap, I), doubling each round,
-  /// capped at 4 s) so that a slow-moving transient is observed long enough
-  /// to show movement before a hang verdict is issued. A real hang is
-  /// static at any gap, so extra rounds only add a few seconds of delay.
-  sim::Time slowdown_recheck_gap = sim::from_millis(300);
-  int slowdown_filter_rounds = 5;
-
-  /// Faulty-process identification (§4): a rank is faulty when it is
-  /// OUT_MPI in `faulty_checks` consecutive sweeps spaced `faulty_check_gap`
-  /// apart (persistence excludes busy-wait flippers).
-  int faulty_checks = 5;
-  sim::Time faulty_check_gap = sim::from_millis(50);
-
   /// Ablation switches (defaults = the paper's tool).
-  bool enable_slowdown_filter = true;
   bool enable_set_alternation = true;
   bool enable_interval_tuning = true;
   /// Off by default (paper-faithful): hang-time samples keep feeding the
@@ -58,23 +31,6 @@ struct DetectorConfig {
   /// collective-heavy apps (FT) and invite false alarms. Ablation:
   /// bench_ablation_model_freeze.
   bool freeze_model_during_streak = false;
-
-  /// Pollution guard: once a suspicion streak reaches this length, further
-  /// samples stop feeding the model. Healthy streaks this long are already
-  /// improbable (q^8 < 1%), so the healthy suspicion mass stays fully
-  /// counted, while a real hang cannot inflate q (and with it the required
-  /// streak k) enough to outrun its own detection when the model is still
-  /// small.
-  std::size_t model_freeze_streak = 8;
-
-  /// Tool-health quorum (tool-fault model): samples whose monitor coverage
-  /// falls below this fraction are judged with an extra streak surcharge
-  /// and are withheld from the model; `degraded_mode_after` consecutive
-  /// below-quorum samples flip the detector into explicit degraded mode.
-  /// All three are inert while coverage stays at 1 (no tool faults).
-  double coverage_quorum = 0.55;
-  std::size_t low_coverage_extra_streak = 3;
-  std::size_t degraded_mode_after = 8;
 
   std::uint64_t seed = 0xde7ec702;
 };

@@ -14,6 +14,13 @@ namespace parastack::core {
 
 namespace {
 
+/// Switch between the two disjoint monitor sets every this many
+/// observations at least (§3.3: 30 > ceil(log_0.77 0.001) = 27).
+constexpr std::size_t kSetSwitchPeriod = 30;
+
+/// Smallest gap between two slowdown-filter rounds (see verification_gap).
+constexpr sim::Time kRecheckGap = sim::from_millis(300);
+
 void emit_streak(obs::TelemetrySink* sink, sim::Time now,
                  std::string_view detector, obs::StreakEvent::Kind kind,
                  std::size_t length, std::size_t required,
@@ -31,48 +38,6 @@ void emit_streak(obs::TelemetrySink* sink, sim::Time now,
 
 }  // namespace
 
-ScroutSampler::Config HangDetector::sampler_config(const DetectorConfig& c) {
-  ScroutSampler::Config config;
-  config.monitored_count = c.monitored_count;
-  config.enable_set_alternation = c.enable_set_alternation;
-  return config;
-}
-
-IntervalTuner::Config HangDetector::tuner_config(const DetectorConfig& c) {
-  IntervalTuner::Config config;
-  config.initial_interval = c.initial_interval;
-  config.max_interval = c.max_interval;
-  config.runs_test_batch = c.runs_test_batch;
-  config.enable = c.enable_interval_tuning;
-  return config;
-}
-
-SuspicionJudge::Config HangDetector::judge_config(const DetectorConfig& c) {
-  SuspicionJudge::Config config;
-  config.alpha = c.alpha;
-  config.freeze_model_during_streak = c.freeze_model_during_streak;
-  config.model_freeze_streak = c.model_freeze_streak;
-  config.coverage_quorum = c.coverage_quorum;
-  config.low_coverage_extra_streak = c.low_coverage_extra_streak;
-  config.degraded_mode_after = c.degraded_mode_after;
-  return config;
-}
-
-TransientFilter::Config HangDetector::filter_config(const DetectorConfig& c) {
-  TransientFilter::Config config;
-  config.rounds = c.slowdown_filter_rounds;
-  config.enabled = c.enable_slowdown_filter;
-  return config;
-}
-
-FaultyIdentifier::Config HangDetector::identifier_config(
-    const DetectorConfig& c) {
-  FaultyIdentifier::Config config;
-  config.checks = c.faulty_checks;
-  config.gap = c.faulty_check_gap;
-  return config;
-}
-
 HangDetector::HangDetector(simmpi::World& world,
                            trace::StackInspector& inspector,
                            DetectorConfig config)
@@ -81,11 +46,9 @@ HangDetector::HangDetector(simmpi::World& world,
       inspector_(inspector),
       config_(config),
       rng_(config.seed),
-      sampler_(world, inspector, sampler_config(config_), rng_),
-      tuner_(tuner_config(config_)),
-      judge_(judge_config(config_)),
-      filter_(filter_config(config_)),
-      identifier_(identifier_config(config_)) {
+      sampler_(world, inspector, config_, rng_),
+      tuner_(config_),
+      judge_(config_) {
   PS_CHECK(config_.alpha > 0.0 && config_.alpha < 1.0, "alpha in (0,1)");
   if (obs::perf::ProfileRegistry* perf = world_.engine().perf();
       perf != nullptr) {
@@ -167,8 +130,7 @@ void HangDetector::take_sample() {
   // wait-dominated apps) q — and hence k — can exceed that, so the dwell
   // time adapts to the current k.
   const std::size_t required_dwell =
-      std::max<std::size_t>(static_cast<std::size_t>(config_.set_switch_period),
-                            judge_.decision().k + 3);
+      std::max(kSetSwitchPeriod, judge_.decision().k + 3);
   if (sampler_.count_observation(required_dwell)) {
     if (judge_.streak() > 0) {
       emit_streak(sink, now, label(), obs::StreakEvent::Kind::kReset,
@@ -180,7 +142,8 @@ void HangDetector::take_sample() {
   const bool freeze = judge_.model_frozen();
   // Below-quorum samples are withheld from the model: a half-blind tool
   // must not teach the model that low S_crout values are normal.
-  const bool meets_quorum = qualified.coverage >= config_.coverage_quorum;
+  const bool meets_quorum =
+      qualified.coverage >= SuspicionJudge::kCoverageQuorum;
   if (!freeze && meets_quorum) {
     judge_.model().add_sample(sample);
     PS_PERF_ADD(perf_tuner_.calls, 1);
@@ -258,9 +221,8 @@ void HangDetector::take_sample() {
 sim::Time HangDetector::verification_gap() const {
   // Wide enough that a healthy app crossing a long collective (FT's
   // transposes) shows movement between the two rounds; a real hang is
-  // static at any gap.
-  return std::clamp(tuner_.interval(), config_.slowdown_recheck_gap,
-                    4 * sim::kSecond);
+  // static at any gap. Later rounds double it, capped at 4 s.
+  return std::clamp(tuner_.interval(), kRecheckGap, 4 * sim::kSecond);
 }
 
 std::vector<trace::StackSnapshot> HangDetector::sweep_all_ranks() {
@@ -275,13 +237,6 @@ std::vector<trace::StackSnapshot> HangDetector::sweep_all_ranks() {
 void HangDetector::begin_verification() {
   state_ = State::kVerifying;
   obs::TelemetrySink* sink = world_.engine().telemetry();
-  if (!filter_.enabled()) {
-    // No filter: the streak's completion is itself the confirmation.
-    confirmed_at_ = world_.engine().now();
-    identifier_.reset();
-    faulty_sweep_round();
-    return;
-  }
   PS_PERF_ADD(perf_filter_.calls, 1);
   {
     PS_PERF_SCOPE(scope, perf_filter_.timer);
@@ -417,7 +372,7 @@ void HangDetector::faulty_sweep_round() {
     sink->on_event(sweep);
   }
   if (!done) {
-    world_.engine().schedule_after(identifier_.gap(),
+    world_.engine().schedule_after(FaultyIdentifier::kGap,
                                    [this] { faulty_sweep_round(); });
     return;
   }

@@ -91,14 +91,10 @@ class HangDetector final : public Detector {
   bool randomness_confirmed() const noexcept {
     return tuner_.randomness_confirmed();
   }
-  std::size_t interval_doublings() const noexcept {
-    return tuner_.doublings();
-  }
+  std::size_t interval_doublings() const noexcept { return tuner_.doublings(); }
   const ScroutModel& model() const noexcept { return judge_.model(); }
   ScroutModel::Decision current_decision() const { return judge_.decision(); }
-  std::size_t observations() const noexcept {
-    return sampler_.observations();
-  }
+  std::size_t observations() const noexcept { return sampler_.observations(); }
   std::size_t streak() const noexcept { return judge_.streak(); }
   int active_set() const noexcept { return sampler_.active_set(); }
   const std::vector<simmpi::Rank>& monitor_set(int index) const {
@@ -121,12 +117,6 @@ class HangDetector final : public Detector {
     obs::perf::Counter* calls = nullptr;
     obs::perf::Timer* timer = nullptr;
   };
-
-  static ScroutSampler::Config sampler_config(const DetectorConfig& c);
-  static IntervalTuner::Config tuner_config(const DetectorConfig& c);
-  static SuspicionJudge::Config judge_config(const DetectorConfig& c);
-  static TransientFilter::Config filter_config(const DetectorConfig& c);
-  static FaultyIdentifier::Config identifier_config(const DetectorConfig& c);
 
   void schedule_next_sample();
   void take_sample();

@@ -104,22 +104,12 @@ sim::Time MonitorNetwork::tree_gather_latency(int levels, sim::Time now) {
   PS_PERF_OBSERVE(perf_fan_in_, static_cast<std::uint64_t>(widest));
   obs::TelemetrySink* sink = sub_.engine().telemetry();
   sim::Time total = 0;
-  for (int receiver_level = levels - 1; receiver_level >= 0;
-       --receiver_level) {
+  for (int receiver_level = levels - 1; receiver_level >= 0; --receiver_level) {
     const int fan = std::max(
         level_max_fan_in_[static_cast<std::size_t>(receiver_level)], 1);
-    sim::Time gather =
+    const sim::Time gather =
         static_cast<sim::Time>(std::bit_width(static_cast<unsigned>(fan))) *
         sub_.network_latency();
-    // A per-level deadline bounds how long any one gather step may take:
-    // a straggling wide level forwards what arrived in time instead of
-    // stalling the sample. Latency-only — partial counts still aggregate
-    // in full (the model treats the overage as pipelined into the next
-    // level), so S_crout is unchanged; only the latency model tightens.
-    if (level_deadline_ > 0 && gather > level_deadline_) {
-      gather = level_deadline_;
-      ++deadline_hits_;
-    }
     total += gather;
     if (sink != nullptr) {
       obs::MonitorLevelEvent event;
@@ -146,7 +136,6 @@ void MonitorNetwork::set_topology(const TopologyConfig& config) {
   PS_CHECK(!plan_.active(),
            "set_topology must be called before set_tool_faults");
   topology_.build(sub_.nnodes(), config);
-  level_deadline_ = config.level_deadline;
 }
 
 void MonitorNetwork::set_tool_faults(const faults::ToolFaultPlan& plan) {
@@ -206,19 +195,19 @@ void MonitorNetwork::crash_monitor(int node, sim::Time at) {
   if (removal.root_changed) {
     ++failovers_;
     PS_PERF_ADD(perf_failovers_, 1);
-    pending_reregistration_ += plan_.reregistration_latency;
+    pending_reregistration_ += kReregistrationLatency;
     if (sink != nullptr) {
       obs::LeadFailoverEvent event;
       event.time = at;
       event.from = node;
       event.to = removal.new_root;
-      event.reregistration_latency = plan_.reregistration_latency;
+      event.reregistration_latency = kReregistrationLatency;
       sink->on_event(event);
     }
   } else if (removal.promoted >= 0) {
     ++subtree_failovers_;
     PS_PERF_ADD(perf_subtree_failovers_, 1);
-    pending_reregistration_ += plan_.reregistration_latency;
+    pending_reregistration_ += kReregistrationLatency;
     if (sink != nullptr) {
       obs::TreeFailoverEvent event;
       event.time = at;
@@ -226,7 +215,7 @@ void MonitorNetwork::crash_monitor(int node, sim::Time at) {
       event.promoted = removal.promoted;
       event.parent = topology_.parent(removal.promoted);
       event.adopted = removal.adopted;
-      event.reregistration_latency = plan_.reregistration_latency;
+      event.reregistration_latency = kReregistrationLatency;
       sink->on_event(event);
     }
   }
@@ -295,11 +284,10 @@ MonitorNetwork::Measurement MonitorNetwork::measure(
     bool delivered = !tool_rng_.bernoulli(plan_.loss_probability);
     int attempts_retried = 0;
     sim::Time hop_penalty = 0;
-    while (!delivered && attempts_retried < plan_.max_retries) {
+    while (!delivered && attempts_retried < kMaxRetries) {
       ++attempts_retried;
       ++sample_messages;
-      hop_penalty += plan_.sample_timeout +
-                     (plan_.retry_backoff << (attempts_retried - 1));
+      hop_penalty += kSampleTimeout + (kRetryBackoff << (attempts_retried - 1));
       delivered = !tool_rng_.bernoulli(plan_.loss_probability);
     }
     if (delivered && plan_.delay_mean > 0) {
@@ -307,7 +295,7 @@ MonitorNetwork::Measurement MonitorNetwork::measure(
           tool_rng_.exponential(static_cast<double>(plan_.delay_mean)));
     }
     if (!delivered) {
-      hop_penalty += plan_.sample_timeout;  // the parent's final wait
+      hop_penalty += kSampleTimeout;  // the parent's final wait
       const auto dropped = static_cast<std::uint64_t>(agg_monitors_[cidx]);
       measurement.partials_missing += agg_monitors_[cidx];
       lost_ += dropped;

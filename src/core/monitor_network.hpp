@@ -46,6 +46,17 @@ namespace parastack::core {
 /// private stream, which nothing else reads.
 class MonitorNetwork {
  public:
+  /// The aggregation protocol, consulted only once a partial is lost or a
+  /// monitor dies: the receiving monitor waits kSampleTimeout for each
+  /// partial, then re-requests it up to kMaxRetries times, the n-th retry
+  /// after a further kRetryBackoff * 2^(n-1).
+  static constexpr sim::Time kSampleTimeout = sim::from_millis(5);
+  static constexpr int kMaxRetries = 3;
+  static constexpr sim::Time kRetryBackoff = sim::from_millis(10);
+  /// Modeled cost of survivors re-registering after a failover; charged to
+  /// the next sample's aggregation latency.
+  static constexpr sim::Time kReregistrationLatency = sim::from_millis(250);
+
   explicit MonitorNetwork(simmpi::World& world,
                           trace::StackInspector& inspector);
   /// Drive the aggregation layer over any substrate (synthetic worlds for
@@ -81,9 +92,8 @@ class MonitorNetwork {
   Measurement measure(const std::vector<simmpi::Rank>& set);
 
   /// Rebuild the aggregation topology from `config`: a k-ary tree, or the
-  /// star for fanout <= 0 (its level deadline applies either way). Call
-  /// before the first sample and before set_tool_faults (crash victim
-  /// selection must know the root).
+  /// star for fanout <= 0. Call before the first sample and before
+  /// set_tool_faults (crash victim selection must know the root).
   void set_topology(const TopologyConfig& config);
   const MonitorTopology& topology() const noexcept { return topology_; }
 
@@ -113,11 +123,6 @@ class MonitorNetwork {
   std::uint64_t tree_hops() const noexcept { return tree_hops_; }
   /// Largest per-monitor fan-in seen in any single sample.
   int max_fan_in() const noexcept { return max_fan_in_; }
-  /// Gather levels that hit the per-level deadline and forwarded early
-  /// (always zero without a configured deadline).
-  std::uint64_t level_deadline_hits() const noexcept {
-    return deadline_hits_;
-  }
 
   /// Tool-fault outcome counters (all zero under the empty plan).
   std::uint64_t monitor_crashes() const noexcept { return crashes_; }
@@ -161,8 +166,6 @@ class MonitorNetwork {
 
   // Aggregation topology (the star unless set_topology armed a tree).
   MonitorTopology topology_;
-  sim::Time level_deadline_ = 0;  ///< per-level gather cap (0 = none)
-  std::uint64_t deadline_hits_ = 0;
 
   // Tool-fault state (the empty plan unless set_tool_faults armed one).
   faults::ToolFaultPlan plan_;
@@ -181,15 +184,15 @@ class MonitorNetwork {
   // Pooled per-sample scratch (SoA: flat arrays indexed by node and a
   // bitset mark — no per-sample heap churn once warm).
   util::DynamicBitset node_mark_;
-  std::vector<int> active_nodes_;         ///< distinct hosting nodes
-  std::vector<int> carriers_;             ///< carriers, deepest first
-  std::vector<int> fan_in_;               ///< per-node fan-in this sample
-  std::vector<int> agg_monitors_;         ///< partials aggregated per node
-  std::vector<int> agg_covered_;          ///< covered ranks per node
-  std::vector<int> agg_out_;              ///< OUT_MPI ranks per node
-  std::vector<sim::Time> agg_penalty_;    ///< accumulated wait per node
-  std::vector<int> level_max_fan_in_;     ///< per-level gather width
-  std::vector<int> level_senders_;        ///< carriers forwarding per level
+  std::vector<int> active_nodes_;       ///< distinct hosting nodes
+  std::vector<int> carriers_;           ///< carriers, deepest first
+  std::vector<int> fan_in_;             ///< per-node fan-in this sample
+  std::vector<int> agg_monitors_;       ///< partials aggregated per node
+  std::vector<int> agg_covered_;        ///< covered ranks per node
+  std::vector<int> agg_out_;            ///< OUT_MPI ranks per node
+  std::vector<sim::Time> agg_penalty_;  ///< accumulated wait per node
+  std::vector<int> level_max_fan_in_;   ///< per-level gather width
+  std::vector<int> level_senders_;      ///< carriers forwarding per level
 
   // Perf mirrors of the counters above, resolved once from the engine's
   // ProfileRegistry (all null when perf accounting is off).

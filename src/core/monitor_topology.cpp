@@ -1,7 +1,6 @@
 #include "core/monitor_topology.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "util/check.hpp"
@@ -9,41 +8,13 @@
 
 namespace parastack::core {
 
-namespace {
-
-/// Nodes a k-ary tree with `levels` levels below the root can hold
-/// (saturating, so huge fanouts don't overflow).
-std::uint64_t capacity(std::uint64_t fanout, int levels) {
-  std::uint64_t total = 1;  // the root
-  std::uint64_t width = 1;
-  for (int l = 0; l < levels; ++l) {
-    if (width > std::numeric_limits<std::uint64_t>::max() / fanout) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    width *= fanout;
-    if (total > std::numeric_limits<std::uint64_t>::max() - width) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    total += width;
-  }
-  return total;
-}
-
-}  // namespace
-
 void MonitorTopology::build(int nodes, const TopologyConfig& config) {
   PS_CHECK(nodes > 0, "topology needs at least one monitor");
 
   // The star is the one-level tree: its fanout fits every monitor under
-  // the root. A depth cap widens a k-ary fanout until everyone fits.
-  std::uint64_t fanout = static_cast<std::uint64_t>(
-      config.tree() ? config.fanout : std::max(nodes - 1, 1));
-  if (config.depth > 0) {
-    while (capacity(fanout, config.depth) < static_cast<std::uint64_t>(nodes)) {
-      ++fanout;
-    }
-  }
-  effective_fanout_ = static_cast<int>(fanout);
+  // the root.
+  effective_fanout_ = config.tree() ? config.fanout : std::max(nodes - 1, 1);
+  const auto fanout = static_cast<std::size_t>(effective_fanout_);
 
   // Positions form the complete k-ary tree (position 0 = root, parent of
   // position p is (p-1)/k); the placement permutation decides which

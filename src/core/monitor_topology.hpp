@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace parastack::core {
 
 /// Shape of the monitor aggregation topology (one monitor per node).
@@ -17,22 +15,12 @@ namespace parastack::core {
 struct TopologyConfig {
   /// Children per interior monitor. <= 0 selects the flat star.
   int fanout = 0;
-  /// Maximum levels below the root. 0 = unbounded (the fanout alone
-  /// shapes the tree); a positive cap widens the effective fanout until
-  /// every monitor fits within `depth` levels.
-  int depth = 0;
   /// Seed for the node -> tree-position placement. 0 keeps the identity
   /// placement (node 0 at the root, ids level by level); anything else
   /// shuffles placement deterministically, which is how a trial seed
   /// yields a trial-specific tree without extra draws from the trial RNG.
   /// The star ignores it: monitor 0 is always its root.
   std::uint64_t seed = 0;
-  /// Per-level gather deadline: each level's gather step contributes at
-  /// most this much latency — a straggling wide level forwards whatever
-  /// partial counts arrived in time instead of stalling the whole sample.
-  /// 0 (the default) = no deadline, the latency model is unchanged. The
-  /// star's one gather is capped like any other level.
-  sim::Time level_deadline = 0;
 
   bool tree() const noexcept { return fanout > 0; }
   bool operator==(const TopologyConfig&) const = default;
@@ -69,7 +57,7 @@ class MonitorTopology {
   bool removed(int node) const {
     return removed_[static_cast<std::size_t>(node)];
   }
-  /// Fanout actually used (>= config.fanout when a depth cap widened it).
+  /// Fanout actually used: config.fanout, or nodes - 1 for the star.
   int effective_fanout() const noexcept { return effective_fanout_; }
 
   struct Removal {

@@ -16,9 +16,8 @@ namespace parastack::core {
 
 ScroutSampler::ScroutSampler(simmpi::World& world,
                              trace::StackInspector& inspector,
-                             const Config& config, util::Rng& rng)
+                             const DetectorConfig& config, util::Rng& rng)
     : world_(world), inspector_(inspector), config_(config), rng_(rng) {
-  PS_CHECK(config_.monitored_count >= 1, "C must be >= 1");
   choose_monitor_sets();
 }
 
@@ -32,8 +31,7 @@ void ScroutSampler::choose_monitor_sets() {
   for (std::size_t i = all.size(); i > 1; --i) {
     std::swap(all[i - 1], all[rng_.uniform_int(i)]);
   }
-  const int per_set =
-      std::max(1, std::min(config_.monitored_count, nranks / 2));
+  const int per_set = std::max(1, std::min(kMonitoredCount, nranks / 2));
   sets_[0].assign(all.begin(), all.begin() + per_set);
   sets_[1].assign(all.begin() + per_set, all.begin() + 2 * per_set);
 }
@@ -83,7 +81,7 @@ bool ScroutSampler::count_observation(std::size_t required_dwell) {
 
 // --- IntervalTuner ---------------------------------------------------------
 
-IntervalTuner::IntervalTuner(const Config& config) : config_(config) {
+IntervalTuner::IntervalTuner(const DetectorConfig& config) : config_(config) {
   PS_CHECK(config_.initial_interval > 0, "I must be positive");
   state_.interval = config_.initial_interval;
 }
@@ -96,12 +94,8 @@ void IntervalTuner::reset() {
 void IntervalTuner::on_model_sample(ScroutModel& model,
                                     obs::TelemetrySink* sink, sim::Time now,
                                     std::string_view label) {
-  if (state_.randomness_confirmed || !config_.enable) return;
-  ++state_.samples_since_runs_test;
-  if (state_.samples_since_runs_test <
-      static_cast<std::size_t>(config_.runs_test_batch)) {
-    return;
-  }
+  if (state_.randomness_confirmed || !config_.enable_interval_tuning) return;
+  if (++state_.samples_since_runs_test < kRunsTestBatch) return;
   state_.samples_since_runs_test = 0;
   const auto result = stats::runs_test(model.ecdf().samples());
   if (sink != nullptr) {
@@ -121,7 +115,7 @@ void IntervalTuner::on_model_sample(ScroutModel& model,
                     model.size());
     return;
   }
-  const bool capped = state_.interval * 2 > config_.max_interval;
+  const bool capped = state_.interval * 2 > kMaxInterval;
   if (capped) {
     // The paper does not bound the doubling; we cap it so a pathologically
     // regular waveform cannot disable detection outright.
@@ -169,10 +163,10 @@ SuspicionJudge::Verdict SuspicionJudge::judge(double sample,
 
   // Tool-health bookkeeping first: degraded mode is about the monitoring
   // substrate, independent of what the (possibly blind) value says.
-  const bool below_quorum = coverage < config_.coverage_quorum;
+  const bool below_quorum = coverage < kCoverageQuorum;
   if (below_quorum) {
     ++low_coverage_run_;
-    if (!degraded_ && low_coverage_run_ >= config_.degraded_mode_after) {
+    if (!degraded_ && low_coverage_run_ >= kDegradedModeAfter) {
       degraded_ = true;
       verdict.entered_degraded = true;
     }
@@ -195,10 +189,10 @@ SuspicionJudge::Verdict SuspicionJudge::judge(double sample,
       ++streak_;
       if (below_quorum) ++streak_low_samples_;
       // Below-quorum evidence is weaker: the streak must run past k by the
-      // configured surcharge before verification starts.
+      // surcharge before verification starts.
       verdict.required =
           verdict.decision.k +
-          (streak_low_samples_ > 0 ? config_.low_coverage_extra_streak : 0);
+          (streak_low_samples_ > 0 ? kLowCoverageExtraStreak : 0);
       verdict.verify = streak_ >= verdict.required;
     } else {
       verdict.ended_streak = streak_;
@@ -250,7 +244,7 @@ TransientFilter::Check TransientFilter::check(
     return result;
   }
   ++rounds_done_;
-  if (rounds_done_ >= config_.rounds) {
+  if (rounds_done_ >= kRounds) {
     result.outcome = Outcome::kHangConfirmed;
     return result;
   }
@@ -263,7 +257,7 @@ TransientFilter::Check TransientFilter::check(
 
 bool FaultyIdentifier::add_sweep(std::vector<trace::StackSnapshot> sweep) {
   sweeps_.push_back(std::move(sweep));
-  return sweeps_.size() >= static_cast<std::size_t>(config_.checks);
+  return sweeps_.size() >= static_cast<std::size_t>(kChecks);
 }
 
 std::vector<simmpi::Rank> FaultyIdentifier::identify() const {

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/model.hpp"
 #include "core/monitor_network.hpp"
 #include "core/slowdown_filter.hpp"
@@ -31,7 +32,9 @@ namespace parastack::core {
 //
 // HangDetector orchestrates these; each stage is deterministic, owns only
 // its slice of the state, and is unit-testable without the others. The
-// ablation benches swap or disable individual stages through their configs.
+// sampler, tuner and judge read the DetectorConfig, whose ablation switches
+// the ablation benches flip; the parameters the paper fixes (§3.3) are
+// constants next to the stage that reads them.
 // ---------------------------------------------------------------------------
 
 /// Stage 1 (§3.1, §3.3): measures S_crout over two disjoint random monitor
@@ -39,16 +42,12 @@ namespace parastack::core {
 /// alternates the active set after an adaptive dwell.
 class ScroutSampler {
  public:
-  struct Config {
-    int monitored_count = 10;  ///< C: ranks per set
-    bool enable_set_alternation = true;
-  };
-
   /// Draws the Fisher-Yates shuffle for the two sets from `rng` at
   /// construction, then one uniform per next_delay() — the detector's RNG
-  /// stream is owned by the orchestrator and shared by reference.
+  /// stream is owned by the orchestrator and shared by reference. Each set
+  /// holds kMonitoredCount ranks (fewer when the job has under 2C).
   ScroutSampler(simmpi::World& world, trace::StackInspector& inspector,
-                const Config& config, util::Rng& rng);
+                const DetectorConfig& config, util::Rng& rng);
 
   /// Route measurements through the per-node monitor topology (§5) instead
   /// of direct inspector calls. Observable values are identical. Optional.
@@ -90,7 +89,7 @@ class ScroutSampler {
 
   simmpi::World& world_;
   trace::StackInspector& inspector_;
-  Config config_;
+  DetectorConfig config_;
   util::Rng& rng_;
   MonitorNetwork* monitors_ = nullptr;
   int active_set_ = 0;
@@ -104,12 +103,12 @@ class ScroutSampler {
 /// hit), thinning the model history at each doubling.
 class IntervalTuner {
  public:
-  struct Config {
-    sim::Time initial_interval = sim::from_millis(400);
-    sim::Time max_interval = sim::from_millis(12800);
-    int runs_test_batch = 16;  ///< re-test cadence until randomness holds
-    bool enable = true;
-  };
+  /// Safety cap for the auto-doubling (the paper does not bound it; without
+  /// a cap a pathologically regular waveform could push I without limit).
+  static constexpr sim::Time kMaxInterval = sim::from_millis(12800);
+  /// Runs test cadence: re-test randomness every this many fresh samples
+  /// until it passes (§3.3).
+  static constexpr std::size_t kRunsTestBatch = 16;
 
   /// Everything the tuner learns; stashed and restored per phase (§6).
   struct State {
@@ -119,7 +118,7 @@ class IntervalTuner {
     std::size_t samples_since_runs_test = 0;
   };
 
-  explicit IntervalTuner(const Config& config);
+  explicit IntervalTuner(const DetectorConfig& config);
 
   sim::Time interval() const noexcept { return state_.interval; }
   bool randomness_confirmed() const noexcept {
@@ -139,7 +138,7 @@ class IntervalTuner {
                        sim::Time now, std::string_view label);
 
  private:
-  Config config_;
+  DetectorConfig config_;
   State state_;
 };
 
@@ -149,25 +148,28 @@ class IntervalTuner {
 /// per-phase model stash.
 class SuspicionJudge {
  public:
-  struct Config {
-    double alpha = 0.001;
-    bool freeze_model_during_streak = false;
-    std::size_t model_freeze_streak = 8;
-    /// Tool-health quorum: a sample whose coverage is below this fraction
-    /// is "below quorum" — it still advances the streak (missing ranks are
-    /// treated as IN_MPI via coverage scaling) but verification then needs
-    /// `low_coverage_extra_streak` additional consecutive suspicious
-    /// observations, because q^k bounds the false-alarm rate only for
-    /// fully observed samples.
-    double coverage_quorum = 0.55;
-    std::size_t low_coverage_extra_streak = 3;
-    /// After this many consecutive below-quorum samples the judge enters
-    /// explicit degraded mode (journaled; the harness can start a fallback
-    /// TimeoutDetector on the transition).
-    std::size_t degraded_mode_after = 8;
-  };
+  /// Pollution guard: once a suspicion streak reaches this length, further
+  /// samples stop feeding the model. Healthy streaks this long are already
+  /// improbable (q^8 < 1%), so the healthy suspicion mass stays fully
+  /// counted, while a real hang cannot inflate q (and with it the required
+  /// streak k) enough to outrun its own detection when the model is still
+  /// small.
+  static constexpr std::size_t kModelFreezeStreak = 8;
+  /// Tool-health quorum: a sample whose coverage is below this fraction is
+  /// "below quorum" — it still advances the streak (missing ranks are
+  /// treated as IN_MPI via coverage scaling) and is withheld from the
+  /// model, but verification then needs kLowCoverageExtraStreak additional
+  /// consecutive suspicious observations, because q^k bounds the
+  /// false-alarm rate only for fully observed samples. All three are inert
+  /// while coverage stays at 1 (no tool faults).
+  static constexpr double kCoverageQuorum = 0.55;
+  static constexpr std::size_t kLowCoverageExtraStreak = 3;
+  /// After this many consecutive below-quorum samples the judge enters
+  /// explicit degraded mode (journaled; the harness can start a fallback
+  /// TimeoutDetector on the transition).
+  static constexpr std::size_t kDegradedModeAfter = 8;
 
-  explicit SuspicionJudge(const Config& config) : config_(config) {}
+  explicit SuspicionJudge(const DetectorConfig& config) : config_(config) {}
 
   ScroutModel& model() noexcept { return model_; }
   const ScroutModel& model() const noexcept { return model_; }
@@ -181,7 +183,7 @@ class SuspicionJudge {
   /// feeding the model (a hang must not inflate q past its own detection).
   bool model_frozen() const noexcept {
     return (config_.freeze_model_during_streak && streak_ > 0) ||
-           streak_ >= config_.model_freeze_streak;
+           streak_ >= kModelFreezeStreak;
   }
 
   struct Verdict {
@@ -199,14 +201,14 @@ class SuspicionJudge {
   /// Judge one S_crout sample. Detection is gated on BOTH the ladder being
   /// ready and the runs test having accepted the sampling as random — q^k
   /// bounds the false-alarm probability only under independent sampling.
-  /// `coverage` qualifies the sample's tool health (see Config): callers
+  /// `coverage` qualifies the sample's tool health (kCoverageQuorum): callers
   /// pass the coverage-scaled estimate as `sample` and the raw coverage
   /// here. A zero-coverage sample carries no signal at all — it neither
   /// advances nor resets the streak, it only counts toward degraded mode.
   Verdict judge(double sample, bool randomness_confirmed,
                 double coverage = 1.0);
 
-  /// True while coverage has been below quorum for degraded_mode_after
+  /// True while coverage has been below quorum for kDegradedModeAfter
   /// consecutive samples (and has not recovered yet).
   bool degraded_mode() const noexcept { return degraded_; }
   std::size_t consecutive_low_coverage() const noexcept {
@@ -230,7 +232,7 @@ class SuspicionJudge {
     IntervalTuner::State tuning;
   };
 
-  Config config_;
+  DetectorConfig config_;
   ScroutModel model_;
   std::size_t streak_ = 0;
   int current_phase_ = 0;
@@ -242,14 +244,16 @@ class SuspicionJudge {
 };
 
 /// Stage 4 (§3.3): once a streak completes, full stack-trace sweeps decide
-/// hang vs transient slowdown — movement between rounds absolves, N static
-/// rounds confirm.
+/// hang vs transient slowdown — movement between rounds absolves, kRounds
+/// static rounds confirm.
 class TransientFilter {
  public:
-  struct Config {
-    int rounds = 5;  ///< static rounds needed to confirm a hang
-    bool enabled = true;
-  };
+  /// Static rounds needed to confirm a hang. The paper takes two traces;
+  /// the orchestrator retries with growing gaps so that a slow-moving
+  /// transient is observed long enough to show movement before a hang
+  /// verdict is issued. A real hang is static at any gap, so extra rounds
+  /// only add a few seconds of delay.
+  static constexpr int kRounds = 5;
 
   enum class Outcome {
     kRetry,          ///< static so far; look again after a longer gap
@@ -262,9 +266,6 @@ class TransientFilter {
     SlowdownEvidence evidence;  ///< set for kSlowdown
   };
 
-  explicit TransientFilter(const Config& config) : config_(config) {}
-
-  bool enabled() const noexcept { return config_.enabled; }
   /// Arm the filter with the first full sweep (round 1).
   void begin(std::vector<trace::StackSnapshot> first_round);
   /// Compare a later sweep against the previous round and advance.
@@ -274,32 +275,26 @@ class TransientFilter {
   int rounds_done() const noexcept { return rounds_done_; }
 
  private:
-  Config config_;
   int rounds_done_ = 0;
   std::vector<trace::StackSnapshot> previous_;
 };
 
-/// Stage 5 (§4): after a confirmed hang, sweeps spaced gap() apart identify
-/// the ranks persistently OUT_MPI (persistence excludes busy-wait flippers).
+/// Stage 5 (§4): after a confirmed hang, kChecks sweeps spaced kGap apart
+/// identify the ranks persistently OUT_MPI (persistence excludes busy-wait
+/// flippers).
 class FaultyIdentifier {
  public:
-  struct Config {
-    int checks = 5;
-    sim::Time gap = sim::from_millis(50);
-  };
-
-  explicit FaultyIdentifier(const Config& config) : config_(config) {}
+  static constexpr int kChecks = 5;
+  static constexpr sim::Time kGap = sim::from_millis(50);
 
   void reset() { sweeps_.clear(); }
-  /// Add one sweep; returns true once `checks` sweeps were collected.
+  /// Add one sweep; returns true once kChecks sweeps were collected.
   bool add_sweep(std::vector<trace::StackSnapshot> sweep);
   std::vector<simmpi::Rank> identify() const;
 
   int rounds() const noexcept { return static_cast<int>(sweeps_.size()); }
-  sim::Time gap() const noexcept { return config_.gap; }
 
  private:
-  Config config_;
   std::vector<std::vector<trace::StackSnapshot>> sweeps_;
 };
 

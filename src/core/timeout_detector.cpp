@@ -7,12 +7,21 @@
 
 namespace parastack::core {
 
+namespace {
+
+/// "Persistently low": S_crout <= this counts toward the streak.
+constexpr double kLowThreshold = 0.1001;
+
+}  // namespace
+
 TimeoutDetector::TimeoutDetector(simmpi::World& world,
                                  trace::StackInspector& inspector,
                                  Config config)
-    : Detector(DetectorKind::kTimeout), world_(world), inspector_(inspector),
-      config_(config), rng_(config.seed) {
-  PS_CHECK(config_.monitored_count >= 1, "C must be >= 1");
+    : Detector(DetectorKind::kTimeout),
+      world_(world),
+      inspector_(inspector),
+      config_(config),
+      rng_(config.seed) {
   PS_CHECK(config_.k >= 1, "K must be >= 1");
   std::vector<simmpi::Rank> all(static_cast<std::size_t>(world_.nranks()));
   std::iota(all.begin(), all.end(), 0);
@@ -20,7 +29,7 @@ TimeoutDetector::TimeoutDetector(simmpi::World& world,
     std::swap(all[i - 1], all[rng_.uniform_int(i)]);
   }
   const auto count = std::min<std::size_t>(
-      static_cast<std::size_t>(config_.monitored_count), all.size());
+      static_cast<std::size_t>(kMonitoredCount), all.size());
   monitored_.assign(all.begin(), all.begin() + static_cast<long>(count));
 }
 
@@ -41,7 +50,7 @@ void TimeoutDetector::tick() {
   }
   const double scrout =
       static_cast<double>(out) / static_cast<double>(monitored_.size());
-  if (scrout <= config_.low_threshold) {
+  if (scrout <= kLowThreshold) {
     ++streak_;
   } else {
     streak_ = 0;

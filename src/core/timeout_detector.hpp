@@ -4,6 +4,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/detector_base.hpp"
 #include "sim/time.hpp"
 #include "simmpi/world.hpp"
@@ -12,17 +13,15 @@
 
 namespace parastack::core {
 
-/// The fixed-(I, K) baseline of paper §3 / Table 1: check S_crout of C
-/// monitored ranks every I; report a hang after K consecutive "low"
-/// observations. No model, no tuning — the strawman ParaStack replaces.
+/// The fixed-(I, K) baseline of paper §3 / Table 1: check S_crout of
+/// kMonitoredCount monitored ranks every I; report a hang after K
+/// consecutive "low" observations. No model, no tuning — the strawman
+/// ParaStack replaces.
 class TimeoutDetector final : public Detector {
  public:
   struct Config {
-    int monitored_count = 10;
     sim::Time interval = sim::from_millis(400);  ///< I
     int k = 5;                                   ///< K
-    /// "Persistently low": S_crout <= this counts toward the streak.
-    double low_threshold = 0.1001;
     std::uint64_t seed = 0x71e0;
   };
 
@@ -35,9 +34,7 @@ class TimeoutDetector final : public Detector {
 
   void start() override;
   void stop() noexcept override { stopped_ = true; }
-  DetectorKind kind() const noexcept override {
-    return DetectorKind::kTimeout;
-  }
+  DetectorKind kind() const noexcept override { return DetectorKind::kTimeout; }
 
   std::function<void(const Report&)> on_hang;
 

@@ -27,8 +27,8 @@ std::string_view fault_type_name(FaultType type) noexcept;
 
 struct FaultPlan {
   FaultType type = FaultType::kNone;
-  simmpi::Rank victim = -1;      ///< victim rank (its node for node faults)
-  sim::Time trigger_time = 0;    ///< earliest activation instant
+  simmpi::Rank victim = -1;    ///< victim rank (its node for node faults)
+  sim::Time trigger_time = 0;  ///< earliest activation instant
   // kTransientSlowdown only:
   sim::Time slowdown_duration = 10 * sim::kSecond;
   double slowdown_factor = 12.0;
@@ -58,17 +58,6 @@ struct ToolFaultPlan {
   std::vector<MonitorCrash> monitor_crashes;
   /// Crash whoever is lead at this instant (exercises failover).
   std::optional<sim::Time> lead_crash_at;
-
-  /// Aggregation-protocol knobs, consulted only once a partial is lost or
-  /// a monitor dies: the receiving monitor waits `sample_timeout` for each
-  /// partial, then re-requests it up to `max_retries` times with
-  /// exponentially growing backoff.
-  sim::Time sample_timeout = sim::from_millis(5);
-  int max_retries = 3;
-  sim::Time retry_backoff = sim::from_millis(10);
-  /// Modeled cost of survivors re-registering with a new lead after
-  /// failover; charged to the next sample's aggregation latency.
-  sim::Time reregistration_latency = sim::from_millis(250);
 
   /// RNG seed for loss/delay/victim draws. 0 = derive from the run seed.
   std::uint64_t seed = 0;

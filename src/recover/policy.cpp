@@ -26,7 +26,7 @@ core::RecoveryDecision CheckpointRestartPolicy::on_kill(
   core::RecoveryDecision decision;
   decision.restart = true;
   if (last_checkpoint != nullptr) decision.resume = *last_checkpoint;
-  decision.overhead = spec_.restart_cost;
+  decision.overhead = kRestartCost;
   decision.detail = rollback_detail(decision.resume);
   return decision;
 }
@@ -39,20 +39,19 @@ core::RecoveryDecision SpareFailoverPolicy::on_kill(
   core::RecoveryDecision decision;
   // A communication-error verdict has an empty faulty set; splicing in one
   // spare for the unidentified culprit is the best the policy can do.
-  const int needed =
-      std::max(1, static_cast<int>(verdict.faulty_ranks.size()));
+  const int needed = std::max(1, static_cast<int>(verdict.faulty_ranks.size()));
   if (needed > spares_left_) {
     decision.restart = false;
     char buffer[64];
-    std::snprintf(buffer, sizeof buffer,
-                  "spares exhausted (need %d, have %d)", needed, spares_left_);
+    std::snprintf(buffer, sizeof buffer, "spares exhausted (need %d, have %d)",
+                  needed, spares_left_);
     decision.detail = buffer;
     return decision;
   }
   spares_left_ -= needed;
   decision.restart = true;
   decision.resume = at_kill;
-  decision.overhead = spec_.failover_cost;
+  decision.overhead = kFailoverCost;
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "replaced %d rank(s), %d spare(s) left",
                 needed, spares_left_);
@@ -75,7 +74,7 @@ core::RecoveryDecision TeamReplicationPolicy::on_kill(
   decision.restart = true;
   if (last_checkpoint != nullptr) decision.resume = *last_checkpoint;
   decision.overhead =
-      verdict.degraded ? 2 * spec_.arbitration_cost : spec_.arbitration_cost;
+      verdict.degraded ? 2 * kArbitrationCost : kArbitrationCost;
   char buffer[96];
   std::snprintf(buffer, sizeof buffer,
                 "promoted replica (%d switch(es) left)%s", switches_left_,

@@ -21,9 +21,11 @@ enum class RecoveryPolicy : std::uint8_t {
 /// psim --recovery spelling and the telemetry label.
 std::string_view recovery_policy_name(RecoveryPolicy policy) noexcept;
 
-/// Full parameterization of one recovery policy. Every duration is modeled
-/// (virtual time); the defaults are deliberately conservative so a policy
-/// turned on without tuning still shows its cost structure.
+/// Parameterization of one recovery policy: what the psim --recovery
+/// syntax sets. Every duration is modeled (virtual time); the defaults are
+/// deliberately conservative so a policy turned on without tuning still
+/// shows its cost structure. The fixed costs are constants next to the
+/// policies (recover/policy.hpp).
 struct RecoverySpec {
   RecoveryPolicy policy = RecoveryPolicy::kNone;
 
@@ -32,22 +34,12 @@ struct RecoverySpec {
   /// In-world cost of one coordinated checkpoint, charged to every
   /// progressing rank (blocked ranks were waiting anyway).
   sim::Time checkpoint_cost = sim::kSecond;
-  /// Relaunch + state-load time between a kill and the restarted attempt.
-  sim::Time restart_cost = 20 * sim::kSecond;
 
   // Warm spare-rank failover:
   int spare_count = 2;
-  /// Time to splice the spares in and resume from the survivors' state.
-  sim::Time failover_cost = 5 * sim::kSecond;
 
   // Team replication:
   int replicas = 2;
-  /// Stagger between teams: the healthy team trails the lead by this much,
-  /// so a switch resumes from roughly kill - skew.
-  sim::Time replica_skew = 15 * sim::kSecond;
-  /// Verdict-arbitration time before promoting a replica; doubled when the
-  /// verdict is degraded (the detector's own tool faults were active).
-  sim::Time arbitration_cost = 2 * sim::kSecond;
 
   /// Restores allowed before a kill escalates to give-up (all policies).
   int max_restarts = 3;

@@ -58,7 +58,6 @@ class JobLifecycle {
 
   JobState state() const noexcept { return state_; }
   int restarts() const noexcept { return restarts_; }
-  int max_restarts() const noexcept { return max_restarts_; }
   bool terminal() const noexcept {
     return state_ == JobState::kCompleted || state_ == JobState::kGaveUp ||
            state_ == JobState::kExpired || state_ == JobState::kRefused;

@@ -42,15 +42,23 @@ Platform Platform::tianhe2() {
 Platform Platform::stampede() {
   Platform p;
   p.name = "Stampede";
-  p.cores_per_node = 16;                 // 2x Xeon E5-2680
+  p.cores_per_node = 16;  // 2x Xeon E5-2680
   p.compute_scale = 1.15;
   p.network_latency = from_micros(2.0);  // FDR InfiniBand
   p.network_bandwidth_gbps = 56.0;
-  p.noise_cv = 0.06;                     // high utilization -> noisier
+  p.noise_cv = 0.06;  // high utilization -> noisier
   p.slowdowns_per_node_hour = 0.06;
   p.slowdown_mean_duration = 6 * kSecond;
   p.slowdown_factor = 4.0;
   return p;
+}
+
+std::optional<Platform> platform_by_name(std::string_view name) {
+  for (Platform preset :
+       {Platform::tardis(), Platform::tianhe2(), Platform::stampede()}) {
+    if (preset.name == name) return preset;
+  }
+  return std::nullopt;
 }
 
 }  // namespace parastack::sim

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/time.hpp"
 
@@ -24,8 +26,8 @@ struct Platform {
   double compute_scale = 1.0;
 
   /// Interconnect alpha-beta model.
-  Time network_latency = from_micros(2.0);     ///< per-message latency
-  double network_bandwidth_gbps = 50.0;        ///< per-link bandwidth
+  Time network_latency = from_micros(2.0);  ///< per-message latency
+  double network_bandwidth_gbps = 50.0;     ///< per-link bandwidth
 
   /// Lognormal coefficient of variation applied to every compute segment
   /// (fine-grained OS jitter).
@@ -47,5 +49,9 @@ struct Platform {
   static Platform tianhe2();
   static Platform stampede();
 };
+
+/// The preset named `name` (Tardis, Tianhe-2 or Stampede); nullopt for any
+/// other name.
+std::optional<Platform> platform_by_name(std::string_view name);
 
 }  // namespace parastack::sim

@@ -52,7 +52,9 @@ class RankProcess : private RequestOwner {
   /// §6-adapted state rule applies either way: the process is IN_MPI iff
   /// *some* thread is inside MPI. Call before start().
   void configure_threads(int threads, bool multiple);
-  int thread_count() const noexcept { return 1 + static_cast<int>(worker_stacks_.size()); }
+  int thread_count() const noexcept {
+    return 1 + static_cast<int>(worker_stacks_.size());
+  }
   /// A worker thread's stack (0-based among workers).
   const CallStack& worker_stack(int worker) const;
 
@@ -90,8 +92,6 @@ class RankProcess : private RequestOwner {
   void set_replay_target(std::uint64_t actions) noexcept {
     replay_target_ = actions;
   }
-  /// True while the rank is still inside its replay prefix.
-  bool replaying() const noexcept { return actions_ < replay_target_; }
 
   // --- Inspector interface -------------------------------------------------
 
@@ -174,7 +174,7 @@ class RankProcess : private RequestOwner {
   CallStack stack_;
   std::vector<CallStack> worker_stacks_;
   bool thread_multiple_ = false;
-  int next_comm_thread_ = 0;   ///< rotates over [0, threads] in MULTIPLE mode
+  int next_comm_thread_ = 0;  ///< rotates over [0, threads] in MULTIPLE mode
   CallStack* mpi_stack_ = nullptr;  ///< where the current MPI frames live
   /// Completion keys of the live requests, by slot (kUnmatchedKey until
   /// matched): the Isend/Irecv requests, then those of the blocking call in
@@ -193,7 +193,8 @@ class RankProcess : private RequestOwner {
   sim::Time busy_span_begin_ = 0;
   bool frozen_ = false;
   double compute_factor_ = 1.0;
-  double combined_cv_for_ = -1.0;  ///< cv the cached combined_cv_ was built from
+  double combined_cv_for_ =
+      -1.0;  ///< cv the cached combined_cv_ was built from
   double combined_cv_ = 0.0;
   sim::Time suspend_debt_ = 0;
   sim::Time finished_at_ = -1;

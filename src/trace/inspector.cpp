@@ -7,6 +7,14 @@
 
 namespace parastack::trace {
 
+namespace {
+
+/// Spread of the per-trace cost: lognormal around the mean with this
+/// coefficient of variation.
+constexpr double kTraceCostCv = 0.18;
+
+}  // namespace
+
 bool StackSnapshot::in_test_family() const {
   if (innermost_mpi.empty()) return false;
   using simmpi::MpiFunc;
@@ -32,15 +40,15 @@ StackSnapshot StackInspector::trace(simmpi::Rank rank) {
   // is inside MPI; the innermost MPI frame may live on a worker stack.
   snapshot.in_mpi = process.in_mpi();
   snapshot.innermost_mpi = std::string(process.stack().innermost_mpi_frame());
-  for (int worker = 0; snapshot.innermost_mpi.empty() &&
-                       worker + 1 < process.thread_count();
+  for (int worker = 0;
+       snapshot.innermost_mpi.empty() && worker + 1 < process.thread_count();
        ++worker) {
     snapshot.innermost_mpi =
         std::string(process.worker_stack(worker).innermost_mpi_frame());
   }
 
   const double sampled = rng_.lognormal_mean_cv(
-      static_cast<double>(config_.trace_cost_mean), config_.trace_cost_cv);
+      static_cast<double>(config_.trace_cost_mean), kTraceCostCv);
   const auto cost = std::max<sim::Time>(static_cast<sim::Time>(sampled),
                                         sim::from_micros(50));
   process.add_suspension(cost);
@@ -55,7 +63,7 @@ bool StackInspector::trace_out_mpi(simmpi::Rank rank) {
   // The cost draw and charge must stay bit-identical to trace(): the
   // sampling path switching to this overload may not perturb any stream.
   const double sampled = rng_.lognormal_mean_cv(
-      static_cast<double>(config_.trace_cost_mean), config_.trace_cost_cv);
+      static_cast<double>(config_.trace_cost_mean), kTraceCostCv);
   const auto cost = std::max<sim::Time>(static_cast<sim::Time>(sampled),
                                         sim::from_micros(50));
   process.add_suspension(cost);

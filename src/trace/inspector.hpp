@@ -39,7 +39,6 @@ class StackInspector {
  public:
   struct Config {
     sim::Time trace_cost_mean = sim::from_micros(2790);
-    double trace_cost_cv = 0.18;
     std::uint64_t seed = 0x7a57ed5eedULL;
   };
 

@@ -20,10 +20,18 @@ constexpr std::size_t MiB = 1024 * 1024;
 double npb_class_factor(Bench bench, std::string_view input) {
   double c = 0.2, e = 10.0;  // generic defaults
   switch (bench) {
-    case Bench::kBT: e = 12.0; break;
-    case Bench::kCG: e = 10.0; break;
-    case Bench::kFT: e = 4.0; break;   // keeps FT(E)'s transpose ~3s (Table 1)
-    case Bench::kLU: e = 12.0; break;
+    case Bench::kBT:
+      e = 12.0;
+      break;
+    case Bench::kCG:
+      e = 10.0;
+      break;
+    case Bench::kFT:
+      e = 4.0;
+      break;  // keeps FT(E)'s transpose ~3s (Table 1)
+    case Bench::kLU:
+      e = 12.0;
+      break;
     case Bench::kMG:
       // The MG profile is calibrated AT class E (the paper only runs MG at
       // E), so E is the identity and smaller classes scale down.
@@ -31,8 +39,11 @@ double npb_class_factor(Bench bench, std::string_view input) {
       if (input == "D") return 0.33;
       if (input == "E") return 1.0;
       break;
-    case Bench::kSP: e = 7.0; break;
-    default: PS_UNREACHABLE("npb_class_factor on non-NPB benchmark");
+    case Bench::kSP:
+      e = 7.0;
+      break;
+    default:
+      PS_UNREACHABLE("npb_class_factor on non-NPB benchmark");
   }
   if (input == "C") return c;
   if (input == "D") return 1.0;
@@ -49,8 +60,8 @@ void apply_class_factor(BenchmarkProfile& profile, double f) {
     if (phase.class_invariant) continue;
     phase.compute_mean =
         static_cast<sim::Time>(static_cast<double>(phase.compute_mean) * f);
-    phase.bytes = static_cast<std::size_t>(
-        static_cast<double>(phase.bytes) * bytes_factor);
+    phase.bytes = static_cast<std::size_t>(static_cast<double>(phase.bytes) *
+                                           bytes_factor);
   }
 }
 
@@ -137,10 +148,10 @@ BenchmarkProfile mg_profile() {
   p.phases = {
       {"mg_resid", from_seconds(1.2), 0.09, CommPattern::kHaloHalfBlocking,
        300 * KiB},
-      {"mg_rprj3_down", from_seconds(1.2), 0.09,
-       CommPattern::kHaloHalfBlocking, 150 * KiB},
-      {"mg_interp_up", from_seconds(0.6), 0.09,
-       CommPattern::kHaloHalfBlocking, 150 * KiB},
+      {"mg_rprj3_down", from_seconds(1.2), 0.09, CommPattern::kHaloHalfBlocking,
+       150 * KiB},
+      {"mg_interp_up", from_seconds(0.6), 0.09, CommPattern::kHaloHalfBlocking,
+       150 * KiB},
       {"mg_norm2u3", from_millis(20), 0.10, CommPattern::kAllreduce, 16,
        /*every=*/2},
   };
@@ -177,10 +188,9 @@ BenchmarkProfile hpl_profile(double n, int nranks) {
   p.reference_ranks = nranks;  // fully baked; no further rescaling
   p.compute_scaling_exp = 0.0;
   p.bytes_scaling_exp = 0.0;
-  p.iterations = static_cast<std::uint64_t>(
-      std::min(400.0, std::max(30.0, n / 500.0)));
-  const double update = kAnchorUpdateSeconds *
-                        std::pow(n / kAnchorN, 1.5) *
+  p.iterations =
+      static_cast<std::uint64_t>(std::min(400.0, std::max(30.0, n / 500.0)));
+  const double update = kAnchorUpdateSeconds * std::pow(n / kAnchorN, 1.5) *
                         (kAnchorRanks / static_cast<double>(nranks));
   const double panel = 0.15 * std::pow(n / kAnchorN, 1.0) *
                        (kAnchorRanks / static_cast<double>(nranks)) * 256.0 /
@@ -194,14 +204,14 @@ BenchmarkProfile hpl_profile(double n, int nranks) {
   p.phases = {
       {"hpl_pdfact_panel", from_seconds(std::max(panel, 0.01)), 0.10,
        CommPattern::kNone, 0, 1, 2, false, /*decays=*/true},
-      {"hpl_bcast_ring_probe", from_millis(5), 0.10,
-       CommPattern::kHaloBusyWait, 2 * MiB},
+      {"hpl_bcast_ring_probe", from_millis(5), 0.10, CommPattern::kHaloBusyWait,
+       2 * MiB},
       {"hpl_laswp_spread", from_millis(10), 0.12, CommPattern::kHaloBusyWait,
        256 * KiB},
       {"hpl_update_dgemm", from_seconds(std::max(update, 0.02)), 0.08,
        CommPattern::kNone, 0, 1, 2, false, /*decays=*/true},
-      {"hpl_residual_check", from_millis(2), 0.10, CommPattern::kAllreduce,
-       32, /*every=*/8},
+      {"hpl_residual_check", from_millis(2), 0.10, CommPattern::kAllreduce, 32,
+       /*every=*/8},
   };
   return p;
 }
@@ -216,8 +226,8 @@ BenchmarkProfile hpcg_profile(double local_dim, int nranks) {
   p.compute_scaling_exp = 0.0;
   p.bytes_scaling_exp = 0.0;
   p.iterations = 120;
-  const auto face_bytes = static_cast<std::size_t>(
-      std::pow(local_dim / 64.0, 2.0) * 64.0 * KiB);
+  const auto face_bytes =
+      static_cast<std::size_t>(std::pow(local_dim / 64.0, 2.0) * 64.0 * KiB);
   p.phases = {
       {"hpcg_spmv", from_millis(120 * vol), 0.08,
        CommPattern::kHaloHalfBlocking, face_bytes, 1, 4},
@@ -225,8 +235,7 @@ BenchmarkProfile hpcg_profile(double local_dim, int nranks) {
        CommPattern::kHaloHalfBlocking, face_bytes, 1, 4},
       {"hpcg_symgs_bwd", from_millis(90 * vol), 0.08,
        CommPattern::kHaloHalfBlocking, face_bytes, 1, 4},
-      {"hpcg_dot_rtz", from_millis(6 * vol), 0.12, CommPattern::kAllreduce,
-       16},
+      {"hpcg_dot_rtz", from_millis(6 * vol), 0.12, CommPattern::kAllreduce, 16},
       {"hpcg_waxpby", from_millis(24 * vol), 0.08, CommPattern::kNone, 0},
       {"hpcg_mg_coarse", from_millis(60 * vol), 0.10,
        CommPattern::kHaloHalfBlocking, face_bytes / 4, 1, 4},
@@ -243,16 +252,31 @@ BenchmarkProfile hpcg_profile(double local_dim, int nranks) {
 
 std::string_view bench_name(Bench bench) noexcept {
   switch (bench) {
-    case Bench::kBT: return "BT";
-    case Bench::kCG: return "CG";
-    case Bench::kFT: return "FT";
-    case Bench::kLU: return "LU";
-    case Bench::kMG: return "MG";
-    case Bench::kSP: return "SP";
-    case Bench::kHPL: return "HPL";
-    case Bench::kHPCG: return "HPCG";
+    case Bench::kBT:
+      return "BT";
+    case Bench::kCG:
+      return "CG";
+    case Bench::kFT:
+      return "FT";
+    case Bench::kLU:
+      return "LU";
+    case Bench::kMG:
+      return "MG";
+    case Bench::kSP:
+      return "SP";
+    case Bench::kHPL:
+      return "HPL";
+    case Bench::kHPCG:
+      return "HPCG";
   }
   return "?";
+}
+
+std::optional<Bench> bench_by_name(std::string_view name) noexcept {
+  for (const Bench bench : kAllBenches) {
+    if (bench_name(bench) == name) return bench;
+  }
+  return std::nullopt;
 }
 
 std::shared_ptr<const BenchmarkProfile> make_profile(Bench bench,
@@ -261,15 +285,27 @@ std::shared_ptr<const BenchmarkProfile> make_profile(Bench bench,
   PS_CHECK(nranks >= 2, "benchmarks need at least two ranks");
   BenchmarkProfile profile;
   switch (bench) {
-    case Bench::kBT: profile = bt_profile(); break;
-    case Bench::kCG: profile = cg_profile(); break;
-    case Bench::kFT: profile = ft_profile(); break;
-    case Bench::kLU: profile = lu_profile(); break;
-    case Bench::kMG: profile = mg_profile(); break;
-    case Bench::kSP: profile = sp_profile(); break;
+    case Bench::kBT:
+      profile = bt_profile();
+      break;
+    case Bench::kCG:
+      profile = cg_profile();
+      break;
+    case Bench::kFT:
+      profile = ft_profile();
+      break;
+    case Bench::kLU:
+      profile = lu_profile();
+      break;
+    case Bench::kMG:
+      profile = mg_profile();
+      break;
+    case Bench::kSP:
+      profile = sp_profile();
+      break;
     case Bench::kHPL:
-      profile = hpl_profile(std::strtod(std::string(input).c_str(), nullptr),
-                            nranks);
+      profile =
+          hpl_profile(std::strtod(std::string(input).c_str(), nullptr), nranks);
       profile.input = std::string(input);
       return std::make_shared<const BenchmarkProfile>(std::move(profile));
     case Bench::kHPCG:

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -15,9 +16,12 @@ enum class Bench { kBT, kCG, kFT, kLU, kMG, kSP, kHPL, kHPCG };
 std::string_view bench_name(Bench bench) noexcept;
 
 /// All benchmarks, in the paper's table order.
-inline constexpr Bench kAllBenches[] = {Bench::kBT, Bench::kCG, Bench::kFT,
-                                        Bench::kLU, Bench::kMG, Bench::kSP,
+inline constexpr Bench kAllBenches[] = {Bench::kBT,  Bench::kCG,  Bench::kFT,
+                                        Bench::kLU,  Bench::kMG,  Bench::kSP,
                                         Bench::kHPL, Bench::kHPCG};
+
+/// The benchmark whose bench_name() is `name`; nullopt for any other name.
+std::optional<Bench> bench_by_name(std::string_view name) noexcept;
 
 /// Build the calibrated profile for a benchmark at a given input size.
 /// `input` is an NPB class ("C"/"D"/"E"), an HPL matrix width ("80000"),

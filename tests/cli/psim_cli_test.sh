@@ -60,7 +60,7 @@ expect_reject trailing-tree-fanout "bad --tree value '2x'" \
   run --bench LU --ranks 32 --tree=2x
 expect_reject trailing-tool-fault-values "bad --tool-faults value" \
   run --bench LU --ranks 32 --tool-faults=loss=0.1x,retries=3x
-expect_reject trailing-tool-fault-retries "bad --tool-faults value" \
+expect_reject trailing-tool-fault-retries "unknown tool-fault key 'retries'" \
   run --bench LU --ranks 32 --tool-faults=retries=3x
 expect_reject negative-campaign-jobs "bad --jobs value '-5'" \
   campaign --bench LU --ranks 32 --runs 2 --fault compute-hang --jobs -5
@@ -102,12 +102,12 @@ expect_reject hpl-input-negative "bad --input value '-5'" \
 expect_reject hpcg-input-fraction "bad --input value '1.5'" \
   run --bench HPCG --input 1.5
 # Every --tool-faults number must lie in its range: a probability outside
-# [0, 1] or a negative duration, instant, count or node is an error.
+# [0, 1] or a negative duration, instant or node is an error.
 expect_reject tool-fault-loss-above-one "loss takes 0 to 1, not 1.5" \
   run --bench LU --ranks 64 --tool-faults loss=1.5
 expect_reject tool-fault-loss-negative "loss takes 0 to 1, not -0.5" \
   run --bench LU --ranks 64 --tool-faults loss=-0.5
-expect_reject tool-fault-quorum-above-one "quorum takes 0 to 1, not 2" \
+expect_reject tool-fault-quorum-above-one "unknown tool-fault key 'quorum'" \
   run --bench LU --ranks 64 --tool-faults quorum=2
 expect_reject tool-fault-crash-negative-instant "crash takes 0 to 1e9 s, not -3" \
   run --bench LU --ranks 64 --tool-faults crash=rand@-3
@@ -115,16 +115,30 @@ expect_reject tool-fault-crash-negative-node "crash takes 0 or more, not -2" \
   run --bench LU --ranks 64 --tool-faults crash=-2@5
 expect_reject tool-fault-lead-crash-negative "lead-crash takes 0 to 1e9 s, not -1" \
   run --bench LU --ranks 64 --tool-faults lead-crash=-1
-expect_reject tool-fault-retries-negative "retries takes 0 or more, not -1" \
+expect_reject tool-fault-retries-negative "unknown tool-fault key 'retries'" \
   run --bench LU --ranks 64 --tool-faults retries=-1
 expect_reject tool-fault-delay-negative "delay-ms takes 0 to 1e12 ms, not -1" \
   run --bench LU --ranks 64 --tool-faults delay-ms=-1
-expect_reject tool-fault-timeout-negative "timeout-ms takes 0 to 1e12 ms, not -1" \
+expect_reject tool-fault-timeout-negative "unknown tool-fault key 'timeout-ms'" \
   run --bench LU --ranks 64 --tool-faults timeout-ms=-1
-expect_reject tool-fault-backoff-negative "backoff-ms takes 0 to 1e12 ms, not -1" \
+expect_reject tool-fault-backoff-negative "unknown tool-fault key 'backoff-ms'" \
   run --bench LU --ranks 64 --tool-faults backoff-ms=-1
-expect_reject tool-fault-rereg-negative "rereg-ms takes 0 to 1e12 ms, not -1" \
+expect_reject tool-fault-rereg-negative "unknown tool-fault key 'rereg-ms'" \
   run --bench LU --ranks 64 --tool-faults rereg-ms=-1
+# The retry protocol, the re-registration cost and the detector's quorum
+# rules are constants: their keys are unknown, whatever the value.
+for entry in quorum=0.5 degraded-after=3 extra-streak=2 timeout-ms=5 \
+  retries=2 backoff-ms=10 rereg-ms=250; do
+  expect_reject "removed-tool-fault-key-${entry%%=*}" \
+    "unknown tool-fault key '${entry%%=*}'" \
+    run --bench LU --ranks 32 --tool-faults "loss=0.1,$entry"
+done
+# --tree takes the fan-out alone: the depth cap and the per-level gather
+# deadline are gone.
+expect_reject tree-depth-field "bad --tree value '2,3'" \
+  run --bench LU --ranks 32 --tree 2,3
+expect_reject tree-deadline-fields "bad --tree value 'inf,0,5'" \
+  run --bench LU --ranks 32 --tree inf,0,5
 # Each telemetry artifact is a JSON document: two of them on stdout would
 # interleave into text no parser reads, so psim refuses and names both flags.
 expect_reject journal-and-trace-on-stdout "--journal and --chrome-trace" \

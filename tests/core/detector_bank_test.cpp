@@ -51,7 +51,6 @@ simmpi::WorldConfig world_config(int nranks, std::uint64_t seed) {
 
 DetectorConfig parastack_config() {
   DetectorConfig config;
-  config.monitored_count = 6;
   config.seed = 4242;
   return config;
 }
@@ -73,9 +72,8 @@ struct BankRig {
         inspector(world) {
     bank.add(
         std::make_unique<HangDetector>(world, inspector, parastack_config()));
-    TimeoutDetector::Config timeout;
-    timeout.monitored_count = 6;
-    bank.add(std::make_unique<TimeoutDetector>(world, inspector, timeout));
+    bank.add(std::make_unique<TimeoutDetector>(world, inspector,
+                                               TimeoutDetector::Config{}));
     IoWatchdog::Config watchdog;
     watchdog.timeout = 60 * sim::kSecond;
     watchdog.poll_interval = 5 * sim::kSecond;

@@ -110,27 +110,5 @@ TEST(SlowdownFilterIntegration, RealHangSurvivesTheFilter) {
   EXPECT_EQ(rig.detector.hang_reports().front().faulty_ranks.size(), 1u);
 }
 
-TEST(SlowdownFilterIntegration, DisabledFilterStillDetectsHangs) {
-  DetectorConfig config;
-  config.enable_slowdown_filter = false;
-  faults::FaultPlan plan;
-  plan.type = faults::FaultType::kComputeHang;
-  plan.victim = 3;
-  plan.trigger_time = 60 * sim::kSecond;
-  faults::FaultInjector injector(plan);
-  simmpi::World world(SlowdownRig::make_config(503),
-                      injector.wrap(workloads::make_factory(fine_solver())));
-  injector.arm(world);
-  trace::StackInspector inspector(world);
-  HangDetector detector(world, inspector, config);
-  world.start();
-  detector.start();
-  auto& engine = world.engine();
-  while (!detector.hang_reported() && engine.now() < 4 * sim::kMinute &&
-         engine.step()) {
-  }
-  EXPECT_TRUE(detector.hang_reported());
-}
-
 }  // namespace
 }  // namespace parastack::core

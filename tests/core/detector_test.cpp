@@ -41,7 +41,6 @@ simmpi::WorldConfig world_config(int nranks, std::uint64_t seed) {
 
 DetectorConfig detector_config() {
   DetectorConfig config;
-  config.monitored_count = 6;
   config.seed = 4242;
   return config;
 }
@@ -95,8 +94,8 @@ TEST(HangDetector, DetectsComputeHangAndPinpointsVictim) {
   EXPECT_EQ(report.faulty_ranks[0], 9);
   // Detected after the fault, within a sane delay.
   EXPECT_GT(report.detected_at, rig.injector.record().activated_at);
-  const double delay = sim::to_seconds(report.detected_at -
-                                       rig.injector.record().activated_at);
+  const double delay =
+      sim::to_seconds(report.detected_at - rig.injector.record().activated_at);
   EXPECT_LT(delay, 90.0);
 }
 
@@ -119,9 +118,9 @@ TEST(HangDetector, FreezeOutsideMonitorSetsDetectedAndAttributed) {
   // number of ranks are monitored). The frozen ranks park OUT_MPI, the
   // rest of the job blocks, S_crout drops to zero, and the full-sweep
   // identification names the frozen ranks.
-  Rig rig(16, 79, faults::FaultPlan{}, detector_config(), mini_solver());
+  Rig rig(24, 79, faults::FaultPlan{}, detector_config(), mini_solver());
   std::vector<simmpi::Rank> frozen;
-  for (simmpi::Rank r = 0; r < 16; ++r) {
+  for (simmpi::Rank r = 0; r < 24; ++r) {
     const auto& set0 = rig.detector.monitor_set(0);
     const auto& set1 = rig.detector.monitor_set(1);
     if (std::find(set0.begin(), set0.end(), r) == set0.end() &&
@@ -129,7 +128,7 @@ TEST(HangDetector, FreezeOutsideMonitorSetsDetectedAndAttributed) {
       frozen.push_back(r);
     }
   }
-  ASSERT_EQ(frozen.size(), 4u);  // 16 ranks - 2 sets of 6
+  ASSERT_EQ(frozen.size(), 4u);  // 24 ranks - 2 sets of C = 10
   rig.world.engine().schedule_at(40 * sim::kSecond, [&rig, frozen] {
     for (const auto r : frozen) rig.world.rank(r).freeze();
   });
@@ -152,20 +151,19 @@ TEST(HangDetector, CleanRunStaysQuiet) {
 }
 
 TEST(HangDetector, MonitorSetsAreDisjointAndSizedC) {
-  Rig rig(16, 81, faults::FaultPlan{}, detector_config(), mini_solver());
+  Rig rig(32, 81, faults::FaultPlan{}, detector_config(), mini_solver());
   const auto& set0 = rig.detector.monitor_set(0);
   const auto& set1 = rig.detector.monitor_set(1);
-  EXPECT_EQ(set0.size(), 6u);
-  EXPECT_EQ(set1.size(), 6u);
+  EXPECT_EQ(set0.size(), std::size_t{kMonitoredCount});
+  EXPECT_EQ(set1.size(), std::size_t{kMonitoredCount});
   for (const auto r : set0) {
     EXPECT_EQ(std::count(set1.begin(), set1.end(), r), 0) << "rank " << r;
   }
 }
 
 TEST(HangDetector, SmallWorldSplitsSets) {
-  DetectorConfig config = detector_config();
-  config.monitored_count = 10;  // bigger than nranks/2
-  Rig rig(8, 82, faults::FaultPlan{}, config, mini_solver());
+  // C = 10 is bigger than nranks/2.
+  Rig rig(8, 82, faults::FaultPlan{}, detector_config(), mini_solver());
   EXPECT_EQ(rig.detector.monitor_set(0).size(), 4u);
   EXPECT_EQ(rig.detector.monitor_set(1).size(), 4u);
 }
@@ -239,34 +237,38 @@ TEST(HangDetector, ModelGrowsAndTightensOverTime) {
 }
 
 TEST(HangDetector, IntervalCapRespected) {
-  DetectorConfig config = detector_config();
-  config.max_interval = sim::from_millis(1600);
-  // A profile whose S_crout is extremely regular, defeating the runs test:
-  // long alternating blocks.
+  // A profile whose S_crout is as regular as it gets: it never enters MPI,
+  // so every sample reads 1, the runs test sees one side only and rejects
+  // randomness on every batch, and I doubles until the cap stops it.
   auto profile = std::make_shared<BenchmarkProfile>();
-  profile->iterations = 400;
+  profile->iterations = 100;
   profile->reference_ranks = 16;
   profile->setup_time = 0;
   profile->phases = {
-      {"block_compute", 3 * sim::kSecond, 0.01, CommPattern::kAlltoall,
-       64 * 1024 * 1024},
+      {"block_compute", 10 * sim::kSecond, 0.01, CommPattern::kNone, 0},
   };
-  Rig rig(16, 88, faults::FaultPlan{}, config, profile);
+  Rig rig(16, 88, faults::FaultPlan{}, detector_config(), profile);
   rig.world.start();
   rig.detector.start();
   auto& engine = rig.world.engine();
-  while (engine.now() < 3 * sim::kMinute && engine.step()) {
+  sim::Time widest = 0;
+  while (engine.now() < 8 * sim::kMinute && engine.step()) {
+    widest = std::max(widest, rig.detector.interval());
   }
-  EXPECT_LE(rig.detector.interval(), config.max_interval);
+  // The doubling climbs to the cap and stops there; the next rejection
+  // proceeds without confirmed randomness instead of doubling again.
+  EXPECT_EQ(widest, IntervalTuner::kMaxInterval);
+  EXPECT_EQ(rig.detector.interval(), IntervalTuner::kMaxInterval);
+  EXPECT_TRUE(rig.detector.randomness_confirmed());
 }
 
 TEST(HangDetectorDeath, ConfigValidation) {
   DetectorConfig bad = detector_config();
-  bad.monitored_count = 0;
+  bad.alpha = 0.0;
   auto profile = mini_solver();
   simmpi::World world(world_config(8, 1), workloads::make_factory(profile));
   trace::StackInspector inspector(world);
-  EXPECT_DEATH(HangDetector(world, inspector, bad), "C must be");
+  EXPECT_DEATH(HangDetector(world, inspector, bad), "alpha in \\(0,1\\)");
 }
 
 }  // namespace

@@ -15,8 +15,8 @@ std::shared_ptr<const workloads::BenchmarkProfile> small_profile() {
   profile->reference_ranks = 48;
   profile->setup_time = sim::from_millis(100);
   profile->phases = {
-      {"w", sim::from_millis(25), 0.12,
-       workloads::CommPattern::kHaloBlocking, 64 * 1024},
+      {"w", sim::from_millis(25), 0.12, workloads::CommPattern::kHaloBlocking,
+       64 * 1024},
       {"n", sim::from_millis(5), 0.1, workloads::CommPattern::kAllreduce, 16},
   };
   return profile;
@@ -42,9 +42,9 @@ TEST(MonitorNetwork, ActiveMonitorsAreDistinctHostingNodes) {
   simmpi::World world(config48(), workloads::make_factory(small_profile()));
   trace::StackInspector inspector(world);
   MonitorNetwork network(world, inspector);
-  EXPECT_EQ(network.active_monitors_for({0, 1, 2}), 1);       // all node 0
-  EXPECT_EQ(network.active_monitors_for({0, 30}), 2);         // both nodes
-  EXPECT_EQ(network.active_monitors_for({25, 26, 47}), 1);    // all node 1
+  EXPECT_EQ(network.active_monitors_for({0, 1, 2}), 1);     // all node 0
+  EXPECT_EQ(network.active_monitors_for({0, 30}), 2);       // both nodes
+  EXPECT_EQ(network.active_monitors_for({25, 26, 47}), 1);  // all node 1
 }
 
 TEST(MonitorNetwork, MeasurementMatchesDirectInspection) {
@@ -93,8 +93,8 @@ TEST(MonitorNetwork, DetectorBackendProducesSameVerdicts) {
   sim::Time detected_network = -1;
   for (int variant = 0; variant < 2; ++variant) {
     faults::FaultInjector injector(plan);
-    simmpi::World world(config48(),
-                        injector.wrap(workloads::make_factory(small_profile())));
+    simmpi::World world(
+        config48(), injector.wrap(workloads::make_factory(small_profile())));
     injector.arm(world);
     trace::StackInspector::Config icfg;
     icfg.seed = 99;
@@ -146,10 +146,10 @@ TEST(MonitorNetwork, AccountingInvariantsAcrossMultiNodeSets) {
   // Every active monitor but the lead sends one 8-byte partial count to the
   // lead, and each sample traces exactly the set. A lead whose node hosts
   // no sampled rank hears from every active monitor.
-  network.measure({0});                  // 1 active (lead node): 0 messages
-  network.measure({0, 24});              // 2 active: 1 message
-  network.measure({0, 24, 48, 72});      // 4 active: 3 messages
-  network.measure({25, 49});             // 2 active, lead node absent: 2
+  network.measure({0});              // 1 active (lead node): 0 messages
+  network.measure({0, 24});          // 2 active: 1 message
+  network.measure({0, 24, 48, 72});  // 4 active: 3 messages
+  network.measure({25, 49});         // 2 active, lead node absent: 2
   EXPECT_EQ(network.messages_sent(), 0u + 1u + 3u + 2u);
   EXPECT_EQ(network.bytes_sent(), 8u * 6u);
   EXPECT_EQ(network.ranks_traced_total(), 1u + 2u + 4u + 2u);
@@ -181,7 +181,6 @@ TEST(MonitorNetworkFaults, TotalLossCoversOnlyTheLeadNode) {
   MonitorNetwork network(world, inspector);
   faults::ToolFaultPlan plan;
   plan.loss_probability = 1.0;
-  plan.max_retries = 2;
   plan.seed = 7;
   network.set_tool_faults(plan);
   ASSERT_TRUE(network.tool_faults_active());
@@ -193,14 +192,15 @@ TEST(MonitorNetworkFaults, TotalLossCoversOnlyTheLeadNode) {
   EXPECT_EQ(m.partials_missing, 2);
   EXPECT_DOUBLE_EQ(m.coverage, 0.5);
   EXPECT_FALSE(m.degraded);  // the lead's own ranks keep it sighted
-  EXPECT_EQ(m.retries, 2 * 2);  // both senders exhaust max_retries
-  // Per sender: 1 original + 2 retries = 3 messages.
-  EXPECT_EQ(network.messages_sent(), 6u);
+  constexpr int kRetries = MonitorNetwork::kMaxRetries;
+  EXPECT_EQ(m.retries, 2 * kRetries);  // both senders exhaust the retries
+  // Per sender: 1 original + kRetries retries.
+  EXPECT_EQ(network.messages_sent(), 2u * (1 + kRetries));
   EXPECT_EQ(network.partials_lost(), 2u);
-  EXPECT_EQ(network.retransmissions(), 4u);
+  EXPECT_EQ(network.retransmissions(), 2u * kRetries);
   // Timeout + backoff penalties surface in the aggregation latency.
   EXPECT_GT(m.aggregation_latency,
-            plan.sample_timeout * 2 + plan.retry_backoff);
+            MonitorNetwork::kSampleTimeout * 2 + MonitorNetwork::kRetryBackoff);
 }
 
 TEST(MonitorNetworkFaults, ScheduledCrashSilencesItsNode) {
@@ -217,10 +217,10 @@ TEST(MonitorNetworkFaults, ScheduledCrashSilencesItsNode) {
   EXPECT_EQ(network.monitor_crashes(), 1u);
   EXPECT_FALSE(network.monitor_alive(1));
   EXPECT_TRUE(network.monitor_alive(0));
-  EXPECT_EQ(m.partials_missing, 1);       // node 1's count never comes
-  EXPECT_EQ(m.ranks_traced, 2);           // dead monitors trace nothing
+  EXPECT_EQ(m.partials_missing, 1);  // node 1's count never comes
+  EXPECT_EQ(m.ranks_traced, 2);      // dead monitors trace nothing
   EXPECT_NEAR(m.coverage, 2.0 / 3.0, 1e-12);
-  EXPECT_EQ(network.lead_monitor(), 0);   // non-lead crash: no failover
+  EXPECT_EQ(network.lead_monitor(), 0);  // non-lead crash: no failover
   EXPECT_EQ(network.lead_failovers(), 0u);
 }
 
@@ -249,7 +249,6 @@ TEST(MonitorNetworkFaults, LeadCrashFailsOverToLowestSurvivor) {
   MonitorNetwork network(world, inspector);
   faults::ToolFaultPlan plan;
   plan.lead_crash_at = sim::kSecond;
-  plan.reregistration_latency = sim::from_millis(250);
   network.set_tool_faults(plan);
 
   const auto first = network.measure({0, 30, 60});
@@ -257,9 +256,9 @@ TEST(MonitorNetworkFaults, LeadCrashFailsOverToLowestSurvivor) {
   EXPECT_EQ(network.lead_failovers(), 1u);
   EXPECT_EQ(network.monitor_crashes(), 1u);
   // The re-registration stall is charged to the first post-failover sample.
-  EXPECT_GE(first.aggregation_latency, plan.reregistration_latency);
+  EXPECT_GE(first.aggregation_latency, MonitorNetwork::kReregistrationLatency);
   const auto second = network.measure({0, 30, 60});
-  EXPECT_LT(second.aggregation_latency, plan.reregistration_latency);
+  EXPECT_LT(second.aggregation_latency, MonitorNetwork::kReregistrationLatency);
   // Node 0's monitor is dead; its ranks are uncovered from now on.
   EXPECT_EQ(second.partials_missing, 1);
   EXPECT_NEAR(second.coverage, 2.0 / 3.0, 1e-12);
@@ -294,7 +293,6 @@ TEST(MonitorNetworkFaults, LossSequenceIsAPureFunctionOfThePlanSeed) {
     MonitorNetwork network(world, inspector);
     faults::ToolFaultPlan plan;
     plan.loss_probability = 0.4;
-    plan.max_retries = 1;
     plan.seed = 99;
     network.set_tool_faults(plan);
     for (int i = 0; i < 20; ++i) {

@@ -8,10 +8,9 @@
 namespace parastack::core {
 namespace {
 
-TopologyConfig tree_config(int fanout, int depth = 0, std::uint64_t seed = 0) {
+TopologyConfig tree_config(int fanout, std::uint64_t seed = 0) {
   TopologyConfig config;
   config.fanout = fanout;
-  config.depth = depth;
   config.seed = seed;
   return config;
 }
@@ -87,22 +86,11 @@ TEST(MonitorTopology, SingleNodeIsItsOwnRoot) {
   EXPECT_EQ(deepest_level(t), 0);
 }
 
-TEST(MonitorTopology, DepthCapWidensFanout) {
-  // 100 nodes with fanout 2 would need 6 levels; a depth cap of 2 must
-  // widen the fanout until root + fanout + fanout^2 >= 100 (fanout 10).
-  MonitorTopology t;
-  t.build(100, tree_config(2, 2));
-  expect_valid_tree(t);
-  expect_within_fanout(t);
-  EXPECT_EQ(t.effective_fanout(), 10);
-  EXPECT_LE(deepest_level(t), 2);
-}
-
 TEST(MonitorTopology, SeededPlacementIsDeterministicAndComplete) {
   MonitorTopology a;
   MonitorTopology b;
-  a.build(33, tree_config(3, 0, 42));
-  b.build(33, tree_config(3, 0, 42));
+  a.build(33, tree_config(3, 42));
+  b.build(33, tree_config(3, 42));
   expect_valid_tree(a);
   expect_within_fanout(a);
   for (int n = 0; n < 33; ++n) {
@@ -112,7 +100,7 @@ TEST(MonitorTopology, SeededPlacementIsDeterministicAndComplete) {
   // A different seed re-places at least one node (33! permutations; two
   // fixed seeds colliding would be a generator bug worth hearing about).
   MonitorTopology c;
-  c.build(33, tree_config(3, 0, 43));
+  c.build(33, tree_config(3, 43));
   bool any_moved = false;
   for (int n = 0; n < 33; ++n) {
     if (a.parent(n) != c.parent(n)) any_moved = true;

@@ -44,8 +44,7 @@ simmpi::WorldConfig world_config(int nranks, std::uint64_t seed) {
 
 /// World + inspector + RNG, enough to host a ScroutSampler.
 struct SamplerRig {
-  SamplerRig(int nranks, ScroutSampler::Config config,
-             std::uint64_t seed = 4242)
+  SamplerRig(int nranks, DetectorConfig config, std::uint64_t seed = 4242)
       : world(world_config(nranks, 11), workloads::make_factory(mini_solver())),
         inspector(world),
         rng(seed),
@@ -74,23 +73,23 @@ trace::StackSnapshot snap(simmpi::Rank rank, std::vector<std::string> frames) {
 // --- ScroutSampler ---------------------------------------------------------
 
 TEST(ScroutSampler, MonitorSetsAreDisjointAndSized) {
-  SamplerRig rig(16, {.monitored_count = 6});
+  SamplerRig rig(32, {});
   const auto& a = rig.sampler.monitor_set(0);
   const auto& b = rig.sampler.monitor_set(1);
-  ASSERT_EQ(a.size(), 6u);
-  ASSERT_EQ(b.size(), 6u);
+  ASSERT_EQ(a.size(), std::size_t{kMonitoredCount});
+  ASSERT_EQ(b.size(), std::size_t{kMonitoredCount});
   std::set<simmpi::Rank> all(a.begin(), a.end());
   all.insert(b.begin(), b.end());
-  EXPECT_EQ(all.size(), 12u);  // no overlap
+  EXPECT_EQ(all.size(), 2u * kMonitoredCount);  // no overlap
   for (const simmpi::Rank r : all) {
     EXPECT_GE(r, 0);
-    EXPECT_LT(r, 16);
+    EXPECT_LT(r, 32);
   }
 }
 
 TEST(ScroutSampler, SmallJobSplitsWhatIsAvailable) {
   // nranks < 2C: each set gets nranks/2, still disjoint.
-  SamplerRig rig(4, {.monitored_count = 10});
+  SamplerRig rig(4, {});
   ASSERT_EQ(rig.sampler.monitor_set(0).size(), 2u);
   ASSERT_EQ(rig.sampler.monitor_set(1).size(), 2u);
   std::set<simmpi::Rank> all;
@@ -101,7 +100,7 @@ TEST(ScroutSampler, SmallJobSplitsWhatIsAvailable) {
 }
 
 TEST(ScroutSampler, NextDelaySpansHalfToThreeHalvesOfInterval) {
-  SamplerRig rig(16, {.monitored_count = 6});
+  SamplerRig rig(16, {});
   const sim::Time interval = sim::from_millis(400);
   double mean_ms = 0.0;
   constexpr int kDraws = 2000;
@@ -117,7 +116,7 @@ TEST(ScroutSampler, NextDelaySpansHalfToThreeHalvesOfInterval) {
 }
 
 TEST(ScroutSampler, DwellSwitchAlternatesActiveSet) {
-  SamplerRig rig(16, {.monitored_count = 6});
+  SamplerRig rig(16, {});
   EXPECT_EQ(rig.sampler.active_set(), 0);
   EXPECT_FALSE(rig.sampler.count_observation(3));
   EXPECT_FALSE(rig.sampler.count_observation(3));
@@ -128,7 +127,7 @@ TEST(ScroutSampler, DwellSwitchAlternatesActiveSet) {
 }
 
 TEST(ScroutSampler, AlternationCanBeDisabled) {
-  SamplerRig rig(16, {.monitored_count = 6, .enable_set_alternation = false});
+  SamplerRig rig(16, {.enable_set_alternation = false});
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(rig.sampler.count_observation(3));
   }
@@ -137,7 +136,7 @@ TEST(ScroutSampler, AlternationCanBeDisabled) {
 }
 
 TEST(ScroutSampler, MeasureReturnsAFractionOfTheSet) {
-  SamplerRig rig(16, {.monitored_count = 6});
+  SamplerRig rig(16, {});
   const double scrout = rig.sampler.measure_qualified().scrout;
   EXPECT_GE(scrout, 0.0);
   EXPECT_LE(scrout, 1.0);
@@ -161,8 +160,7 @@ TEST(IntervalTuner, StartsAtInitialIntervalAndResets) {
 }
 
 TEST(IntervalTuner, NonRandomSeriesDoublesIntervalAndThinsModel) {
-  IntervalTuner tuner(
-      {.initial_interval = sim::from_millis(400), .runs_test_batch = 16});
+  IntervalTuner tuner({.initial_interval = sim::from_millis(400)});
   ScroutModel model;
   // A monotone ramp: the runs test sees two runs around the median and
   // rejects randomness on the first batch.
@@ -178,8 +176,7 @@ TEST(IntervalTuner, NonRandomSeriesDoublesIntervalAndThinsModel) {
 }
 
 TEST(IntervalTuner, RandomSeriesConfirmsWithoutDoubling) {
-  IntervalTuner tuner(
-      {.initial_interval = sim::from_millis(400), .runs_test_batch = 16});
+  IntervalTuner tuner({.initial_interval = sim::from_millis(400)});
   ScroutModel model;
   util::Rng rng(17);
   for (int i = 0; i < 16; ++i) {
@@ -192,8 +189,7 @@ TEST(IntervalTuner, RandomSeriesConfirmsWithoutDoubling) {
 }
 
 TEST(IntervalTuner, ConfirmedTunerIgnoresFurtherSamples) {
-  IntervalTuner tuner(
-      {.initial_interval = sim::from_millis(400), .runs_test_batch = 4});
+  IntervalTuner tuner({.initial_interval = sim::from_millis(400)});
   tuner.restore(
       {.interval = sim::from_millis(400), .randomness_confirmed = true});
   ScroutModel model;
@@ -207,8 +203,7 @@ TEST(IntervalTuner, ConfirmedTunerIgnoresFurtherSamples) {
 
 TEST(IntervalTuner, DisabledTunerNeverDoublesOrConfirms) {
   IntervalTuner tuner({.initial_interval = sim::from_millis(400),
-                       .runs_test_batch = 4,
-                       .enable = false});
+                       .enable_interval_tuning = false});
   ScroutModel model;
   for (int i = 0; i < 32; ++i) {
     model.add_sample(static_cast<double>(i) / 32.0);
@@ -220,21 +215,19 @@ TEST(IntervalTuner, DisabledTunerNeverDoublesOrConfirms) {
 }
 
 TEST(IntervalTuner, CapForcesConfirmationInsteadOfDisablingDetection) {
-  IntervalTuner tuner({.initial_interval = sim::from_millis(400),
-                       .max_interval = sim::from_millis(800),
-                       .runs_test_batch = 16});
+  IntervalTuner tuner({.initial_interval = IntervalTuner::kMaxInterval / 2});
   ScroutModel model;
   auto feed_monotone_batch = [&] {
-    for (int i = 0; i < 16; ++i) {
+    for (std::size_t i = 0; i < IntervalTuner::kRunsTestBatch; ++i) {
       model.add_sample(static_cast<double>(i) / 16.0);
       tuner.on_model_sample(model, nullptr, 0, "test");
     }
   };
-  feed_monotone_batch();  // 400 -> 800
-  EXPECT_EQ(tuner.interval(), sim::from_millis(800));
+  feed_monotone_batch();  // 6.4 s -> the 12.8 s cap
+  EXPECT_EQ(tuner.interval(), IntervalTuner::kMaxInterval);
   EXPECT_FALSE(tuner.randomness_confirmed());
   feed_monotone_batch();  // would exceed the cap: give up and proceed
-  EXPECT_EQ(tuner.interval(), sim::from_millis(800));
+  EXPECT_EQ(tuner.interval(), IntervalTuner::kMaxInterval);
   EXPECT_TRUE(tuner.randomness_confirmed());
   EXPECT_EQ(tuner.doublings(), 1u);
 }
@@ -322,14 +315,15 @@ TEST(SuspicionJudge, ResetStreakReturnsItsLength) {
 }
 
 TEST(SuspicionJudge, ModelFreezesDuringLongStreaks) {
-  SuspicionJudge judge({.alpha = 0.001, .model_freeze_streak = 3});
+  SuspicionJudge judge({.alpha = 0.001});
   fill_healthy(judge.model());
   EXPECT_FALSE(judge.model_frozen());
-  judge.judge(0.0, true);
-  judge.judge(0.0, true);
+  for (std::size_t i = 1; i < SuspicionJudge::kModelFreezeStreak; ++i) {
+    judge.judge(0.0, true);
+  }
   EXPECT_FALSE(judge.model_frozen());
   judge.judge(0.0, true);
-  EXPECT_TRUE(judge.model_frozen());  // streak >= model_freeze_streak
+  EXPECT_TRUE(judge.model_frozen());  // streak >= kModelFreezeStreak
 }
 
 TEST(SuspicionJudge, EagerFreezeVariantFreezesFromFirstSuspicion) {
@@ -393,19 +387,17 @@ std::vector<trace::StackSnapshot> static_round() {
 }
 
 TEST(SuspicionJudge, BelowQuorumStreakNeedsTheSurcharge) {
-  SuspicionJudge judge({.alpha = 0.001,
-                        .coverage_quorum = 0.55,
-                        .low_coverage_extra_streak = 2,
-                        .degraded_mode_after = 100});
+  SuspicionJudge judge({.alpha = 0.001});
   fill_healthy(judge.model());
   const std::size_t k = judge.decision().k;
+  const std::size_t extra = SuspicionJudge::kLowCoverageExtraStreak;
   // All-suspicious streak at below-quorum coverage: verification must wait
-  // for k + 2 observations, not k.
-  for (std::size_t i = 1; i <= k + 2; ++i) {
+  // for k + extra observations, not k.
+  for (std::size_t i = 1; i <= k + extra; ++i) {
     const auto verdict = judge.judge(0.0, true, /*coverage=*/0.4);
     EXPECT_TRUE(verdict.suspicious);
-    EXPECT_EQ(verdict.required, k + 2);
-    EXPECT_EQ(verdict.verify, i >= k + 2) << "streak " << i;
+    EXPECT_EQ(verdict.required, k + extra);
+    EXPECT_EQ(verdict.verify, i >= k + extra) << "streak " << i;
   }
 }
 
@@ -434,15 +426,16 @@ TEST(SuspicionJudge, ZeroCoverageSampleIsStreakNeutral) {
 }
 
 TEST(SuspicionJudge, DegradedModeEntersAfterConsecutiveLowAndExits) {
-  SuspicionJudge judge(
-      {.alpha = 0.001, .coverage_quorum = 0.55, .degraded_mode_after = 3});
+  SuspicionJudge judge({.alpha = 0.001});
   fill_healthy(judge.model());
   EXPECT_FALSE(judge.degraded_mode());
-  EXPECT_FALSE(judge.judge(0.9, true, 0.4).entered_degraded);
-  EXPECT_FALSE(judge.judge(0.9, true, 0.4).entered_degraded);
-  EXPECT_EQ(judge.consecutive_low_coverage(), 2u);
-  const auto third = judge.judge(0.9, true, 0.4);
-  EXPECT_TRUE(third.entered_degraded);
+  const std::size_t after = SuspicionJudge::kDegradedModeAfter;
+  for (std::size_t i = 1; i < after; ++i) {
+    EXPECT_FALSE(judge.judge(0.9, true, 0.4).entered_degraded);
+  }
+  EXPECT_EQ(judge.consecutive_low_coverage(), after - 1);
+  const auto last = judge.judge(0.9, true, 0.4);
+  EXPECT_TRUE(last.entered_degraded);
   EXPECT_TRUE(judge.degraded_mode());
   // Still degraded on the next low sample, but the transition fired once.
   EXPECT_FALSE(judge.judge(0.9, true, 0.4).entered_degraded);
@@ -454,20 +447,18 @@ TEST(SuspicionJudge, DegradedModeEntersAfterConsecutiveLowAndExits) {
 }
 
 TEST(SuspicionJudge, AnInterveningHealthySampleClearsTheSurcharge) {
-  SuspicionJudge judge({.alpha = 0.001,
-                        .coverage_quorum = 0.55,
-                        .low_coverage_extra_streak = 3,
-                        .degraded_mode_after = 100});
+  SuspicionJudge judge({.alpha = 0.001});
   fill_healthy(judge.model());
   const std::size_t k = judge.decision().k;
   judge.judge(0.0, true, 0.4);  // below-quorum suspicion taints the streak
-  EXPECT_EQ(judge.judge(0.0, true, 1.0).required, k + 3);
+  EXPECT_EQ(judge.judge(0.0, true, 1.0).required,
+            k + SuspicionJudge::kLowCoverageExtraStreak);
   judge.judge(0.9, true, 1.0);  // healthy sample resets streak + taint
   EXPECT_EQ(judge.judge(0.0, true, 1.0).required, k);
 }
 
 TEST(TransientFilter, MovementBetweenRoundsIsASlowdown) {
-  TransientFilter filter({.rounds = 5});
+  TransientFilter filter;
   filter.begin(static_round());
   EXPECT_EQ(filter.rounds_done(), 1);
   // Rank 1 moved into a (non-test) MPI call: §3.3 condition (2).
@@ -479,25 +470,35 @@ TEST(TransientFilter, MovementBetweenRoundsIsASlowdown) {
 }
 
 TEST(TransientFilter, StaticRoundsRetryThenConfirmTheHang) {
-  TransientFilter filter({.rounds = 3});
+  TransientFilter filter;
   filter.begin(static_round());
-  const auto second = filter.check(static_round());
-  EXPECT_EQ(second.outcome, TransientFilter::Outcome::kRetry);
-  EXPECT_EQ(filter.rounds_done(), 2);
-  const auto third = filter.check(static_round());
-  EXPECT_EQ(third.outcome, TransientFilter::Outcome::kHangConfirmed);
-  EXPECT_EQ(filter.rounds_done(), 3);
+  for (int round = 2; round < TransientFilter::kRounds; ++round) {
+    const auto check = filter.check(static_round());
+    EXPECT_EQ(check.outcome, TransientFilter::Outcome::kRetry);
+    EXPECT_EQ(filter.rounds_done(), round);
+  }
+  const auto last = filter.check(static_round());
+  EXPECT_EQ(last.outcome, TransientFilter::Outcome::kHangConfirmed);
+  EXPECT_EQ(filter.rounds_done(), TransientFilter::kRounds);
 }
 
 TEST(TransientFilter, RearmingRestartsTheCount) {
-  TransientFilter filter({.rounds = 2});
+  TransientFilter filter;
+  const auto static_rounds_confirm = [&] {
+    for (int round = 2; round < TransientFilter::kRounds; ++round) {
+      if (filter.check(static_round()).outcome !=
+          TransientFilter::Outcome::kRetry) {
+        return false;
+      }
+    }
+    return filter.check(static_round()).outcome ==
+           TransientFilter::Outcome::kHangConfirmed;
+  };
   filter.begin(static_round());
-  EXPECT_EQ(filter.check(static_round()).outcome,
-            TransientFilter::Outcome::kHangConfirmed);
+  EXPECT_TRUE(static_rounds_confirm());
   filter.begin(static_round());  // a fresh verification
   EXPECT_EQ(filter.rounds_done(), 1);
-  EXPECT_EQ(filter.check(static_round()).outcome,
-            TransientFilter::Outcome::kHangConfirmed);
+  EXPECT_TRUE(static_rounds_confirm());
 }
 
 // --- FaultyIdentifier ------------------------------------------------------
@@ -512,11 +513,11 @@ std::vector<trace::StackSnapshot> sweep_with_victim(simmpi::Rank victim) {
 }
 
 TEST(FaultyIdentifier, CollectsConfiguredSweepCountThenIdentifies) {
-  FaultyIdentifier identifier({.checks = 3, .gap = sim::from_millis(50)});
-  EXPECT_EQ(identifier.gap(), sim::from_millis(50));
-  EXPECT_FALSE(identifier.add_sweep(sweep_with_victim(2)));
-  EXPECT_FALSE(identifier.add_sweep(sweep_with_victim(2)));
-  EXPECT_EQ(identifier.rounds(), 2);
+  FaultyIdentifier identifier;
+  for (int sweep = 1; sweep < FaultyIdentifier::kChecks; ++sweep) {
+    EXPECT_FALSE(identifier.add_sweep(sweep_with_victim(2)));
+    EXPECT_EQ(identifier.rounds(), sweep);
+  }
   EXPECT_TRUE(identifier.add_sweep(sweep_with_victim(2)));
   const auto faulty = identifier.identify();
   ASSERT_EQ(faulty.size(), 1u);
@@ -524,11 +525,13 @@ TEST(FaultyIdentifier, CollectsConfiguredSweepCountThenIdentifies) {
 }
 
 TEST(FaultyIdentifier, ResetDropsCollectedSweeps) {
-  FaultyIdentifier identifier({.checks = 2});
+  FaultyIdentifier identifier;
   identifier.add_sweep(sweep_with_victim(1));
   identifier.reset();
   EXPECT_EQ(identifier.rounds(), 0);
-  EXPECT_FALSE(identifier.add_sweep(sweep_with_victim(3)));
+  for (int sweep = 1; sweep < FaultyIdentifier::kChecks; ++sweep) {
+    EXPECT_FALSE(identifier.add_sweep(sweep_with_victim(3)));
+  }
   EXPECT_TRUE(identifier.add_sweep(sweep_with_victim(3)));
   const auto faulty = identifier.identify();
   ASSERT_EQ(faulty.size(), 1u);

@@ -49,7 +49,6 @@ simmpi::WorldConfig world_config(std::uint64_t seed) {
 
 TimeoutDetector::Config baseline_config(sim::Time interval, int k) {
   TimeoutDetector::Config config;
-  config.monitored_count = 6;
   config.interval = interval;
   config.k = k;
   return config;
@@ -162,11 +161,11 @@ TEST(TimeoutDetector, NoReportAfterJobCompletion) {
   };
   simmpi::World world(world_config(11), workloads::make_factory(profile));
   trace::StackInspector inspector(world);
-  // Every observation counts as "low", so any tick surviving past
-  // completion would reach K quickly.
-  auto config = baseline_config(sim::from_millis(200), 3);
-  config.low_threshold = 1.0;
-  TimeoutDetector detector(world, inspector, config);
+  // The job ends before the first tick, and a finished rank sits in
+  // MPI_Finalize: every observation would count as "low", so any tick
+  // surviving past completion would reach K quickly.
+  TimeoutDetector detector(world, inspector,
+                           baseline_config(sim::from_millis(200), 3));
   world.start();
   detector.start();
   auto& engine = world.engine();
@@ -177,14 +176,19 @@ TEST(TimeoutDetector, NoReportAfterJobCompletion) {
 }
 
 TEST(TimeoutDetector, DetectsExactlyAtStreakK) {
-  // With low_threshold = 1 every sample is suspicious, so the K-th tick —
+  // A deadlock from the first MPI call blocks every rank inside MPI well
+  // before the first tick, so every sample is suspicious and the K-th tick —
   // and exactly the K-th — must produce the report: detection at K * I.
+  faults::FaultPlan plan;
+  plan.type = faults::FaultType::kCommDeadlock;
+  plan.victim = 0;
+  faults::FaultInjector injector(plan);
   simmpi::World world(world_config(12),
-                      workloads::make_factory(steady_solver()));
+                      injector.wrap(workloads::make_factory(steady_solver())));
+  injector.arm(world);
   trace::StackInspector inspector(world);
-  auto config = baseline_config(sim::from_millis(500), 4);
-  config.low_threshold = 1.0;
-  TimeoutDetector detector(world, inspector, config);
+  TimeoutDetector detector(world, inspector,
+                           baseline_config(sim::from_millis(500), 4));
   world.start();
   detector.start();
   auto& engine = world.engine();
@@ -192,8 +196,7 @@ TEST(TimeoutDetector, DetectsExactlyAtStreakK) {
          engine.step()) {
   }
   ASSERT_TRUE(detector.hang_reported());
-  EXPECT_EQ(detector.reports().front().detected_at,
-            4 * sim::from_millis(500));
+  EXPECT_EQ(detector.reports().front().detected_at, 4 * sim::from_millis(500));
   EXPECT_EQ(detector.reports().size(), 1u);  // done_: no second report
 }
 

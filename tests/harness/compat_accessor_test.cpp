@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hpp"
+#include "recover/policy.hpp"
 #include "sched/scheduler.hpp"
 
 namespace parastack::harness {
@@ -62,8 +63,9 @@ TEST(CompatAccessors, ExpireMidRestoreReportsWalltimeAsTheJobEnd) {
   const sim::Time kill_time = probe.attempts.front().end_time;
 
   RunConfig config = banked_lu();
-  config.walltime_override =
-      kill_time + config.recovery.restart_cost + 500 * sim::kMillisecond;
+  config.walltime_override = kill_time +
+                             recover::CheckpointRestartPolicy::kRestartCost +
+                             500 * sim::kMillisecond;
   const RunResult result = run_one(config);
 
   ASSERT_FALSE(result.completed);
@@ -86,8 +88,8 @@ TEST(CompatAccessors, ExpireMidRestoreReportsWalltimeAsTheJobEnd) {
   ticket.cores_per_node = 24;
   ticket.walltime = result.walltime;
   const sched::JobCharge charge = sched::settle_recovered(
-      ticket, result.finish_time, result.end_time,
-      result.recovery.gave_up, result.recovery.su_multiplier);
+      ticket, result.finish_time, result.end_time, result.recovery.gave_up,
+      result.recovery.su_multiplier);
   EXPECT_EQ(charge.end, sched::JobEnd::kWalltimeExpired);
   EXPECT_EQ(charge.elapsed, result.walltime);
   EXPECT_DOUBLE_EQ(charge.savings_fraction, 0.0);
@@ -109,8 +111,8 @@ TEST(CompatAccessors, GiveUpKeepsTheKillInstantAsTheJobEnd) {
   sched::JobTicket ticket;
   ticket.walltime = result.walltime;
   const sched::JobCharge charge = sched::settle_recovered(
-      ticket, result.finish_time, result.end_time,
-      result.recovery.gave_up, result.recovery.su_multiplier);
+      ticket, result.finish_time, result.end_time, result.recovery.gave_up,
+      result.recovery.su_multiplier);
   EXPECT_EQ(charge.end, sched::JobEnd::kGaveUp);
   EXPECT_DOUBLE_EQ(charge.savings_fraction, 0.0);
 }

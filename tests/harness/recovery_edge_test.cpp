@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hpp"
+#include "recover/policy.hpp"
 
 namespace parastack::harness {
 namespace {
@@ -73,7 +74,8 @@ TEST(RecoveryEdge, RecoveryRacesASecondGenuineHang) {
   EXPECT_TRUE(result.attempts[1].killed);  // the re-armed hang, re-detected
   EXPECT_TRUE(result.attempts[2].completed);
   // Two kills -> two restores billed.
-  EXPECT_EQ(result.recovery.overhead_total, 2 * config.recovery.restart_cost);
+  EXPECT_EQ(result.recovery.overhead_total,
+            2 * recover::CheckpointRestartPolicy::kRestartCost);
 }
 
 TEST(RecoveryEdge, DegradedVerdictDuringRestoreIsReVerified) {
@@ -102,7 +104,7 @@ TEST(RecoveryEdge, DegradedVerdictDuringRestoreIsReVerified) {
       << result.attempts[0].recovery_detail;
   // Degraded evidence costs a second arbitration round before the switch.
   EXPECT_EQ(result.recovery.overhead_total,
-            2 * config.recovery.arbitration_cost);
+            2 * recover::TeamReplicationPolicy::kArbitrationCost);
   EXPECT_EQ(result.recovery.su_multiplier, 2.0);
 }
 

@@ -11,6 +11,7 @@
 
 #include "harness/runner.hpp"
 #include "obs/journal.hpp"
+#include "recover/policy.hpp"
 
 namespace parastack::harness {
 namespace {
@@ -52,7 +53,7 @@ TEST(RecoveryRunner, CkptRecoversAHangRunToCompletion) {
   EXPECT_EQ(result.recovery.attempts_used, 2);
   EXPECT_GT(result.recovery.checkpoints_taken, 0u);
   EXPECT_EQ(result.recovery.overhead_total,
-            config.recovery.restart_cost);
+            recover::CheckpointRestartPolicy::kRestartCost);
 
   const auto& first = result.attempts[0];
   const auto& second = result.attempts[1];
@@ -63,7 +64,7 @@ TEST(RecoveryRunner, CkptRecoversAHangRunToCompletion) {
   // The restarted attempt begins after the kill plus the restart cost and
   // resumes from the last periodic checkpoint, not from scratch.
   EXPECT_EQ(second.start_time,
-            first.end_time + config.recovery.restart_cost);
+            first.end_time + recover::CheckpointRestartPolicy::kRestartCost);
   EXPECT_GT(second.resumed_from, 0);
   EXPECT_LE(second.resumed_from, first.end_time);
 
@@ -88,7 +89,8 @@ TEST(RecoveryRunner, SpareFailoverResumesWarm) {
   // Warm failover resumes from the at-kill snapshot: the survivors' state
   // at the kill instant, not an earlier checkpoint.
   EXPECT_EQ(result.attempts[1].resumed_from, result.attempts[0].end_time);
-  EXPECT_EQ(result.recovery.overhead_total, config.recovery.failover_cost);
+  EXPECT_EQ(result.recovery.overhead_total,
+            recover::SpareFailoverPolicy::kFailoverCost);
   EXPECT_EQ(result.recovery.checkpoints_taken, 0u);
 }
 
@@ -105,8 +107,8 @@ TEST(RecoveryRunner, TeamReplicationBillsAllReplicas) {
   // before the kill.
   ASSERT_EQ(result.attempts.size(), 2u);
   EXPECT_GE(result.attempts[1].resumed_from,
-            result.attempts[0].end_time - config.recovery.replica_skew -
-                sim::kSecond);
+            result.attempts[0].end_time -
+                recover::TeamReplicationPolicy::kReplicaSkew - sim::kSecond);
 }
 
 TEST(RecoveryRunner, JournalIsDeterministicWithRecoveryOn) {

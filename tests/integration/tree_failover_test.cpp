@@ -26,8 +26,8 @@ std::shared_ptr<const workloads::BenchmarkProfile> small_profile() {
   profile->reference_ranks = 48;
   profile->setup_time = sim::from_millis(100);
   profile->phases = {
-      {"w", sim::from_millis(25), 0.12,
-       workloads::CommPattern::kHaloBlocking, 64 * 1024},
+      {"w", sim::from_millis(25), 0.12, workloads::CommPattern::kHaloBlocking,
+       64 * 1024},
       {"n", sim::from_millis(5), 0.1, workloads::CommPattern::kAllreduce, 16},
   };
   return profile;
@@ -110,7 +110,6 @@ TEST(TreeFailover, InteriorCrashPromotesLowestChildAndAdoptsSiblings) {
   network.set_topology(fanout2());
   faults::ToolFaultPlan plan;
   plan.monitor_crashes.push_back({.monitor = 1, .at = sim::kSecond});
-  plan.reregistration_latency = sim::from_millis(250);
   network.set_tool_faults(plan);
 
   const auto m = network.measure(kAllNodesSet);
@@ -136,9 +135,11 @@ TEST(TreeFailover, InteriorCrashPromotesLowestChildAndAdoptsSiblings) {
   EXPECT_FALSE(m.degraded);
   EXPECT_EQ(m.levels, 2);  // the promotion flattened the deep branch
   // The subtree re-registration stall is charged to this first sample only.
-  EXPECT_GE(m.aggregation_latency, plan.reregistration_latency);
+  EXPECT_GE(m.aggregation_latency,
+            core::MonitorNetwork::kReregistrationLatency);
   const auto second = network.measure(kAllNodesSet);
-  EXPECT_LT(second.aggregation_latency, plan.reregistration_latency);
+  EXPECT_LT(second.aggregation_latency,
+            core::MonitorNetwork::kReregistrationLatency);
 }
 
 TEST(TreeFailover, RootCrashFailsOverToPromotedChild) {
@@ -150,7 +151,6 @@ TEST(TreeFailover, RootCrashFailsOverToPromotedChild) {
   network.set_topology(fanout2());
   faults::ToolFaultPlan plan;
   plan.lead_crash_at = sim::kSecond;
-  plan.reregistration_latency = sim::from_millis(250);
   network.set_tool_faults(plan);
 
   const auto m = network.measure(kAllNodesSet);
@@ -165,7 +165,8 @@ TEST(TreeFailover, RootCrashFailsOverToPromotedChild) {
   EXPECT_EQ(tree.parent(2), 1);
   EXPECT_EQ(m.partials_missing, 1);  // the old root's ranks went dark
   EXPECT_NEAR(m.coverage, 7.0 / 8.0, 1e-12);
-  EXPECT_GE(m.aggregation_latency, plan.reregistration_latency);
+  EXPECT_GE(m.aggregation_latency,
+            core::MonitorNetwork::kReregistrationLatency);
 }
 
 TEST(TreeFailover, CascadeInTheSameWindowKeepsSurvivorsAggregating) {

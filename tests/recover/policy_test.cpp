@@ -29,7 +29,7 @@ TEST(CheckpointRestartPolicy, ColdRestartWithoutCheckpoint) {
       policy.on_kill(hang_verdict(100 * sim::kSecond), nullptr, at_kill);
   EXPECT_TRUE(decision.restart);
   EXPECT_TRUE(decision.resume.empty());  // no checkpoint: from scratch
-  EXPECT_EQ(decision.overhead, spec.restart_cost);
+  EXPECT_EQ(decision.overhead, CheckpointRestartPolicy::kRestartCost);
   EXPECT_NE(decision.detail.find("cold restart"), std::string::npos);
 }
 
@@ -61,7 +61,7 @@ TEST(SpareFailoverPolicy, ConsumesOneSparePerFaultyRank) {
   EXPECT_EQ(policy.spares_left(), 1);
   // Spares resume warm, from the killed world's own progress.
   EXPECT_EQ(decision.resume.taken_at, at_kill.taken_at);
-  EXPECT_EQ(decision.overhead, spec.failover_cost);
+  EXPECT_EQ(decision.overhead, SpareFailoverPolicy::kFailoverCost);
 }
 
 TEST(SpareFailoverPolicy, EmptyFaultySetStillNeedsOneSpare) {
@@ -97,16 +97,16 @@ TEST(TeamReplicationPolicy, PromotesTrailingReplica) {
   spec.replicas = 3;
   TeamReplicationPolicy policy(spec);
   EXPECT_EQ(policy.su_multiplier(), 3.0);
-  EXPECT_EQ(policy.checkpoint_interval(), spec.replica_skew);
+  EXPECT_EQ(policy.checkpoint_interval(), TeamReplicationPolicy::kReplicaSkew);
   const auto trailing = snapshot_at(85 * sim::kSecond);
-  const auto decision = policy.on_kill(hang_verdict(100 * sim::kSecond),
-                                       &trailing,
-                                       snapshot_at(100 * sim::kSecond));
+  const auto decision =
+      policy.on_kill(hang_verdict(100 * sim::kSecond), &trailing,
+                     snapshot_at(100 * sim::kSecond));
   EXPECT_TRUE(decision.restart);
   EXPECT_EQ(policy.switches_left(), 1);
   // The promoted team trails by one skew cadence, never resumes at-kill.
   EXPECT_EQ(decision.resume.taken_at, 85 * sim::kSecond);
-  EXPECT_EQ(decision.overhead, spec.arbitration_cost);
+  EXPECT_EQ(decision.overhead, TeamReplicationPolicy::kArbitrationCost);
 }
 
 TEST(TeamReplicationPolicy, DegradedVerdictDoublesArbitration) {
@@ -119,7 +119,7 @@ TEST(TeamReplicationPolicy, DegradedVerdictDoublesArbitration) {
   const auto decision =
       policy.on_kill(verdict, nullptr, snapshot_at(100 * sim::kSecond));
   EXPECT_TRUE(decision.restart);
-  EXPECT_EQ(decision.overhead, 2 * spec.arbitration_cost);
+  EXPECT_EQ(decision.overhead, 2 * TeamReplicationPolicy::kArbitrationCost);
   EXPECT_NE(decision.detail.find("re-verified"), std::string::npos);
 }
 

@@ -137,7 +137,6 @@ TEST(StackInspector, ChargesComputingTargets) {
   world.engine().run_until(sim::from_millis(10));
   StackInspector::Config config;
   config.trace_cost_mean = sim::from_millis(3);
-  config.trace_cost_cv = 0.0;
   StackInspector inspector(world, config);
   EXPECT_EQ(inspector.traces(), 0u);
   inspector.trace(0);

@@ -60,13 +60,10 @@ int usage() {
                "hardware threads; results and\n"
                "            telemetry are byte-identical for any --jobs)\n"
                "  submit:   --system slurm|torque --walltime-min M\n"
-               "  topology (run/campaign): --tree FANOUT[,DEPTH][,DEADLINE-MS]"
-               " routes monitor aggregation\n"
-               "            through a k-ary tree (FANOUT 'inf' or 0 = the "
-               "flat star default; DEPTH caps the\n"
-               "            tree, widening the fan-out to fit; DEADLINE-MS "
-               "bounds each level's gather step,\n"
-               "            0 = no deadline)\n"
+               "  topology (run/campaign): --tree FANOUT routes monitor "
+               "aggregation through a k-ary\n"
+               "            tree (FANOUT 'inf' or 0 = the flat star "
+               "default)\n"
                "  recovery (run/campaign): --recovery "
                "none|ckpt[:INTERVAL,COST]|spare[:COUNT]|team[:REPLICAS]\n"
                "            closes the detection loop — a detector kill "
@@ -75,9 +72,7 @@ int usage() {
                "  tool faults (run/campaign): --tool-faults "
                "key=value[,key=value...] with keys\n"
                "            loss|delay-ms|crash(NODE@SEC or rand@SEC)|"
-               "lead-crash|timeout-ms|retries|\n"
-               "            backoff-ms|rereg-ms|seed|quorum|degraded-after|"
-               "extra-streak|fallback\n"
+               "lead-crash|seed|fallback\n"
                "  fleet (run): --fleet JOBS[,ARRIVAL,POOL] runs JOBS tenants "
                "through the shared detector\n"
                "            service (ARRIVAL poisson|trace, default poisson; "
@@ -231,8 +226,7 @@ struct Telemetry {
                 [this](std::ostream& out) { registry.write_json(out); });
     }
     if (trace) {
-      write_doc(trace_path,
-                [this](std::ostream& out) { trace->write(out); });
+      write_doc(trace_path, [this](std::ostream& out) { trace->write(out); });
     }
     return ok;
   }
@@ -244,12 +238,12 @@ constexpr int kMaxRanks = 1 << 20;
 
 /// Options every simulating subcommand reads through build_config().
 const std::vector<std::string> kConfigKeys = {
-    "bench", "ranks", "input", "platform", "seed", "fault", "detectors",
-    "alpha", "tree", "recovery", "tool-faults"};
+    "bench",     "ranks", "input", "platform", "seed",       "fault",
+    "detectors", "alpha", "tree",  "recovery", "tool-faults"};
 /// Options Telemetry::init() reads.
 const std::vector<std::string> kTelemetryKeys = {
-    "log-level", "journal", "journal-spans", "metrics-out", "chrome-trace",
-    "trace-ranks"};
+    "log-level",   "journal",      "journal-spans",
+    "metrics-out", "chrome-trace", "trace-ranks"};
 
 /// True when every option on the command line is one `command` reads;
 /// otherwise names each stray option on stderr.
@@ -265,15 +259,6 @@ bool known_options_only(const util::Args& args, const char* command,
   return unknown.empty();
 }
 
-workloads::Bench parse_bench(const std::string& name, bool& ok) {
-  ok = true;
-  for (const auto bench : workloads::kAllBenches) {
-    if (workloads::bench_name(bench) == name) return bench;
-  }
-  ok = false;
-  return workloads::Bench::kLU;
-}
-
 faults::FaultType parse_fault(const std::string& name, bool& ok) {
   ok = true;
   if (name.empty() || name == "none") return faults::FaultType::kNone;
@@ -287,14 +272,11 @@ faults::FaultType parse_fault(const std::string& name, bool& ok) {
 
 /// Parse the --tool-faults spec: comma-separated key=value entries, e.g.
 ///   --tool-faults=loss=0.05,crash=rand@120,lead-crash=200,fallback
-/// Keys map onto faults::ToolFaultPlan (plus the detector quorum knobs and
-/// the harness fallback switch). Unknown keys and malformed or out-of-range
-/// values are rejected loudly — a typo must not silently run a faults-off
-/// campaign.
+/// Keys map onto faults::ToolFaultPlan (plus the harness fallback switch).
+/// Unknown keys and malformed or out-of-range values are rejected loudly —
+/// a typo must not silently run a faults-off campaign.
 bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
-  constexpr const char* kKeys =
-      "loss|delay-ms|crash|lead-crash|timeout-ms|retries|backoff-ms|"
-      "rereg-ms|seed|quorum|degraded-after|extra-streak|fallback";
+  constexpr const char* kKeys = "loss|delay-ms|crash|lead-crash|seed|fallback";
   faults::ToolFaultPlan& plan = config.tool_faults;
   std::size_t pos = 0;
   while (pos <= spec.size()) {
@@ -313,22 +295,19 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
       if (x >= 0.0 && x <= hi) return x;
       throw std::invalid_argument(key + " takes " + range + ", not " + text);
     };
-    const auto fraction = [&](const std::string& text) {
-      return number(text, 1.0, "0 to 1");
-    };
     const auto millis = [&](const std::string& text) {
       return sim::from_millis(number(text, 1e12, "0 to 1e12 ms"));
     };
     const auto seconds = [&](const std::string& text) {
       return sim::from_seconds(number(text, 1e9, "0 to 1e9 s"));
     };
-    const auto count = [&](const std::string& text) {
+    const auto node_id = [&](const std::string& text) {
       const int n = Args::parse_whole<int>(text);
       if (n >= 0) return n;
       throw std::invalid_argument(key + " takes 0 or more, not " + text);
     };
     if (key == "loss") {
-      plan.loss_probability = fraction(value);
+      plan.loss_probability = number(value, 1.0, "0 to 1");
     } else if (key == "delay-ms") {
       plan.delay_mean = millis(value);
     } else if (key == "crash") {
@@ -343,29 +322,13 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
       }
       faults::MonitorCrash crash;
       const std::string node = value.substr(0, at);
-      crash.monitor = node == "rand" ? -1 : count(node);
+      crash.monitor = node == "rand" ? -1 : node_id(node);
       crash.at = seconds(value.substr(at + 1));
       plan.monitor_crashes.push_back(crash);
     } else if (key == "lead-crash") {
       plan.lead_crash_at = seconds(value);
-    } else if (key == "timeout-ms") {
-      plan.sample_timeout = millis(value);
-    } else if (key == "retries") {
-      plan.max_retries = count(value);
-    } else if (key == "backoff-ms") {
-      plan.retry_backoff = millis(value);
-    } else if (key == "rereg-ms") {
-      plan.reregistration_latency = millis(value);
     } else if (key == "seed") {
       plan.seed = Args::parse_whole<std::uint64_t>(value);
-    } else if (key == "quorum") {
-      config.parastack_config().coverage_quorum = fraction(value);
-    } else if (key == "degraded-after") {
-      config.parastack_config().degraded_mode_after =
-          Args::parse_whole<std::size_t>(value);
-    } else if (key == "extra-streak") {
-      config.parastack_config().low_coverage_extra_streak =
-          Args::parse_whole<std::size_t>(value);
     } else if (key == "fallback") {
       config.degraded_fallback_timeout = true;
     } else {
@@ -381,12 +344,14 @@ bool parse_tool_faults(const std::string& spec, harness::RunConfig& config) {
 
 harness::RunConfig build_config(const util::Args& args, bool& ok) {
   harness::RunConfig config;
-  config.bench = parse_bench(args.get("bench", "LU"), ok);
-  if (!ok) {
-    std::fprintf(stderr, "unknown benchmark '%s'\n",
-                 args.get("bench").c_str());
+  const std::string bench = args.get("bench", "LU");
+  const auto parsed_bench = workloads::bench_by_name(bench);
+  if (!parsed_bench) {
+    std::fprintf(stderr, "unknown benchmark '%s'\n", bench.c_str());
+    ok = false;
     return config;
   }
+  config.bench = *parsed_bench;
   config.nranks = args.get_whole<int>("ranks", 256, 1, kMaxRanks);
   // --input is an NPB class, or a positive whole size for HPL and HPCG:
   // anything else would abort the profile build or run a nonsense size.
@@ -400,19 +365,15 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
                                 "' (expected C, D or E)");
   }
   const std::string platform = args.get("platform", "Tianhe-2");
-  if (platform == "Tardis") {
-    config.platform = sim::Platform::tardis();
-  } else if (platform == "Stampede") {
-    config.platform = sim::Platform::stampede();
-  } else if (platform == "Tianhe-2") {
-    config.platform = sim::Platform::tianhe2();
-  } else {
+  const auto preset = sim::platform_by_name(platform);
+  if (!preset) {
     std::fprintf(stderr,
                  "unknown platform '%s' (expected Tardis|Tianhe-2|Stampede)\n",
                  platform.c_str());
     ok = false;
     return config;
   }
+  config.platform = *preset;
   config.seed = args.get_whole<std::uint64_t>("seed", 1);
   config.fault = parse_fault(args.get("fault", "none"), ok);
   if (!ok) {
@@ -457,35 +418,17 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
     parastack->parastack.alpha = alpha;
   }
   if (const std::string spec = args.get("tree", ""); !spec.empty()) {
-    // FANOUT[,DEPTH][,DEADLINE-MS]; 'inf' (or 0) keeps the flat star for
-    // A/B sweeps that drive both shapes through one script. The optional
-    // third field bounds each level's gather step (0 = no deadline).
+    // FANOUT; 'inf' (or 0) keeps the flat star for A/B sweeps that drive
+    // both shapes through one script.
     try {
-      const std::size_t comma = spec.find(',');
-      const std::string fanout = spec.substr(0, comma);
-      if (fanout == "inf" || fanout == "star") {
-        config.monitor_tree.fanout = 0;
-      } else {
-        config.monitor_tree.fanout = Args::parse_whole<int>(fanout);
-      }
-      if (comma != std::string::npos) {
-        const std::string rest = spec.substr(comma + 1);
-        const std::size_t comma2 = rest.find(',');
-        config.monitor_tree.depth =
-            Args::parse_whole<int>(rest.substr(0, comma2));
-        if (comma2 != std::string::npos) {
-          config.monitor_tree.level_deadline = sim::from_millis(
-              Args::parse_whole<double>(rest.substr(comma2 + 1)));
-        }
-      }
-      if (config.monitor_tree.fanout < 0 || config.monitor_tree.depth < 0 ||
-          config.monitor_tree.level_deadline < 0) {
+      config.monitor_tree.fanout =
+          spec == "inf" || spec == "star" ? 0 : Args::parse_whole<int>(spec);
+      if (config.monitor_tree.fanout < 0) {
         throw std::invalid_argument("negative");
       }
     } catch (const std::exception&) {
       std::fprintf(stderr,
-                   "bad --tree value '%s' (expected "
-                   "FANOUT[,DEPTH][,DEADLINE-MS], FANOUT >= 0 or 'inf')\n",
+                   "bad --tree value '%s' (expected FANOUT >= 0 or 'inf')\n",
                    spec.c_str());
       ok = false;
       return config;
@@ -581,21 +524,20 @@ int cmd_run_fleet(const util::Args& args, const std::string& spec) {
   if (!telemetry.init(args)) return 2;
   fc.telemetry = telemetry.sink();
   fc.perf = telemetry.perf_registry();
-  std::fprintf(telemetry.human(),
-               "fleet: %d tenant%s, %s arrivals, pool %s — base %s(%s) on "
-               "%d ranks (%s), seed %llu...\n",
-               fc.arrivals.jobs, fc.arrivals.jobs == 1 ? "" : "s",
-               std::string(fleet::arrival_model_name(fc.arrivals.model))
-                   .c_str(),
-               fc.monitor_pool > 0 ? std::to_string(fc.monitor_pool).c_str()
-                                   : "unbounded",
-               workloads::bench_name(fc.base.bench).data(),
-               fc.base.input.empty()
-                   ? workloads::default_input(fc.base.bench, fc.base.nranks)
-                         .c_str()
-                   : fc.base.input.c_str(),
-               fc.base.nranks, fc.base.platform.name.c_str(),
-               static_cast<unsigned long long>(fc.base.seed));
+  std::fprintf(
+      telemetry.human(),
+      "fleet: %d tenant%s, %s arrivals, pool %s — base %s(%s) on "
+      "%d ranks (%s), seed %llu...\n",
+      fc.arrivals.jobs, fc.arrivals.jobs == 1 ? "" : "s",
+      std::string(fleet::arrival_model_name(fc.arrivals.model)).c_str(),
+      fc.monitor_pool > 0 ? std::to_string(fc.monitor_pool).c_str()
+                          : "unbounded",
+      workloads::bench_name(fc.base.bench).data(),
+      fc.base.input.empty()
+          ? workloads::default_input(fc.base.bench, fc.base.nranks).c_str()
+          : fc.base.input.c_str(),
+      fc.base.nranks, fc.base.platform.name.c_str(),
+      static_cast<unsigned long long>(fc.base.seed));
   const auto result = fleet::run_fleet(fc);
   const auto& bill = result.bill;
   std::fprintf(telemetry.human(),
@@ -631,57 +573,60 @@ int cmd_run(const util::Args& args) {
   if (!telemetry.init(args)) return 2;
   config.telemetry = telemetry.sink();
   config.perf = telemetry.perf_registry();
-  std::fprintf(telemetry.human(), "running %s(%s) on %d ranks (%s), seed %llu...\n",
-              workloads::bench_name(config.bench).data(),
-              config.input.empty()
-                  ? workloads::default_input(config.bench, config.nranks)
-                        .c_str()
-                  : config.input.c_str(),
-              config.nranks, config.platform.name.c_str(),
-              static_cast<unsigned long long>(config.seed));
+  std::fprintf(
+      telemetry.human(), "running %s(%s) on %d ranks (%s), seed %llu...\n",
+      workloads::bench_name(config.bench).data(),
+      config.input.empty()
+          ? workloads::default_input(config.bench, config.nranks).c_str()
+          : config.input.c_str(),
+      config.nranks, config.platform.name.c_str(),
+      static_cast<unsigned long long>(config.seed));
   const auto result = harness::run_one(config);
   if (result.fault.type != faults::FaultType::kNone) {
-    std::fprintf(telemetry.human(), "fault: %s on rank %d, active from t=%.1fs\n",
-                faults::fault_type_name(result.fault.type).data(),
-                result.fault.victim,
-                sim::to_seconds(result.fault.activated_at));
+    std::fprintf(
+        telemetry.human(), "fault: %s on rank %d, active from t=%.1fs\n",
+        faults::fault_type_name(result.fault.type).data(), result.fault.victim,
+        sim::to_seconds(result.fault.activated_at));
   }
   if (result.completed) {
-    std::fprintf(telemetry.human(), "job completed at t=%.1fs", sim::to_seconds(*result.finish_time));
-    if (result.gflops > 0.0) std::fprintf(telemetry.human(), " (%.1f GFLOPS)", result.gflops);
+    std::fprintf(telemetry.human(), "job completed at t=%.1fs",
+                 sim::to_seconds(*result.finish_time));
+    if (result.gflops > 0.0)
+      std::fprintf(telemetry.human(), " (%.1f GFLOPS)", result.gflops);
     std::fprintf(telemetry.human(), "\n");
   }
   for (const auto& report : result.hangs()) {
-    std::fprintf(telemetry.human(), "ParaStack: %s\n", report.to_string().c_str());
+    std::fprintf(telemetry.human(), "ParaStack: %s\n",
+                 report.to_string().c_str());
   }
   for (const auto& report : result.slowdowns()) {
-    std::fprintf(telemetry.human(), "ParaStack: %s\n", report.to_string().c_str());
+    std::fprintf(telemetry.human(), "ParaStack: %s\n",
+                 report.to_string().c_str());
   }
   if (!result.timeout_reports().empty()) {
     std::fprintf(telemetry.human(), "timeout baseline fired at t=%.1fs\n",
-                sim::to_seconds(result.timeout_reports().front().detected_at));
+                 sim::to_seconds(result.timeout_reports().front().detected_at));
   }
-  if (const auto* watchdog =
-          result.detector(core::DetectorKind::kIoWatchdog);
+  if (const auto* watchdog = result.detector(core::DetectorKind::kIoWatchdog);
       watchdog != nullptr && watchdog->detected()) {
     std::fprintf(telemetry.human(),
-                "io-watchdog fired at t=%.1fs (%.0fs of output silence)\n",
-                sim::to_seconds(watchdog->detections.front().detected_at),
-                sim::to_seconds(watchdog->detections.front().silence));
+                 "io-watchdog fired at t=%.1fs (%.0fs of output silence)\n",
+                 sim::to_seconds(watchdog->detections.front().detected_at),
+                 sim::to_seconds(watchdog->detections.front().silence));
   }
-  const bool any_detection =
-      std::any_of(result.detectors.begin(), result.detectors.end(),
-                  [](const harness::DetectorRunResult& entry) {
-                    return entry.detected();
-                  });
+  const bool any_detection = std::any_of(
+      result.detectors.begin(), result.detectors.end(),
+      [](const harness::DetectorRunResult& entry) { return entry.detected(); });
   if (!result.completed && !any_detection) {
-    std::fprintf(telemetry.human(), "job did not complete; walltime expired at t=%.1fs\n",
-                sim::to_seconds(result.end_time));
+    std::fprintf(telemetry.human(),
+                 "job did not complete; walltime expired at t=%.1fs\n",
+                 sim::to_seconds(result.end_time));
   }
-  std::fprintf(telemetry.human(), "monitoring: %llu stack traces, final I=%.0fms, %zu model "
-              "samples\n",
-              static_cast<unsigned long long>(result.traces),
-              sim::to_millis(result.final_interval), result.model_samples);
+  std::fprintf(telemetry.human(),
+               "monitoring: %llu stack traces, final I=%.0fms, %zu model "
+               "samples\n",
+               static_cast<unsigned long long>(result.traces),
+               sim::to_millis(result.final_interval), result.model_samples);
   if (config.tool_faults.active()) {
     std::fprintf(telemetry.human(),
                  "tool faults: %llu monitor crashes, %llu lead failovers, "
@@ -709,10 +654,10 @@ int cmd_run(const util::Args& args) {
                  "%llu checkpoints, SU x%.1f\n",
                  recover::recovery_policy_name(rec.policy).data(),
                  rec.attempts_used, rec.attempts_used == 1 ? "" : "s",
-                 rec.gave_up              ? "gave up"
-                 : rec.recovered          ? "recovered"
-                 : result.completed       ? "no recovery needed"
-                                          : "not recovered",
+                 rec.gave_up        ? "gave up"
+                 : rec.recovered    ? "recovered"
+                 : result.completed ? "no recovery needed"
+                                    : "not recovered",
                  sim::to_seconds(rec.overhead_total),
                  static_cast<unsigned long long>(rec.checkpoints_taken),
                  rec.su_multiplier);
@@ -737,18 +682,20 @@ int cmd_campaign(const util::Args& args) {
   campaign.seed0 = campaign.base.seed * 1000 + 7;
   if (campaign.base.fault == faults::FaultType::kNone) {
     const auto result = harness::run_clean_campaign(campaign);
-    std::fprintf(telemetry.human(), "%d clean runs: %d false positives, mean runtime %.1fs "
-                "(stddev %.1f), %.2f simulated hours\n",
-                result.runs, result.false_positives,
-                result.runtime_seconds.mean(), result.runtime_seconds.stddev(),
-                result.total_hours);
+    std::fprintf(telemetry.human(),
+                 "%d clean runs: %d false positives, mean runtime %.1fs "
+                 "(stddev %.1f), %.2f simulated hours\n",
+                 result.runs, result.false_positives,
+                 result.runtime_seconds.mean(), result.runtime_seconds.stddev(),
+                 result.total_hours);
     return telemetry.finish() ? 0 : 1;
   }
   const auto result = harness::run_erroneous_campaign(campaign);
   std::fprintf(telemetry.human(), "%d erroneous runs (%s):\n", result.runs,
-              faults::fault_type_name(campaign.base.fault).data());
-  std::fprintf(telemetry.human(), "  accuracy AC=%.2f (missed %d), false positives %d\n",
-              result.accuracy(), result.missed, result.false_positives);
+               faults::fault_type_name(campaign.base.fault).data());
+  std::fprintf(telemetry.human(),
+               "  accuracy AC=%.2f (missed %d), false positives %d\n",
+               result.accuracy(), result.missed, result.false_positives);
   if (result.delay_seconds.empty()) {
     // No detections: there is no delay to average.
     std::fprintf(telemetry.human(), "  response delay n/a\n");
@@ -759,8 +706,9 @@ int cmd_campaign(const util::Args& args) {
                  result.delay_seconds.max());
   }
   if (campaign.base.fault == faults::FaultType::kComputeHang) {
-    std::fprintf(telemetry.human(), "  faulty-process identification ACf=%.2f PRf=%.2f\n",
-                result.acf(), result.prf());
+    std::fprintf(telemetry.human(),
+                 "  faulty-process identification ACf=%.2f PRf=%.2f\n",
+                 result.acf(), result.prf());
   }
   if (campaign.base.tool_faults.active()) {
     std::fprintf(telemetry.human(),
@@ -785,13 +733,12 @@ int cmd_submit(const util::Args& args) {
   if (!ok) return 2;
   sched::JobTicket ticket;
   ticket.cores_per_node = config.platform.cores_per_node;
-  ticket.nodes = (config.nranks + ticket.cores_per_node - 1) /
-                 ticket.cores_per_node;
+  ticket.nodes =
+      (config.nranks + ticket.cores_per_node - 1) / ticket.cores_per_node;
   ticket.walltime =
-      sim::kMinute *
-      args.get_whole<sim::Time>("walltime-min", 60, 1,
-                                std::numeric_limits<sim::Time>::max() /
-                                    sim::kMinute);
+      sim::kMinute * args.get_whole<sim::Time>(
+                         "walltime-min", 60, 1,
+                         std::numeric_limits<sim::Time>::max() / sim::kMinute);
   ticket.job_name = std::string(workloads::bench_name(config.bench));
   const std::string system_name = args.get("system", "slurm");
   if (system_name != "slurm" && system_name != "torque") {
@@ -801,9 +748,8 @@ int cmd_submit(const util::Args& args) {
   }
   const auto system = system_name == "torque" ? sched::BatchSystem::kTorque
                                               : sched::BatchSystem::kSlurm;
-  std::printf("%s\n", sched::submission_command(
-                          system, ticket,
-                          "./" + ticket.job_name + ".exe")
+  std::printf("%s\n", sched::submission_command(system, ticket,
+                                                "./" + ticket.job_name + ".exe")
                           .c_str());
   return 0;
 }
