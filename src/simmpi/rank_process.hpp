@@ -193,8 +193,8 @@ class RankProcess : private RequestOwner {
   sim::Time busy_span_begin_ = 0;
   bool frozen_ = false;
   double compute_factor_ = 1.0;
-  double combined_cv_for_ =
-      -1.0;  ///< cv the cached combined_cv_ was built from
+  /// The cv the cached combined_cv_ was built from.
+  double combined_cv_for_ = -1.0;
   double combined_cv_ = 0.0;
   sim::Time suspend_debt_ = 0;
   sim::Time finished_at_ = -1;
