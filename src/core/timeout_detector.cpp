@@ -39,10 +39,10 @@ void TimeoutDetector::start() {
 
 void TimeoutDetector::tick() {
   // A finished job cannot hang: without this guard a tick that fires after
-  // the last rank completed would read the idle ranks as OUT_MPI and walk
-  // the streak toward a bogus post-completion detection (the harness
-  // normally stops stepping at all_finished, but unit tests and zero-length
-  // jobs drive the engine directly).
+  // the last rank completed would read the ranks parked in MPI_Finalize as
+  // IN_MPI and walk the streak toward a bogus post-completion detection (the
+  // harness normally stops stepping at all_finished, but unit tests and
+  // zero-length jobs drive the engine directly).
   if (stopped_ || done_ || world_.all_finished()) return;
   int out = 0;
   for (const simmpi::Rank r : monitored_) {

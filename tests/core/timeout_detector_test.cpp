@@ -149,9 +149,10 @@ TEST(TimeoutDetector, StreakResetsOnHealthyObservation) {
 }
 
 TEST(TimeoutDetector, NoReportAfterJobCompletion) {
-  // A finished job cannot hang. Once every rank completed, the idle ranks
-  // read as OUT_MPI, so a tick that still fires would walk the streak to a
-  // bogus post-completion detection — the tick must check all_finished().
+  // A finished job cannot hang. Once every rank completed, each rank sits
+  // in MPI_Finalize and reads as IN_MPI, so every observation counts as
+  // "low" and a tick that still fires would walk the streak to a bogus
+  // post-completion detection — the tick must check all_finished().
   auto profile = std::make_shared<BenchmarkProfile>();
   profile->iterations = 5;
   profile->reference_ranks = 16;
@@ -161,9 +162,7 @@ TEST(TimeoutDetector, NoReportAfterJobCompletion) {
   };
   simmpi::World world(world_config(11), workloads::make_factory(profile));
   trace::StackInspector inspector(world);
-  // The job ends before the first tick, and a finished rank sits in
-  // MPI_Finalize: every observation would count as "low", so any tick
-  // surviving past completion would reach K quickly.
+  // The job ends before the first tick.
   TimeoutDetector detector(world, inspector,
                            baseline_config(sim::from_millis(200), 3));
   world.start();
