@@ -6,7 +6,7 @@
 #
 # Configures perfbench/ into build-sweep/. perfbench pulls in the whole
 # repository as a subproject, so perfbench is a root next to psim, pscheck,
-# every bench and every example. Build type None keeps the root's
+# psbench, bench_micro_primitives and every example. Build type None keeps the root's
 # RelWithDebInfo default from adding -O2, and -O0 keeps every call out of
 # line; one section per function plus --gc-sections leaves each executable
 # only the functions it reaches. The `T` symbols of the libparastack_*
@@ -22,8 +22,8 @@ export LC_ALL=C  # sort and comm must agree on the order
 cd "$(dirname "$0")/../.."
 build=build-sweep
 
-targets=(perfbench psim pscheck)
-for source in bench/*.cpp examples/*.cpp; do
+targets=(perfbench psim pscheck psbench bench_micro_primitives)
+for source in examples/*.cpp; do
   targets+=("$(basename "$source" .cpp)")
 done
 

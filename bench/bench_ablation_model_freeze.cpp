@@ -44,10 +44,7 @@ Outcome evaluate(bool freeze, int nruns, std::uint64_t seed0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Ablation — model updates during a suspicion streak",
-                "design decision #2 (paper §3.2 leaves this implicit)");
+int bench::ablation_model_freeze() {
   const int nruns = bench::runs(8, 30);
   const Outcome updating = evaluate(false, nruns, 71000);
   const Outcome frozen = evaluate(true, nruns, 71000);
@@ -55,11 +52,12 @@ int main(int argc, char** argv) {
   std::printf("%-28s %8s %8s %8s\n", "variant", "detect", "FP", "mean k");
   std::printf("%-28s %8d %8d %8.1f\n", "updating model (default)",
               updating.detected, updating.false_positives, updating.mean_k);
-  std::printf("%-28s %8d %8d %8.1f\n", "frozen during streak",
-              frozen.detected, frozen.false_positives, frozen.mean_k);
-  std::printf("\nExpected shape: both detect the hangs, but the frozen "
-              "variant runs with a smaller required streak k (it "
-              "under-counts healthy suspicions), eroding the false-alarm "
-              "margin on collective-heavy apps.\n");
+  std::printf("%-28s %8d %8d %8.1f\n", "frozen during streak", frozen.detected,
+              frozen.false_positives, frozen.mean_k);
+  std::printf(
+      "\nExpected shape: both detect the hangs, but the frozen "
+      "variant runs with a smaller required streak k (it "
+      "under-counts healthy suspicions), eroding the false-alarm "
+      "margin on collective-heavy apps.\n");
   return 0;
 }

@@ -52,8 +52,7 @@ Outcome evaluate(bool alternation, int nruns, std::uint64_t seed0) {
     world_config.platform = sim::Platform::tianhe2();
     world_config.seed = seed;
     world_config.background_slowdowns = false;
-    simmpi::World world(world_config,
-                        workloads::make_factory(compute_heavy()));
+    simmpi::World world(world_config, workloads::make_factory(compute_heavy()));
     trace::StackInspector inspector(world);
     core::DetectorConfig det_config;
     det_config.enable_set_alternation = alternation;
@@ -63,9 +62,8 @@ Outcome evaluate(bool alternation, int nruns, std::uint64_t seed0) {
     // Hang the first member of the detector's OWN monitored set.
     const simmpi::Rank victim = detector.monitor_set(0)[0];
     const sim::Time freeze_at = 60 * sim::kSecond;
-    world.engine().schedule_at(freeze_at, [&world, victim] {
-      world.rank(victim).freeze();
-    });
+    world.engine().schedule_at(
+        freeze_at, [&world, victim] { world.rank(victim).freeze(); });
 
     world.start();
     detector.start();
@@ -90,16 +88,14 @@ Outcome evaluate(bool alternation, int nruns, std::uint64_t seed0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Ablation — monitor-set alternation (corner case of §3.3)",
-                "ParaStack SC'17, §3.3 'Prevention of a corner case failure'");
+int bench::ablation_single_set() {
   const int nruns = bench::runs(10, 30);
   const Outcome with_alternation = evaluate(true, nruns, 61000);
   const Outcome without = evaluate(false, nruns, 61000);
-  std::printf("the faulty rank IS monitored (24 ranks, C=10; victim chosen "
-              "from set 0; %d runs, counting those frozen OUT_MPI):\n\n",
-              nruns);
+  std::printf(
+      "the faulty rank IS monitored (24 ranks, C=10; victim chosen "
+      "from set 0; %d runs, counting those frozen OUT_MPI):\n\n",
+      nruns);
   std::printf("  %-30s %8s %12s\n", "variant", "detected", "mean delay");
   std::printf("  %-30s %5d/%-3d %10.1fs\n", "two alternating sets (paper)",
               with_alternation.detected, with_alternation.corner_case_runs,
@@ -107,11 +103,12 @@ int main(int argc, char** argv) {
   std::printf("  %-30s %5d/%-3d %10.1fs\n", "single fixed set (ablated)",
               without.detected, without.corner_case_runs,
               without.delay_s.mean());
-  std::printf("\nExpected shape: with alternation the clean set reads "
-              "S_crout = 0 and detection lands in seconds. The single-set "
-              "variant stares at S_crout = 1/C: no suspicion fires until "
-              "the still-learning model slowly drifts its threshold up to "
-              "1/C — detection is an order of magnitude later (or missed "
-              "entirely in a shorter allocation).\n");
+  std::printf(
+      "\nExpected shape: with alternation the clean set reads "
+      "S_crout = 0 and detection lands in seconds. The single-set "
+      "variant stares at S_crout = 1/C: no suspicion fires until "
+      "the still-learning model slowly drifts its threshold up to "
+      "1/C — detection is an order of magnitude later (or missed "
+      "entirely in a shorter allocation).\n");
   return 0;
 }

@@ -7,10 +7,7 @@
 
 using namespace parastack;
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Ablation — per-trace cost vs monitoring interval",
-                "paper §3.3 lightweight-design rationale / Table 3");
+int bench::ablation_trace_cost() {
   const int nruns = bench::runs(2, 5);
   const auto platform = sim::Platform::tianhe2();
 
@@ -19,8 +16,8 @@ int main(int argc, char** argv) {
                                                 platform, nruns, 45000, 0.0);
   std::printf("CG(D) @256 Tianhe-2, clean mean: %.1fs\n\n",
               clean.metric.mean());
-  std::printf("%-14s %-12s %10s %10s\n", "trace cost", "interval",
-              "mean(s)", "overhead%");
+  std::printf("%-14s %-12s %10s %10s\n", "trace cost", "interval", "mean(s)",
+              "overhead%");
   for (const double cost_ms : {0.5, 2.79, 10.0}) {
     for (const double interval_ms : {100.0, 400.0, 1600.0}) {
       std::vector<std::optional<double>> runtimes(
@@ -52,8 +49,9 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
-  std::printf("\nExpected shape: overhead ~ cost/interval for the monitored "
-              "ranks, amplified through collectives; the paper's default "
-              "(2.8ms cost, I>=400ms) keeps it around or below 1%%.\n");
+  std::printf(
+      "\nExpected shape: overhead ~ cost/interval for the monitored "
+      "ranks, amplified through collectives; the paper's default "
+      "(2.8ms cost, I>=400ms) keeps it around or below 1%%.\n");
   return 0;
 }

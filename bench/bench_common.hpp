@@ -1,118 +1,44 @@
 #pragma once
 
-// Shared helpers for the experiment-reproduction binaries. Each bench
-// regenerates one table or figure from the paper. By default campaign sizes
-// are scaled down so every binary finishes in seconds to a couple of
-// minutes; set PARASTACK_BENCH_SCALE=full for paper-sized campaigns.
+// Shared helpers for the paper's experiments, which `psbench NAME` runs
+// (bench/psbench.cpp names them). Each experiment regenerates one or more
+// tables or figures from the paper. By default campaign sizes are scaled
+// down so every experiment finishes in seconds to a couple of minutes;
+// PARASTACK_BENCH_SCALE=full runs paper-sized campaigns.
 //
-// Campaigns fan out across worker threads (`--jobs N` on any bench binary,
-// or PARASTACK_BENCH_JOBS=N; default: all hardware threads). Any other
-// option a bench does not read is an error (exit 2). Campaign
-// results are byte-identical for any jobs value, so parallelism never
-// changes a reproduced number.
+// Campaigns fan out across worker threads (`psbench NAME --jobs N`;
+// default: all hardware threads). Campaign results are byte-identical for
+// any jobs value, so parallelism never changes a reproduced number.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "harness/campaign.hpp"
 #include "harness/parallel.hpp"
 #include "harness/runner.hpp"
-#include "util/args.hpp"
 #include "util/summary.hpp"
 
 namespace parastack::bench {
 
-inline bool full_scale() {
-  const char* env = std::getenv("PARASTACK_BENCH_SCALE");
-  return env != nullptr && std::strcmp(env, "full") == 0;
-}
+/// The two settable values, fixed by psbench's main before an experiment
+/// runs.
+struct Settings {
+  bool full_scale = false;  ///< PARASTACK_BENCH_SCALE=full
+  int jobs = 1;             ///< worker threads for campaign fan-out
+};
+inline Settings settings;
+
+inline bool full_scale() { return settings.full_scale; }
 
 /// Campaign size: `quick` by default, `full` under PARASTACK_BENCH_SCALE=full.
 inline int runs(int quick, int full) { return full_scale() ? full : quick; }
 
-/// The worker count parse_jobs read from --jobs or PARASTACK_BENCH_JOBS.
-inline int& jobs_override() {
-  static int value = -1;  // -1 = neither was given
-  return value;
-}
+/// Worker threads for campaign fan-out.
+inline int jobs() { return settings.jobs; }
 
-/// Parse the options every bench binary shares: `--jobs N` (or
-/// `--jobs=N`), or else PARASTACK_BENCH_JOBS=N; 0 means one worker per
-/// hardware thread. `also_known` names the options a bench reads itself
-/// from the returned Args. An unknown option, a stray argument, or a
-/// malformed or negative worker count exits 2 before anything runs, as in
-/// psim and pscheck. Every bench binary calls this first thing in main().
-inline util::Args parse_jobs(int argc, char** argv,
-                             std::vector<std::string> also_known = {}) {
-  const std::string_view path = argv[0];
-  const std::string name(path.substr(path.rfind('/') + 1));
-  util::Args args(argc, argv);
-  also_known.push_back("jobs");
-  bool bad = false;
-  for (const auto& key : args.unknown_keys(also_known)) {
-    std::fprintf(stderr, "%s: unknown option --%s\n", name.c_str(),
-                 key.c_str());
-    bad = true;
-  }
-  for (const auto& arg : args.positionals()) {
-    std::fprintf(stderr, "%s: unexpected argument '%s'\n", name.c_str(),
-                 arg.c_str());
-    bad = true;
-  }
-  try {
-    jobs_override() = args.get_whole<int>("jobs", -1, 0);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), error.what());
-    bad = true;
-  }
-  if (const char* env = std::getenv("PARASTACK_BENCH_JOBS");
-      env != nullptr && *env != '\0') {
-    int env_jobs = -1;
-    try {
-      env_jobs = util::Args::parse_whole<int>(env);
-    } catch (const std::invalid_argument&) {
-    }
-    if (env_jobs < 0) {
-      std::fprintf(stderr,
-                   "%s: bad PARASTACK_BENCH_JOBS value '%s' (expected a "
-                   "whole number from 0)\n",
-                   name.c_str(), env);
-      bad = true;
-    } else if (jobs_override() < 0) {
-      jobs_override() = env_jobs;
-    }
-  }
-  if (bad) std::exit(2);
-  return args;
-}
-
-/// Worker threads for campaign fan-out: --jobs beats PARASTACK_BENCH_JOBS
-/// beats auto (one per hardware thread).
-inline int jobs() {
-  if (jobs_override() >= 0) return harness::resolve_jobs(jobs_override());
-  return harness::default_jobs();
-}
-
-inline void header(const char* experiment, const char* paper_ref) {
-  std::printf(
-      "=============================================================\n");
-  std::printf("%s\n", experiment);
-  std::printf("reproduces: %s\n", paper_ref);
-  std::printf(
-      "mode: %s (set PARASTACK_BENCH_SCALE=full for paper-sized "
-      "campaigns), %d worker thread%s\n",
-      full_scale() ? "full" : "quick", jobs(), jobs() == 1 ? "" : "s");
-  std::printf(
-      "=============================================================\n");
-}
-
-/// Base erroneous-run configuration shared by the accuracy-style benches.
+/// Base erroneous-run configuration shared by the accuracy-style experiments.
 inline harness::RunConfig erroneous_config(workloads::Bench bench,
                                            const std::string& input, int nranks,
                                            const sim::Platform& platform) {
@@ -125,9 +51,9 @@ inline harness::RunConfig erroneous_config(workloads::Bench bench,
   return config;
 }
 
-/// One performance measurement series for the overhead experiments
-/// (Table 4, Figures 7-8, Table 5): the per-run metric is wall-clock
-/// seconds, or delivered GFLOPS for HPCG.
+/// One performance measurement series for the overhead experiment
+/// (Tables 4-5, Figures 7-8): the per-run metric is wall-clock seconds, or
+/// delivered GFLOPS for HPCG.
 struct OverheadSeries {
   util::Summary metric;         ///< across runs
   std::vector<double> per_run;  ///< individual runs (Figs 7-8 plot these)
@@ -180,5 +106,28 @@ inline OverheadSeries measure_performance(
   }
   return series;
 }
+
+// The experiments, one per file of this directory. Each prints its rows
+// after psbench's header and returns the process exit code.
+int table1_timeout();
+int fig2_sout_healthy();
+int fig3_sout_faulty();
+int fig4_model();
+int fig5_sample_size();
+int table3_trace_overhead();
+int overhead();
+int accuracy();
+int fig10_time_savings();
+int table9_generality();
+int sec7_false_positives();
+int ablation_model_freeze();
+int ablation_single_set();
+int ablation_trace_cost();
+int comparison_io_watchdog();
+int limitation_load_imbalance();
+int scalability_monitors();
+int tool_resilience();
+int recovery_policies();
+int fleet_service();
 
 }  // namespace parastack::bench

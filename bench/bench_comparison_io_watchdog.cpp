@@ -55,13 +55,11 @@ Row evaluate(sim::Time watchdog_timeout, int nruns) {
     const auto& detections = result.detectors.front().detections;
     if (detections.empty()) continue;
     const sim::Time detected_at = detections.front().detected_at;
-    if (!result.fault.activated() ||
-        detected_at < result.fault.activated_at) {
+    if (!result.fault.activated() || detected_at < result.fault.activated_at) {
       ++row.false_alarms;
     } else {
       ++row.detected;
-      row.delay_s.add(sim::to_seconds(detected_at -
-                                      result.fault.activated_at));
+      row.delay_s.add(sim::to_seconds(detected_at - result.fault.activated_at));
     }
   }
   return row;
@@ -69,10 +67,7 @@ Row evaluate(sim::Time watchdog_timeout, int nruns) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Comparison — ParaStack vs IO-Watchdog on faulty HPL @256",
-                "ParaStack SC'17 §1 (IO-Watchdog, 1-hour default timeout)");
+int bench::comparison_io_watchdog() {
   const int nruns = bench::runs(5, 15);
   struct Variant {
     const char* label;
@@ -96,9 +91,10 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   std::printf("\n* Service Units burned between hang onset and detection.\n");
-  std::printf("Expected shape: ParaStack detects in seconds with no timeout "
-              "to guess; IO-Watchdog either wastes its whole timeout per "
-              "hang (large settings) or false-alarms on healthy quiet "
-              "phases (small settings).\n");
+  std::printf(
+      "Expected shape: ParaStack detects in seconds with no timeout "
+      "to guess; IO-Watchdog either wastes its whole timeout per "
+      "hang (large settings) or false-alarms on healthy quiet "
+      "phases (small settings).\n");
   return 0;
 }

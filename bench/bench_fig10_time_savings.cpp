@@ -7,10 +7,7 @@
 
 using namespace parastack;
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Figure 10 — batch-time savings on erroneous HPL runs",
-                "ParaStack SC'17, Figure 10 (avg 35.5%, -> 50% asymptotically)");
+int bench::fig10_time_savings() {
   const int nruns = bench::runs(10, 10);
 
   // The paper: correct run ~518 s, user requests a 10-minute slot.
@@ -30,8 +27,8 @@ int main(int argc, char** argv) {
               "detected(s)", "billed SU", "saved%", "end");
   std::vector<harness::RunResult> results(static_cast<std::size_t>(nruns));
   harness::parallel_for(nruns, bench::jobs(), [&](int i) {
-    auto config = bench::erroneous_config(workloads::Bench::kHPL, "100000",
-                                          256, sim::Platform::tardis());
+    auto config = bench::erroneous_config(workloads::Bench::kHPL, "100000", 256,
+                                          sim::Platform::tardis());
     config.seed = harness::derive_trial_seed(55000, i);
     config.walltime_override = ticket.walltime;
     config.fault_window_lo = 0.05;
@@ -40,17 +37,15 @@ int main(int argc, char** argv) {
   });
   for (int i = 0; i < nruns; ++i) {
     const auto& result = results[static_cast<std::size_t>(i)];
-    const auto charge = sched::settle(
-        ticket,
-        result.finish_time,
-        result.first_parastack_detection());
-    const char* end_name =
-        charge.end == sched::JobEnd::kCompleted ? "completed"
-        : charge.end == sched::JobEnd::kKilledOnHangDetection ? "killed"
-                                                              : "expired";
+    const auto charge = sched::settle(ticket, result.finish_time,
+                                      result.first_parastack_detection());
+    const char* end_name = charge.end == sched::JobEnd::kCompleted ? "completed"
+                           : charge.end == sched::JobEnd::kKilledOnHangDetection
+                               ? "killed"
+                               : "expired";
     total_savings += charge.savings_fraction;
-    total_su_saved += sched::service_units(ticket, ticket.walltime) -
-                      charge.service_units;
+    total_su_saved +=
+        sched::service_units(ticket, ticket.walltime) - charge.service_units;
     std::printf("%-5d %12.1f %12.1f %12.1f %9.1f%% %12s\n", i + 1,
                 sim::to_seconds(result.fault.activated_at),
                 result.first_parastack_detection()
@@ -60,9 +55,10 @@ int main(int argc, char** argv) {
                 end_name);
     std::fflush(stdout);
   }
-  std::printf("\naverage slot savings: %.1f%% (paper: 35.5%% over 10 runs, "
-              "approaching 50%% as the number of tests grows); total SUs "
-              "saved: %.0f\n",
-              100.0 * total_savings / nruns, total_su_saved);
+  std::printf(
+      "\naverage slot savings: %.1f%% (paper: 35.5%% over 10 runs, "
+      "approaching 50%% as the number of tests grows); total SUs "
+      "saved: %.0f\n",
+      100.0 * total_savings / nruns, total_su_saved);
   return 0;
 }

@@ -32,10 +32,10 @@ void probe_benchmark(workloads::Bench bench, const char* input) {
     series.push_back(world.sout());
   }
 
-  std::printf("\n-- %s(%s), S_out every 1ms over %.0fs (decimated CSV, "
-              "every 40th sample) --\n",
-              workloads::bench_name(bench).data(), input,
-              sim::to_seconds(window));
+  std::printf(
+      "\n-- %s(%s), S_out every 1ms over %.0fs (decimated CSV, "
+      "every 40th sample) --\n",
+      workloads::bench_name(bench).data(), input, sim::to_seconds(window));
   std::printf("t_ms,sout\n");
   for (std::size_t i = 0; i < series.size(); i += 40) {
     std::printf("%zu,%.3f\n", i, series[i]);
@@ -55,15 +55,13 @@ void probe_benchmark(workloads::Bench bench, const char* input) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Figure 2 — S_out waveform of healthy LU, SP, FT @256(D)",
-                "ParaStack SC'17, Figure 2");
+int bench::fig2_sout_healthy() {
   probe_benchmark(workloads::Bench::kLU, "D");
   probe_benchmark(workloads::Bench::kSP, "D");
   probe_benchmark(workloads::Bench::kFT, "D");
-  std::printf("\nExpected shape (paper): all three show periodic variation; "
-              "the period length differs per application (FT's cycles are "
-              "much longer than LU's).\n");
+  std::printf(
+      "\nExpected shape (paper): all three show periodic variation; "
+      "the period length differs per application (FT's cycles are "
+      "much longer than LU's).\n");
   return 0;
 }

@@ -9,11 +9,7 @@
 
 using namespace parastack;
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Figure 3 — S_out waveform of a faulty LU run @256(D)",
-                "ParaStack SC'17, Figure 3");
-
+int bench::fig3_sout_faulty() {
   const auto profile = workloads::make_profile(workloads::Bench::kLU, "D", 256);
   faults::FaultPlan plan;
   plan.type = faults::FaultType::kComputeHang;
@@ -26,8 +22,7 @@ int main(int argc, char** argv) {
   config.platform = sim::Platform::tardis();
   config.seed = 5150;
   config.background_slowdowns = false;
-  simmpi::World world(config,
-                      injector.wrap(workloads::make_factory(profile)));
+  simmpi::World world(config, injector.wrap(workloads::make_factory(profile)));
   injector.arm(world);
   world.start();
   world.engine().run_until(22 * sim::kSecond);
@@ -40,9 +35,10 @@ int main(int argc, char** argv) {
 
   const double fault_at_ms =
       sim::to_millis(injector.record().activated_at - 22 * sim::kSecond);
-  std::printf("fault injected (red region border in the paper's figure) at "
-              "t=%.0fms into the window, victim rank %d\n\n",
-              fault_at_ms, injector.record().victim);
+  std::printf(
+      "fault injected (red region border in the paper's figure) at "
+      "t=%.0fms into the window, victim rank %d\n\n",
+      fault_at_ms, injector.record().victim);
   std::printf("t_ms,sout\n");
   for (std::size_t i = 0; i < series.size(); i += 25) {
     std::printf("%zu,%.3f\n", i, series[i]);
@@ -61,8 +57,9 @@ int main(int argc, char** argv) {
   }
   std::printf("\nmean S_out before fault: %.3f; after fault (+2s): %.4f\n",
               nb ? before / nb : 0.0, na ? after / na : 0.0);
-  std::printf("Expected shape (paper): dynamic variation before, persistently "
-              "near-zero S_out after the hang (only the faulty rank stays "
-              "OUT_MPI: 1/256 = 0.004).\n");
+  std::printf(
+      "Expected shape (paper): dynamic variation before, persistently "
+      "near-zero S_out after the hang (only the faulty rank stays "
+      "OUT_MPI: 1/256 = 0.004).\n");
   return 0;
 }

@@ -18,19 +18,19 @@ void dump_panel(const core::HangDetector& detector, const char* label) {
     std::printf("model not yet ready (n below the e=0.3 ladder level)\n");
     return;
   }
-  std::printf("suspicion region: S_crout <= %.2f  (p_m' = F_n(t) = %.3f, "
-              "e = %.2f, q = %.3f, k = %zu consecutive suspicions verify a "
-              "hang at 99.9%% confidence)\n",
-              decision.threshold, decision.p_m_prime, decision.tolerance,
-              decision.q, decision.k);
+  std::printf(
+      "suspicion region: S_crout <= %.2f  (p_m' = F_n(t) = %.3f, "
+      "e = %.2f, q = %.3f, k = %zu consecutive suspicions verify a "
+      "hang at 99.9%% confidence)\n",
+      decision.threshold, decision.p_m_prime, decision.tolerance, decision.q,
+      decision.k);
   std::printf("empirical distribution F_n (value: mass, cumulative):\n");
   double prev = 0.0;
   for (const auto& point : detector.model().ecdf().support()) {
     const double mass = point.cum_prob - prev;
     prev = point.cum_prob;
     std::printf("  %.2f: %.3f %.3f  %s|", point.value, mass, point.cum_prob,
-                point.value <= decision.threshold + 1e-9 ? "[suspicion] "
-                                                         : "");
+                point.value <= decision.threshold + 1e-9 ? "[suspicion] " : "");
     const int bar = static_cast<int>(mass * 120.0);
     for (int i = 0; i < bar; ++i) std::printf("#");
     std::printf("\n");
@@ -39,10 +39,7 @@ void dump_panel(const core::HangDetector& detector, const char* label) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Figure 4 — S_crout model and suspicion region (LU @256 D)",
-                "ParaStack SC'17, Figure 4");
+int bench::fig4_model() {
   const auto profile = workloads::make_profile(workloads::Bench::kLU, "D", 256);
   simmpi::WorldConfig config;
   config.nranks = 256;
@@ -68,13 +65,14 @@ int main(int argc, char** argv) {
       ++panel_index;
     }
   }
-  std::printf("\nfinal sampling interval I = %.0f ms (doubled %zu times by "
-              "the runs test), randomness confirmed: %s\n",
-              sim::to_millis(detector.interval()),
-              detector.interval_doublings(),
-              detector.randomness_confirmed() ? "yes" : "no");
-  std::printf("Expected shape (paper): most probability mass at high S_crout; "
-              "a small left tail forms the suspicion region, which tightens "
-              "(smaller e) as samples accumulate.\n");
+  std::printf(
+      "\nfinal sampling interval I = %.0f ms (doubled %zu times by "
+      "the runs test), randomness confirmed: %s\n",
+      sim::to_millis(detector.interval()), detector.interval_doublings(),
+      detector.randomness_confirmed() ? "yes" : "no");
+  std::printf(
+      "Expected shape (paper): most probability mass at high S_crout; "
+      "a small left tail forms the suspicion region, which tightens "
+      "(smaller e) as samples accumulate.\n");
   return 0;
 }

@@ -9,11 +9,7 @@
 
 using namespace parastack;
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Figure 5 — sample size vs suspicion probability vs tolerance",
-                "ParaStack SC'17, Figure 5 / §3.2");
-
+int bench::fig5_sample_size() {
   std::printf("minima (paper: (0.47,11), (0.27,19), (0.12,42), (0.06,86)):\n");
   std::printf("%6s %8s %8s\n", "e", "p_m", "n_m");
   for (const double e : stats::kToleranceLadder) {
@@ -33,8 +29,9 @@ int main(int argc, char** argv) {
     std::printf(" %9.1f\n", 5.0 / p);
   }
 
-  std::printf("\n95%% confidence brackets the model uses as n grows "
-              "(paper §3.2):\n");
+  std::printf(
+      "\n95%% confidence brackets the model uses as n grows "
+      "(paper §3.2):\n");
   const char* brackets[] = {
       "11 <= n < 19 : p in [0.17, 0.77] (e = 0.3)",
       "19 <= n < 42 : p in [0.07, 0.47] (e = 0.2)",

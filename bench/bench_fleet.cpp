@@ -1,9 +1,9 @@
-// bench_fleet — the fleet-scale measurement: one detector service admitting
-// a thousand-plus concurrent simulated jobs through src/fleet. Three
+// The fleet-scale measurement: one detector service admitting a
+// thousand-plus concurrent simulated jobs through src/fleet. Three
 // readings:
 //
 //   1. peak concurrency: the most admitted jobs running at once, from the
-//      admission ledger (the binary exits non-zero below 1000), and the
+//      admission ledger (the experiment exits non-zero below 1000), and the
 //      wall-clock tenant rate of the whole fleet run;
 //   2. fleet machine-hours saved: Fig 10's SU-savings accounting rolled up
 //      across the whole fleet;
@@ -11,32 +11,20 @@
 //      tenant's journal bytes must be invariant under fleet growth even
 //      with the noisy tenant's monitors losing and delaying reports.
 //
-//   bench_fleet [--quick] [--out FILE] [--jobs N]
-//
 // The admission ledger and the SU bill are pure functions of the seed;
 // only the wall rate varies with the host.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "fleet/fleet.hpp"
-#include "obs/json.hpp"
 
 using namespace parastack;
 
 namespace {
-
-struct Record {
-  std::string scenario;
-  std::string metric;
-  double value = 0.0;
-};
 
 /// The fleet's base tenant: the accuracy-suite erroneous run (LU/C hang on
 /// Tardis) at one monitor per tenant, so a 1000-tenant fleet needs 1000
@@ -75,40 +63,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-void write_bench_json(std::ostream& out, const std::vector<Record>& records,
-                      bool quick) {
-  out << "{\"bench\":\"bench_fleet\",\"issue\":10,\"mode\":"
-      << (quick ? "\"quick\"" : "\"full\"") << ",\"records\":[";
-  std::string doc;
-  bool first = true;
-  for (const auto& record : records) {
-    doc += first ? "\n  " : ",\n  ";
-    first = false;
-    obs::JsonObject object(doc);
-    object.field("scenario", record.scenario)
-        .field("metric", record.metric)
-        .field("value", record.value);
-  }
-  doc += "\n]}\n";
-  out << doc;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args = bench::parse_jobs(argc, argv, {"quick", "out"});
-  const bool quick = !bench::full_scale() || args.has("quick");
-  const std::string out_path = args.get("out");
+int bench::fleet_service() {
   // The acceptance bar is >= 1000 concurrent jobs, so even quick mode runs
   // the full thousand; full mode doubles it.
-  const int load_tenants = quick ? 1000 : 2000;
-  const int isolation_tenants = quick ? 6 : 10;
-
-  bench::header("bench_fleet: multi-tenant detector service at scale",
-                "tooling (no paper table): fleet mode over Fig 10's "
-                "SU-savings accounting");
-
-  std::vector<Record> records;
+  const int load_tenants = bench::full_scale() ? 2000 : 1000;
+  const int isolation_tenants = bench::full_scale() ? 10 : 6;
 
   // --- Load: >= 1000 tenants arriving over tight Poisson gaps, so their
   // ~3-minute lifetimes all overlap.
@@ -120,27 +81,23 @@ int main(int argc, char** argv) {
 
   const int peak = peak_concurrency(under_load);
   const double wall_tenants = load_tenants / elapsed;
-  const double hours_saved = under_load.bill.machine_hours_saved(
-      load.base.platform.cores_per_node);
+  const double hours_saved =
+      under_load.bill.machine_hours_saved(load.base.platform.cores_per_node);
 
-  std::printf("load: %d tenants, peak %d concurrent jobs, wall %.1fs "
-              "(%.1f tenants/s)\n",
-              load_tenants, peak, elapsed, wall_tenants);
-  std::printf("  bill: %.1f SUs charged, %.1f SUs saved, "
-              "%.1f machine-hours saved\n",
-              under_load.bill.su_billed, under_load.bill.su_saved,
-              hours_saved);
+  std::printf(
+      "load: %d tenants, peak %d concurrent jobs, wall %.1fs "
+      "(%.1f tenants/s)\n",
+      load_tenants, peak, elapsed, wall_tenants);
+  std::printf(
+      "  bill: %.1f SUs charged, %.1f SUs saved, "
+      "%.1f machine-hours saved\n",
+      under_load.bill.su_billed, under_load.bill.su_saved, hours_saved);
   if (peak < 1000) {
     std::fprintf(stderr,
-                 "bench_fleet: peak concurrency %d below the 1000-job bar\n",
+                 "psbench fleet: peak concurrency %d below the 1000-job bar\n",
                  peak);
     return 1;
   }
-
-  records.push_back({"load", "peak_concurrent_jobs",
-                     static_cast<double>(peak)});
-  records.push_back({"load", "tenants_per_sec_wall", wall_tenants});
-  records.push_back({"load", "machine_hours_saved", hours_saved});
 
   // --- Isolation: the base tenant's tool faults spike (sample loss plus
   // delivery delays flood the monitor network with retries), and every
@@ -161,28 +118,16 @@ int main(int argc, char** argv) {
     const std::size_t i = static_cast<std::size_t>(t);
     if (small.tenant_journals[i] != grown.tenant_journals[i]) {
       std::fprintf(stderr,
-                   "bench_fleet: tenant %d's journal moved when a co-tenant "
+                   "psbench fleet: tenant %d's journal moved when a co-tenant "
                    "joined (isolation violated)\n",
                    t);
       return 1;
     }
   }
-  std::printf("isolation: %d tenants with tool faults spiking "
-              "(loss 0.25, delay 40ms): journals byte-invariant under "
-              "fleet growth\n",
-              isolation_tenants);
-  records.push_back({"isolation", "tenants_checked",
-                     static_cast<double>(isolation_tenants)});
-
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s'\n", out_path.c_str());
-      return 1;
-    }
-    write_bench_json(out, records, quick);
-    std::printf("wrote %zu records to %s\n", records.size(),
-                out_path.c_str());
-  }
+  std::printf(
+      "isolation: %d tenants with tool faults spiking "
+      "(loss 0.25, delay 40ms): journals byte-invariant under "
+      "fleet growth\n",
+      isolation_tenants);
   return 0;
 }

@@ -15,8 +15,8 @@ using namespace parastack;
 
 namespace {
 
-std::shared_ptr<const workloads::BenchmarkProfile> imbalanced(
-    int stragglers, double factor) {
+std::shared_ptr<const workloads::BenchmarkProfile> imbalanced(int stragglers,
+                                                              double factor) {
   auto profile = std::make_shared<workloads::BenchmarkProfile>();
   profile->name = "IMBAL";
   profile->iterations = 700;
@@ -49,9 +49,8 @@ Outcome evaluate(int stragglers, double factor, int nruns) {
     world_config.platform = sim::Platform::tianhe2();
     world_config.seed = 87000 + static_cast<std::uint64_t>(i) * 31;
     world_config.background_slowdowns = false;
-    simmpi::World world(world_config,
-                        workloads::make_factory(imbalanced(stragglers,
-                                                           factor)));
+    simmpi::World world(
+        world_config, workloads::make_factory(imbalanced(stragglers, factor)));
     trace::StackInspector inspector(world);
     core::HangDetector detector(world, inspector, core::DetectorConfig{});
     world.start();
@@ -74,14 +73,10 @@ Outcome evaluate(int stragglers, double factor, int nruns) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Limitation — severe load imbalance (paper §6)",
-                "ParaStack SC'17 §6: 'not suitable for applications with "
-                "severe load imbalance'");
+int bench::limitation_load_imbalance() {
   const int nruns = bench::runs(4, 12);
-  std::printf("%-28s %10s %12s %10s %8s %10s\n", "workload (64 ranks)",
-              "false", "filter", "completed", "k", "I(ms)");
+  std::printf("%-28s %10s %12s %10s %8s %10s\n", "workload (64 ranks)", "false",
+              "filter", "completed", "k", "I(ms)");
   std::printf("%-28s %10s %12s %10s %8s %10s\n", "", "alarms", "absorptions",
               "", "", "");
   struct Case {
@@ -89,10 +84,10 @@ int main(int argc, char** argv) {
     int stragglers;
     double factor;
   };
-  for (const Case& c : {Case{"balanced", 0, 1.0},
-                        Case{"mild (3 ranks, 1.5x)", 3, 1.5},
-                        Case{"moderate (3 ranks, 3x)", 3, 3.0},
-                        Case{"severe (2 ranks, 10x)", 2, 10.0}}) {
+  for (const Case& c :
+       {Case{"balanced", 0, 1.0}, Case{"mild (3 ranks, 1.5x)", 3, 1.5},
+        Case{"moderate (3 ranks, 3x)", 3, 3.0},
+        Case{"severe (2 ranks, 10x)", 2, 10.0}}) {
     const Outcome outcome = evaluate(c.stragglers, c.factor, nruns);
     std::printf("%-28s %7d/%-2d %12d %7d/%-2d %8.0f %10.0f\n", c.label,
                 outcome.false_alarms, nruns, outcome.slowdown_absorptions,
@@ -100,12 +95,13 @@ int main(int argc, char** argv) {
                 outcome.mean_interval_ms);
     std::fflush(stdout);
   }
-  std::printf("\nExpected shape: no false alarms anywhere — the robust model "
-              "ACCOMMODATES imbalance by absorbing the 'few ranks still "
-              "computing' state into its suspicion mass, which inflates q "
-              "and hence the required streak k (and often I). The cost is "
-              "silent: worst-case detection latency ~ k*I grows with "
-              "imbalance — the degradation behind the paper's §6 warning "
-              "that severely imbalanced apps are out of scope.\n");
+  std::printf(
+      "\nExpected shape: no false alarms anywhere — the robust model "
+      "ACCOMMODATES imbalance by absorbing the 'few ranks still "
+      "computing' state into its suspicion mass, which inflates q "
+      "and hence the required streak k (and often I). The cost is "
+      "silent: worst-case detection latency ~ k*I grows with "
+      "imbalance — the degradation behind the paper's §6 warning "
+      "that severely imbalanced apps are out of scope.\n");
   return 0;
 }

@@ -15,6 +15,8 @@
 // arrives second-hand from the degraded-mode fallback. Team replication
 // still completes the job through that verdict; kill-only burns the slot.
 
+#include <cstring>
+
 #include "bench_common.hpp"
 #include "recover/spec.hpp"
 #include "sched/scheduler.hpp"
@@ -28,7 +30,7 @@ constexpr std::uint64_t kSeed0 = 91000;
 
 struct LatencyPoint {
   const char* label;
-  bool parastack = true;       ///< false: fixed-timeout baseline
+  bool parastack = true;  ///< false: fixed-timeout baseline
   double timeout_interval_ms = 0.0;
   int timeout_k = 0;
 };
@@ -80,8 +82,8 @@ sched::JobTicket ticket_for(sim::Time walltime) {
 
 struct CellStats {
   int completed = 0;
-  util::Summary finish_seconds;     ///< completed runs only
-  util::Summary detect_latency_s;   ///< first kill - fault onset
+  util::Summary finish_seconds;    ///< completed runs only
+  util::Summary detect_latency_s;  ///< first kill - fault onset
   util::Summary service_units;
 };
 
@@ -123,10 +125,11 @@ void acceptance_scenario(int nruns) {
   // world, and 5% report loss degrades whatever partial traffic remains;
   // the hang strikes at 70 s, blind to ParaStack. The degraded-mode
   // fallback timeout delivers the (second-hand) kill.
-  std::printf("\nacceptance: lead crash + 5%% report loss, hang at 70 s "
-              "(degraded fallback kill)\n");
-  std::printf("%-8s %10s %12s %12s %10s\n", "policy", "completed",
-              "finish(s)", "SU billed", "SU wasted");
+  std::printf(
+      "\nacceptance: lead crash + 5%% report loss, hang at 70 s "
+      "(degraded fallback kill)\n");
+  std::printf("%-8s %10s %12s %12s %10s\n", "policy", "completed", "finish(s)",
+              "SU billed", "SU wasted");
   for (const char* policy : {"none", "team:2"}) {
     std::vector<harness::RunResult> results(static_cast<std::size_t>(nruns));
     harness::parallel_for(nruns, bench::jobs(), [&](int i) {
@@ -167,8 +170,7 @@ void acceptance_scenario(int nruns) {
       }
     }
     std::printf("%-8s %6d/%-3d %12.1f %12.1f %10.1f\n", policy, completed,
-                nruns,
-                completed > 0 ? finish_seconds.mean() : 0.0,
+                nruns, completed > 0 ? finish_seconds.mean() : 0.0,
                 su_billed.mean(), su_wasted.mean());
     std::fflush(stdout);
   }
@@ -176,17 +178,13 @@ void acceptance_scenario(int nruns) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Recovery policies — completion time and SU cost vs. "
-                "detection latency",
-                "detect->recover extension (DESIGN.md §13); SU model "
-                "follows §7.1-V");
+int bench::recovery_policies() {
   const int nruns = bench::runs(6, 24);
 
-  std::printf("\nLU @%d ranks (Tardis), %d erroneous runs per cell, "
-              "hang at 30-50%% of the clean run\n",
-              kRanks, nruns);
+  std::printf(
+      "\nLU @%d ranks (Tardis), %d erroneous runs per cell, "
+      "hang at 30-50%% of the clean run\n",
+      kRanks, nruns);
   std::printf("%-12s %-8s %10s %10s %12s %12s\n", "detector", "policy",
               "completed", "detect(s)", "finish(s)", "SU billed");
   for (const auto& latency : kLatencies) {

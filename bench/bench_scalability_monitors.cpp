@@ -105,26 +105,20 @@ TreeCell run_tree_cell(int nranks, int fanout) {
   const double samples = static_cast<double>(network.samples());
   cell.root_msgs_per_sample =
       static_cast<double>(network.root_messages()) / samples;
-  cell.hops_per_sample =
-      static_cast<double>(network.messages_sent()) / samples;
+  cell.hops_per_sample = static_cast<double>(network.messages_sent()) / samples;
   cell.max_fan_in = network.max_fan_in();
   return cell;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Scalability — monitor activity vs job size",
-                "ParaStack SC'17 §3.3 (C processes, <= C active monitors)");
-  std::printf("%-8s %8s %10s %12s %14s %14s\n", "ranks", "nodes",
-              "monitors", "traced/sample", "active/sample",
-              "msgs/sample");
+int bench::scalability_monitors() {
+  std::printf("%-8s %8s %10s %12s %14s %14s\n", "ranks", "nodes", "monitors",
+              "traced/sample", "active/sample", "msgs/sample");
   for (const int nranks : {256, 1024, 4096, 16384}) {
     const auto profile = workloads::make_profile(
-        workloads::Bench::kCG, workloads::default_input(workloads::Bench::kCG,
-                                                        nranks),
-        nranks);
+        workloads::Bench::kCG,
+        workloads::default_input(workloads::Bench::kCG, nranks), nranks);
     simmpi::WorldConfig config;
     config.nranks = nranks;
     config.platform = sim::Platform::stampede();
@@ -141,27 +135,32 @@ int main(int argc, char** argv) {
     world.engine().run_until(40 * sim::kSecond);
     detector.stop();
     const double samples = static_cast<double>(network.samples());
-    std::printf("%-8d %8d %10d %12.1f %14.1f %14.2f\n", nranks,
-                world.nnodes(), network.monitor_count(),
+    std::printf("%-8d %8d %10d %12.1f %14.1f %14.2f\n", nranks, world.nnodes(),
+                network.monitor_count(),
                 static_cast<double>(network.ranks_traced_total()) / samples,
-                /*active*/ static_cast<double>(
+                /*active*/
+                static_cast<double>(
                     network.active_monitors_for(detector.monitor_set(0))),
                 static_cast<double>(network.messages_sent()) / samples);
     std::fflush(stdout);
   }
-  std::printf("\nExpected shape: traced processes per sample stay at C = 10 "
-              "and tool messages at most C at every scale (one partial per "
-              "active monitor whose node is not the lead's) — the "
-              "negligible-overhead claim is structural, not incidental.\n");
+  std::printf(
+      "\nExpected shape: traced processes per sample stay at C = 10 "
+      "and tool messages at most C at every scale (one partial per "
+      "active monitor whose node is not the lead's) — the "
+      "negligible-overhead claim is structural, not incidental.\n");
 
-  std::printf("\n-------------------------------------------------------------\n");
-  std::printf("Aggregation-tree shape vs root hot-spot (synthetic substrate,\n"
-              "C = %d active monitors, 16 ranks/node, hang at sample %d)\n",
-              kActiveMonitors, kHangAt);
-  std::printf("-------------------------------------------------------------\n");
+  std::printf(
+      "\n-------------------------------------------------------------\n");
+  std::printf(
+      "Aggregation-tree shape vs root hot-spot (synthetic substrate,\n"
+      "C = %d active monitors, 16 ranks/node, hang at sample %d)\n",
+      kActiveMonitors, kHangAt);
+  std::printf(
+      "-------------------------------------------------------------\n");
   std::printf("%-9s %8s %8s %7s %14s %12s %11s %10s %9s\n", "ranks", "nodes",
-              "fanout", "levels", "rootmsg/sample", "hops/sample",
-              "max fan-in", "detect(s)", "S_crout");
+              "fanout", "levels", "rootmsg/sample", "hops/sample", "max fan-in",
+              "detect(s)", "S_crout");
   for (const int nranks : {65536, 262144, 1048576}) {
     std::vector<double> star_scrouts;
     for (const int fanout : {0, 8, 32}) {  // 0 = the flat star ("inf")
@@ -188,10 +187,11 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("\nExpected shape: the root's fan-in (and messages received at "
-              "the root per sample) is O(active monitors) for the star but "
-              "O(fan-out) for a tree, while the S_crout stream — and with it "
-              "detection latency and accuracy — is identical for every "
-              "aggregation shape.\n");
+  std::printf(
+      "\nExpected shape: the root's fan-in (and messages received at "
+      "the root per sample) is O(active monitors) for the star but "
+      "O(fan-out) for a tree, while the S_crout stream — and with it "
+      "detection latency and accuracy — is identical for every "
+      "aggregation shape.\n");
   return 0;
 }

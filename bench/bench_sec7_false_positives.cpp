@@ -43,11 +43,7 @@ void fp_block(const char* platform_name, int nranks,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("§7.1-II — false positives over clean runs (alpha = 0.1%)",
-                "ParaStack SC'17, §7.1-II (0 FP over 66 h @256 / 39.7 h "
-                "@1024)");
+int bench::sec7_false_positives() {
   using B = workloads::Bench;
   fp_block("Tardis", 256,
            {B::kBT, B::kCG, B::kFT, B::kLU, B::kMG, B::kSP, B::kHPCG, B::kHPL},

@@ -32,10 +32,7 @@ const Setting kSettings[] = {{400, 5}, {400, 10}, {800, 5}, {800, 10}};
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Table 1 — fixed timeout (I, K) sweep at scale 256",
-                "ParaStack SC'17, Table 1");
+int bench::table1_timeout() {
   const int nruns = bench::runs(6, 10);
 
   std::printf("%-22s", "setting \\ bench");

@@ -72,11 +72,7 @@ Row run_with_interval(sim::Time interval, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Table 3 — single-process stack-trace overhead (HPL-like)",
-                "ParaStack SC'17, Table 3 (clean run ~185.05 s; O_t 50.88 s "
-                "@10 ms with n=18220; O_t 7.52 s @100 ms with n=1870)");
+int bench::table3_trace_overhead() {
   const int reps = bench::runs(2, 5);
   std::printf("%-12s %10s %10s %10s %10s\n", "interval", "clean(s)",
               "traced(s)", "O_t(s)", "n");

@@ -25,10 +25,7 @@ const Row kRows[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Table 9 — generality: default I=400ms vs P* (I=10ms init)",
-                "ParaStack SC'17, Table 9");
+int bench::table9_generality() {
   const int nruns = bench::runs(6, 10);
 
   std::printf("%-20s | %5s %5s %6s %7s | %5s %5s %6s %7s\n", "platform bench",

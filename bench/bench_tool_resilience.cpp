@@ -57,12 +57,7 @@ void run_cell(const Cell& cell, int nranks, const sim::Platform& platform,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::parse_jobs(argc, argv);
-  bench::header("Tool resilience — accuracy under tool-side faults",
-                "robustness extension (DESIGN.md §8); baseline row "
-                "reproduces Table 6 conditions");
-
+int bench::tool_resilience() {
   const int nranks = 128;  // 8 Stampede nodes -> 8 monitors, 7 non-lead
   const auto platform = sim::platform_by_name("Stampede").value();
   const int nruns = bench::runs(4, 40);

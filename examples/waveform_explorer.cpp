@@ -46,6 +46,13 @@ int main(int argc, char** argv) {
   }
   const std::string input =
       argc > 2 ? argv[2] : workloads::default_input(*bench, nranks);
+  if (!workloads::valid_input(*bench, input)) {
+    std::fprintf(stderr,
+                 "bad input '%s' (expected C, D or E for the NPB benches, a "
+                 "whole number >= 1 for HPL and HPCG)\n",
+                 input.c_str());
+    return 2;
+  }
 
   std::printf("%s(%s) on %d ranks, %s\n\n",
               workloads::bench_name(*bench).data(), input.c_str(), nranks,

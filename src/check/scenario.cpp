@@ -356,6 +356,8 @@ std::optional<Scenario> parse_repro(const std::string& repro) {
       return std::nullopt;  // unknown key: refuse to half-reproduce
     }
   }
+  // Checked once every key is read: the rule depends on the bench.
+  if (!workloads::valid_input(s.bench, s.input)) return std::nullopt;
   return s;
 }
 

@@ -152,8 +152,8 @@ class MonitorPool {
 };
 
 /// Fleet-level roll-up of per-tenant JobCharges: the machine-hours ledger
-/// behind bench_fleet's "SUs saved" headline (paper §7.1-V scaled from one
-/// job to a fleet). Refused tenants are counted but never billed.
+/// behind `psbench fleet`'s "SUs saved" headline (paper §7.1-V scaled from
+/// one job to a fleet). Refused tenants are counted but never billed.
 struct FleetBill {
   int jobs = 0;  ///< admitted tenants folded in
   int completed = 0;

@@ -1,6 +1,8 @@
 #include "workloads/catalog.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "util/check.hpp"
@@ -337,6 +339,16 @@ std::string default_input(Bench bench, int nranks) {
     default:
       return nranks <= 256 ? "D" : "E";
   }
+}
+
+bool valid_input(Bench bench, std::string_view input) {
+  if (bench == Bench::kHPL || bench == Bench::kHPCG) {
+    std::uint64_t size = 0;
+    const char* const end = input.data() + input.size();
+    const auto [stop, error] = std::from_chars(input.data(), end, size);
+    return error == std::errc() && stop == end && size >= 1;
+  }
+  return input == "C" || input == "D" || input == "E";
 }
 
 }  // namespace parastack::workloads

@@ -34,4 +34,10 @@ std::shared_ptr<const BenchmarkProfile> make_profile(Bench bench,
 /// The paper's default input for a given running scale (Table 2).
 std::string default_input(Bench bench, int nranks);
 
+/// True when `input` is a real input of `bench`: an NPB class C, D or E,
+/// or for HPL and HPCG a whole number of at least 1. User input goes
+/// through this before make_profile, which aborts on any other NPB class
+/// and would build a nonsense HPL or HPCG size.
+bool valid_input(Bench bench, std::string_view input);
+
 }  // namespace parastack::workloads

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# CLI contract test for the bench binaries' shared option parsing
-# (bench/bench_common.hpp parse_jobs): an unknown option, a stray
-# argument and a malformed or negative worker count, on the command line
-# or in PARASTACK_BENCH_JOBS, each exit 2 and print nothing on stdout,
-# i.e. no campaign has started.
-# Usage: bench_cli_test.sh /path/to/bench_fig4_model /path/to/bench_fleet
+# CLI contract test for psbench's option parsing (bench/psbench.cpp):
+# a missing or unknown experiment name, an unknown option, a stray
+# argument, a malformed or negative worker count and a
+# PARASTACK_BENCH_SCALE other than quick or full each exit 2 and print
+# nothing on stdout, i.e. no experiment has started.
+# Usage: bench_cli_test.sh /path/to/psbench
 set -u
 
-BENCH=${1:?usage: bench_cli_test.sh BENCH_BINARY FLEET_BINARY}
-FLEET=${2:?usage: bench_cli_test.sh BENCH_BINARY FLEET_BINARY}
+PSBENCH=${1:?usage: bench_cli_test.sh PSBENCH_BINARY}
 failures=0
 
 # expect_reject NAME EXPECTED_STDERR_TEXT COMMAND...
@@ -34,20 +33,26 @@ expect_reject() {
   rm -f "$err"
 }
 
+# A missing or unknown name lists the experiments (fig4 is one of them).
+expect_reject missing-name "missing experiment name" "$PSBENCH"
+expect_reject missing-name-lists "fig4" "$PSBENCH"
+expect_reject unknown-name "unknown experiment 'table6'" "$PSBENCH" table6
+expect_reject unknown-name-lists "accuracy" "$PSBENCH" table6
+
 expect_reject unknown-flag "unknown option --bogus-flag" \
-  "$BENCH" --bogus-flag
+  "$PSBENCH" fig4 --bogus-flag
 expect_reject jobs-not-a-number "bad --jobs value 'abc'" \
-  "$BENCH" --jobs abc
+  "$PSBENCH" fig4 --jobs abc
 expect_reject jobs-negative "bad --jobs value '-1'" \
-  "$BENCH" --jobs=-1
-expect_reject env-jobs-not-a-number "bad PARASTACK_BENCH_JOBS value 'abc'" \
-  env PARASTACK_BENCH_JOBS=abc "$BENCH"
-expect_reject env-jobs-trailing-text "bad PARASTACK_BENCH_JOBS value '4x'" \
-  env PARASTACK_BENCH_JOBS=4x "$BENCH" --jobs 1
+  "$PSBENCH" fig4 --jobs=-1
 expect_reject stray-argument "unexpected argument 'extra'" \
-  "$BENCH" extra
+  "$PSBENCH" fig4 extra
 expect_reject fleet-unknown-flag "unknown option --bogus-flag" \
-  "$FLEET" --quick --bogus-flag
+  "$PSBENCH" fleet --bogus-flag
+expect_reject fleet-no-quick-flag "unknown option --quick" \
+  "$PSBENCH" fleet --quick
+expect_reject scale-wrong-case "bad PARASTACK_BENCH_SCALE value 'Full'" \
+  env PARASTACK_BENCH_SCALE=Full "$PSBENCH" fig4
 
 if [[ $failures -ne 0 ]]; then
   echo "$failures bench CLI check(s) failed" >&2

@@ -94,6 +94,15 @@ else
   note bad-repro-rejected
 fi
 
+# An input the bench cannot take (no NPB class Z) is a malformed repro
+# string too, not an abort inside the profile build.
+err=$("$PSCHECK" --repro='v1,fseed=1,rseed=1,bench=LU,input=Z,ranks=8,platform=Tardis,horizon-ms=1000,fault=none' 2>&1 >/dev/null)
+if [[ $? -ne 2 || $err != *"malformed --repro string"* ]]; then
+  flunk "bad-repro-input-rejected: $err"
+else
+  note bad-repro-input-rejected
+fi
+
 # Numeric options are parsed whole: an out-of-range or malformed value
 # exits 2 naming the option, never wraps or saturates.
 for bad in "--seeds 4294967297" "--seeds 0" "--seed 18446744073709551616" \

@@ -356,13 +356,16 @@ harness::RunConfig build_config(const util::Args& args, bool& ok) {
   // --input is an NPB class, or a positive whole size for HPL and HPCG:
   // anything else would abort the profile build or run a nonsense size.
   config.input = args.get("input", "");
-  if (config.bench == workloads::Bench::kHPL ||
-      config.bench == workloads::Bench::kHPCG) {
-    (void)args.get_whole<std::uint64_t>("input", 1, 1);
-  } else if (!config.input.empty() && config.input != "C" &&
-             config.input != "D" && config.input != "E") {
-    throw std::invalid_argument("bad --input value '" + config.input +
-                                "' (expected C, D or E)");
+  if (args.has("input") &&
+      !workloads::valid_input(config.bench, config.input)) {
+    const bool sized = config.bench == workloads::Bench::kHPL ||
+                       config.bench == workloads::Bench::kHPCG;
+    throw std::invalid_argument(
+        "bad --input value '" + config.input + "' (expected " +
+        (sized ? "an integer from 1 to " +
+                     std::to_string(std::numeric_limits<std::uint64_t>::max())
+               : std::string("C, D or E")) +
+        ")");
   }
   const std::string platform = args.get("platform", "Tianhe-2");
   const auto preset = sim::platform_by_name(platform);
